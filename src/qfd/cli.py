@@ -39,7 +39,7 @@ from qfd.coefficients import (
     time_grid,
 )
 from qfd.decoherence import (
-    quadratic_ratio_fit,
+    quadratic_fit_rows,
     sweep_level_spacing,
     sweep_material_particle,
     sweep_polarization,
@@ -174,7 +174,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     part_orient = None
     part_name = ""
 
-    preset_name = getattr(args, "preset", None) or ini("material", "preset")
+    # combo rows take every parameter from their own presets; without a
+    # preset the first combo completes the config of --out and --dump-config
+    preset_name = (
+        getattr(args, "preset", None)
+        or ini("material", "preset")
+        or (getattr(args, "combos", None) or "").split(",")[0].strip()
+    )
     if preset_name:
         mat, p = preset(preset_name)
         part_delta, part_r0, part_orient, part_name = (
@@ -297,11 +303,7 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_coeffs(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    if args.dump_config:
-        _write_atomic(args.dump_config, cfg.to_ini())
-        return 0
+def cmd_coeffs(args: argparse.Namespace, cfg: RunConfig) -> int:
     mat, part, kin, num = cfg.material, cfg.particle, cfg.kinematics, cfg.numerics
     method = args.method
     if method in ("brute", "all"):
@@ -311,22 +313,18 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
         pts = num.pts_per_cycle
     grid = time_grid(part.delta_tilde, mat.gamma_tilde, args.cycles, pts)
 
-    if method == "e1":
-        text = coefficients_e1(mat, part, kin, grid).to_csv()
-    elif method == "analytic":
-        text = coefficients_analytic_small_u(mat, part, kin, grid).to_csv()
-    elif method == "brute":
-        text = coefficients_brute(
+    routes = {
+        "e1": lambda: coefficients_e1(mat, part, kin, grid),
+        "analytic": lambda: coefficients_analytic_small_u(mat, part, kin, grid),
+        "brute": lambda: coefficients_brute(
             mat, part, kin, grid,
             omega_max=num.omega_max, rel_tol=num.rel_tol, abs_tol=num.abs_tol,
-        ).to_csv()
+        ),
+    }
+    if method != "all":
+        text = routes[method]().to_csv()
     else:  # all methods side by side plus the Markov constant
-        tr_e1 = coefficients_e1(mat, part, kin, grid)
-        tr_an = coefficients_analytic_small_u(mat, part, kin, grid)
-        tr_br = coefficients_brute(
-            mat, part, kin, grid,
-            omega_max=num.omega_max, rel_tol=num.rel_tol, abs_tol=num.abs_tol,
-        )
+        tr_e1, tr_an, tr_br = (routes[m]() for m in ("e1", "analytic", "brute"))
         mk = markov_limit(mat, part, kin)
         buf = io.StringIO()
         buf.write(
@@ -350,11 +348,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_evolve(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    if args.dump_config:
-        _write_atomic(args.dump_config, cfg.to_ini())
-        return 0
+def cmd_evolve(args: argparse.Namespace, cfg: RunConfig) -> int:
     mat, part, kin, num = cfg.material, cfg.particle, cfg.kinematics, cfg.numerics
     initial = QubitState(rho11=args.rho11, rho12=complex(args.re_rho12, args.im_rho12))
     grid = time_grid(part.delta_tilde, mat.gamma_tilde, args.cycles, num.pts_per_cycle)
@@ -364,11 +358,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_tdec(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    if args.dump_config:
-        _write_atomic(args.dump_config, cfg.to_ini())
-        return 0
+def cmd_tdec(args: argparse.Namespace, cfg: RunConfig) -> int:
     mat, part, kin, num = cfg.material, cfg.particle, cfg.kinematics, cfg.numerics
     res = tau_d(
         mat,
@@ -408,40 +398,31 @@ def _sweep_values(args: argparse.Namespace) -> np.ndarray:
     return np.linspace(args.start, args.stop, args.points)
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    if args.dump_config:
-        _write_atomic(args.dump_config, cfg.to_ini())
-        return 0
+def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
     mat, part, kin = cfg.material, cfg.particle, cfg.kinematics
     values = _sweep_values(args)
     method = args.method
 
-    if args.combos:
-        combos = [c.strip() for c in args.combos.split(",") if c.strip()]
-        if args.param == "phi":
-            theta_grid = [parse_angle(args.theta) if args.theta else math.pi / 2]
-            rows = sweep_material_particle(combos, theta_grid, list(values), method=method)
-        elif args.param == "theta":
-            phi_grid = [parse_angle(args.phi) if args.phi else 0.0]
-            rows = sweep_material_particle(combos, list(values), phi_grid, method=method)
+    if args.param in ("theta", "phi"):
+        thetas = [parse_angle(args.theta) if args.theta else math.pi / 2]
+        phis = [parse_angle(args.phi) if args.phi else 0.0]
+        if args.param == "theta":
+            thetas = list(values)
         else:
-            raise ConfigError("--combos applies to theta/phi sweeps only")
+            phis = list(values)
+        if args.combos:
+            combos = [c.strip() for c in args.combos.split(",") if c.strip()]
+            rows = sweep_material_particle(combos, thetas, phis, method=method)
+        else:
+            rows = sweep_polarization(mat, part, kin, thetas, phis, method=method)
+    elif args.combos:
+        raise ConfigError("--combos applies to theta/phi sweeps only")
     elif args.param == "u":
         if args.points < 4:
             raise ConfigError("u sweeps feeding fits need --points >= 4")
         rows = sweep_velocity(mat, part, values, method=method, a_nm=kin.a_nm)
-    elif args.param == "theta":
-        phi_grid = [parse_angle(args.phi) if args.phi else 0.0]
-        rows = sweep_polarization(mat, part, kin, list(values), phi_grid, method=method)
-        rows = [replace(r, sweep_param="theta", value=r.theta) for r in rows]
-    elif args.param == "phi":
-        theta_grid = [parse_angle(args.theta) if args.theta else math.pi / 2]
-        rows = sweep_polarization(mat, part, kin, theta_grid, list(values), method=method)
-    elif args.param == "delta":
-        rows = sweep_level_spacing(mat, part, kin, values, method=method)
     else:
-        raise ConfigError(f"unknown sweep parameter {args.param!r}")
+        rows = sweep_level_spacing(mat, part, kin, values, method=method)
 
     if cfg.out_format == "json":
         payload = [
@@ -452,8 +433,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         text = sweep_rows_to_csv(rows)
     _write_atomic(cfg.out_path, text)
 
-    if args.param == "u" and not args.combos:
-        fit, _rates = quadratic_ratio_fit(mat, part, values, method=method, a_nm=kin.a_nm)
+    if args.param == "u":
+        fit = quadratic_fit_rows(rows)
         fit_payload = {
             "fit": {
                 "a": fit.a_coef,
@@ -541,7 +522,11 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        cfg = resolve_config(args)
+        if args.dump_config:
+            _write_atomic(args.dump_config, cfg.to_ini())
+            return 0
+        return args.func(args, cfg)
     except ConfigError as exc:
         print(f"qfd: config error: {exc}", file=sys.stderr)
         return 2

@@ -31,6 +31,7 @@ relax to.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import warnings
@@ -205,27 +206,42 @@ def _tail_sin(omega_max: float, t: float, gamma_tilde: float) -> float:
 def _kernel_quadrature(
     t: np.ndarray, gamma_tilde: float, kind: str, omega_max: float = 200.0
 ) -> np.ndarray:
-    """Direct quadrature of int_0^omega_max J(w) trig(w t) dw plus the
-    analytic tail of the truncated 1/w^3 falloff."""
-    m = float(omega_max)
+    """Kernel samples by direct frequency quadrature (gamma_tilde >= 2)."""
+    return np.array(
+        [_frequency_kernel(ti, gamma_tilde, kind, omega_max, 1e-11, 1e-13) for ti in t.flat]
+    ).reshape(t.shape)
+
+
+def _frequency_kernel(
+    t: float,
+    gamma_tilde: float,
+    kind: str,
+    omega_max: float,
+    rel_tol: float,
+    abs_tol: float,
+    max_subdivisions: int = 4096,
+) -> float:
+    """int_0^inf J(w) trig(w t) dw at one delay t, trig = cos or sin by kind.
+
+    Adaptive quadrature up to omega_max on panels split at the resonance
+    breakpoints, plus the analytic tail of the truncated 1/w^3 falloff.
+    """
     gt = gamma_tilde
-    out = np.empty_like(t)
-    breaks = _resonance_breakpoints(gt, m)
-    for i, ti in enumerate(t):
-        if ti == 0.0:
-            out[i] = kernel_cos_zero(gt, m) if kind == "cos" else 0.0
-            continue
-        if kind == "cos":
-            f = lambda w: spectral_density(w, gt) * np.cos(w * ti)
-            tail = _tail_cos(m, ti, gt)
-        else:
-            f = lambda w: spectral_density(w, gt) * np.sin(w * ti)
-            tail = _tail_sin(m, ti, gt)
-        total = 0.0
-        for a, b in zip(breaks[:-1], breaks[1:]):
-            total += integrate_adaptive(f, a, b, rel_tol=1e-11, abs_tol=1e-13).value
-        out[i] = total + tail
-    return out
+    if t == 0.0:
+        return kernel_cos_zero(gt, omega_max) if kind == "cos" else 0.0
+    trig, tail = (np.cos, _tail_cos) if kind == "cos" else (np.sin, _tail_sin)
+    breaks = _resonance_breakpoints(gt, omega_max)
+    total = 0.0
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        total += integrate_adaptive(
+            lambda w: spectral_density(w, gt) * trig(w * t),
+            a,
+            b,
+            rel_tol=rel_tol,
+            abs_tol=abs_tol,
+            max_subdivisions=max_subdivisions,
+        ).value
+    return total + tail(omega_max, t, gt)
 
 
 def _resonance_breakpoints(gamma_tilde: float, omega_max: float) -> list[float]:
@@ -448,6 +464,14 @@ def coefficients_e1(
 # ---------------------------------------------------------------------------
 
 
+def _delay_integrand(part: ParticleParams, kin: KinematicsParams, trig, kernel):
+    """t' -> trig(Dt t') K(t') P(u t'), the delay integrand of the
+    coefficient integrals for a frequency kernel K, on scalars or arrays."""
+    dt = part.delta_tilde
+    u = abs(kin.u)
+    return lambda tp: trig(dt * tp) * kernel(tp) * kernel_P(u * tp, part.orientation)
+
+
 def coefficients_brute(
     mat: MaterialParams,
     part: ParticleParams,
@@ -465,74 +489,26 @@ def coefficients_brute(
     the horizon - use coarse grids.
     """
     g = _check_grid(grid)
-    gt = mat.gamma_tilde
-    dt = part.delta_tilde
-    u = abs(kin.u)
     pref = part.r0_tilde / TWO_PI
-    m = float(omega_max)
-    breaks = _resonance_breakpoints(gt, m)
-    kc0 = kernel_cos_zero(gt, m)
     # the inner frequency quadrature must sit well below the outer
     # tolerance, otherwise its residual jitter looks like roughness to
     # the outer rule
-    inner_rel = 1e-4 * rel_tol
-    inner_abs = 1e-4 * abs_tol
-
-    def kc_quad(tp: float) -> float:
-        if tp == 0.0:
-            return kc0
-        total = 0.0
-        for a, b in zip(breaks[:-1], breaks[1:]):
-            total += integrate_adaptive(
-                lambda w: spectral_density(w, gt) * np.cos(w * tp),
-                a,
-                b,
-                rel_tol=inner_rel,
-                abs_tol=inner_abs,
-                max_subdivisions=65536,
-            ).value
-        return total + _tail_cos(m, tp, gt)
-
-    def ks_quad(tp: float) -> float:
-        if tp == 0.0:
-            return 0.0
-        total = 0.0
-        for a, b in zip(breaks[:-1], breaks[1:]):
-            total += integrate_adaptive(
-                lambda w: spectral_density(w, gt) * np.sin(w * tp),
-                a,
-                b,
-                rel_tol=inner_rel,
-                abs_tol=inner_abs,
-                max_subdivisions=65536,
-            ).value
-        return total + _tail_sin(m, tp, gt)
-
-    def outer(which: str):
-        if which == "D":
-            return lambda tps: np.array(
-                [
-                    math.cos(dt * tp) * kc_quad(tp) * kernel_P(u * tp, part.orientation)
-                    for tp in np.atleast_1d(tps)
-                ]
-            )
-        if which == "f":
-            return lambda tps: np.array(
-                [
-                    math.sin(dt * tp) * kc_quad(tp) * kernel_P(u * tp, part.orientation)
-                    for tp in np.atleast_1d(tps)
-                ]
-            )
-        return lambda tps: np.array(
-            [
-                math.sin(dt * tp) * ks_quad(tp) * kernel_P(u * tp, part.orientation)
-                for tp in np.atleast_1d(tps)
-            ]
-        )
+    inner = dict(
+        gamma_tilde=mat.gamma_tilde,
+        omega_max=float(omega_max),
+        rel_tol=1e-4 * rel_tol,
+        abs_tol=1e-4 * abs_tol,
+        max_subdivisions=65536,
+    )
+    # D and f share the cosine kernel: one frequency quadrature per node
+    kc = functools.cache(functools.partial(_frequency_kernel, kind="cos", **inner))
+    ks = functools.partial(_frequency_kernel, kind="sin", **inner)
 
     arrays = {}
-    for which in ("D", "f", "zeta"):
-        fn = outer(which)
+    routes = (("D", math.cos, kc), ("f", math.sin, kc), ("zeta", math.sin, ks))
+    for which, trig, kernel in routes:
+        # node by node: every kernel value is its own frequency quadrature
+        fn = np.vectorize(_delay_integrand(part, kin, trig, kernel), otypes=[float])
         vals = np.empty(g.size)
         vals[0] = 0.0
         acc = 0.0
@@ -557,7 +533,7 @@ def coefficients_brute(
         cumD=cumulative_integral(g, arrays["D"]),
         cumF=cumulative_integral(g, arrays["f"]),
         method="brute",
-        delta_tilde=dt,
+        delta_tilde=part.delta_tilde,
     )
 
 
@@ -689,6 +665,10 @@ def coefficients_analytic_small_u(
 # Markov (stationary) limits
 # ---------------------------------------------------------------------------
 
+# relative tolerance of the stationary quadratures (markov_limit,
+# stationary_offset); it also bounds the error of 1 - zeta/D
+MARKOV_REL_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class MarkovCoefficients:
@@ -716,8 +696,6 @@ def markov_limit(
     reduces to r0_tilde d_i J(delta_tilde) / 32.
     """
     gt = mat.gamma_tilde
-    dt = part.delta_tilde
-    u = abs(kin.u)
     pref = part.r0_tilde / TWO_PI
     # the cosine kernel carries an algebraic 1/t^2 tail on top of the
     # exponential pole decay (the even extension of J has a slope kink at
@@ -725,34 +703,17 @@ def markov_limit(
     horizon_cos = max(kernel_decay_time(gt), _ALGEBRAIC_TAIL_HORIZON)
     horizon_sin = kernel_decay_time(gt)
 
-    def g_cos(tp):
-        tp = np.atleast_1d(tp)
-        return (
-            np.cos(dt * tp)
-            * omega_kernel_cos(tp, gt)
-            * kernel_P(u * tp, part.orientation)
-        )
+    kc = functools.partial(omega_kernel_cos, gamma_tilde=gt)
+    ks = functools.partial(omega_kernel_sin, gamma_tilde=gt)
+    kwargs = dict(rel_tol=MARKOV_REL_TOL, abs_tol=1e-14, max_subdivisions=262144)
 
-    def g_sin_kc(tp):
-        tp = np.atleast_1d(tp)
-        return (
-            np.sin(dt * tp)
-            * omega_kernel_cos(tp, gt)
-            * kernel_P(u * tp, part.orientation)
-        )
+    def limit(trig, kernel, horizon: float) -> float:
+        g = _delay_integrand(part, kin, trig, kernel)
+        return pref * integrate_adaptive(g, 0.0, horizon, **kwargs).value
 
-    def g_sin_ks(tp):
-        tp = np.atleast_1d(tp)
-        return (
-            np.sin(dt * tp)
-            * omega_kernel_sin(tp, gt)
-            * kernel_P(u * tp, part.orientation)
-        )
-
-    kwargs = dict(rel_tol=1e-10, abs_tol=1e-14, max_subdivisions=262144)
-    d_inf = pref * integrate_adaptive(g_cos, 0.0, horizon_cos, **kwargs).value
-    f_inf = pref * integrate_adaptive(g_sin_kc, 0.0, horizon_cos, **kwargs).value
-    z_inf = pref * integrate_adaptive(g_sin_ks, 0.0, horizon_sin, **kwargs).value
+    d_inf = limit(np.cos, kc, horizon_cos)
+    f_inf = limit(np.sin, kc, horizon_cos)
+    z_inf = limit(np.sin, ks, horizon_sin)
     return MarkovCoefficients(D_inf=d_inf, f_inf=f_inf, zeta_inf=z_inf)
 
 
@@ -781,21 +742,11 @@ def stationary_offset(
     independent of r0_tilde only through the explicit prefactor.
     """
     gt = mat.gamma_tilde
-    dt = part.delta_tilde
-    u = abs(kin.u)
     pref = part.r0_tilde / TWO_PI
     horizon = max(kernel_decay_time(gt), _ALGEBRAIC_TAIL_HORIZON)
-
-    def g_weighted(tp):
-        tp = np.atleast_1d(tp)
-        return (
-            tp
-            * np.cos(dt * tp)
-            * omega_kernel_cos(tp, gt)
-            * kernel_P(u * tp, part.orientation)
-        )
-
+    # first moment of the D integrand: the kernel carries the factor t'
+    g = _delay_integrand(part, kin, np.cos, lambda tp: tp * omega_kernel_cos(tp, gt))
     res = integrate_adaptive(
-        g_weighted, 0.0, horizon, rel_tol=1e-10, abs_tol=1e-14, max_subdivisions=262144
+        g, 0.0, horizon, rel_tol=MARKOV_REL_TOL, abs_tol=1e-14, max_subdivisions=262144
     )
     return -pref * res.value

@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import io
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,22 +56,6 @@ RESONANCE_EXCLUSION_BAND = 0.1
 # velocity pairing for cross-material comparisons: comparable physical
 # speeds give u = 3e-3 above n-Si and u = 1.5e-4 above gold
 DEFAULT_COMBO_VELOCITY = {"nsi": 3e-3, "au": 1.5e-4}
-
-
-def _n_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("QFD_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn: Callable, items: Sequence):
-    """Map preserving input order; honours the QFD_THREADS cap."""
-    n = _n_threads()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -348,54 +330,8 @@ def markov_expected_tau(
 
 
 # ---------------------------------------------------------------------------
-# Velocity fits and sweeps
+# Sweeps and velocity fits
 # ---------------------------------------------------------------------------
-
-
-def quadratic_ratio_fit(
-    mat: MaterialParams,
-    part: ParticleParams,
-    velocities: Sequence[float],
-    method: str = "numeric",
-    a_nm: float | None = None,
-    residual_threshold: float = 1e-3,
-) -> tuple[QuadraticFit, np.ndarray]:
-    """Fit tau(u) = a - b u^2 over the velocity sample.
-
-    Returns the fit and the rate curve tau/tau_0 - 1 on the same
-    velocities.  Requires >= 4 samples, all below u = delta_tilde / 2,
-    where the stationary excited population (activation law
-    exp(-2 delta_tilde / u), see asymptotic_population) is still under
-    its ~2 % crossover.
-    """
-    us = np.asarray(list(velocities), dtype=float)
-    if us.size < 4:
-        raise DomainError("need at least 4 velocities for the quadratic fit")
-    if np.any(np.abs(us) >= part.delta_tilde / 2.0):
-        raise DomainError("fit velocities must stay below the threshold delta/2")
-    table = decoherence_table(mat, part.delta_tilde) if method == "numeric" else None
-
-    def one(u: float) -> float:
-        return tau_d(
-            mat, part, KinematicsParams(u=u, a_nm=a_nm), method=method, table=table
-        ).tau_d
-
-    taus = np.asarray(_map_ordered(one, list(us)))
-    tau0 = one(0.0)
-    design = np.vstack([np.ones_like(us), -(us**2)]).T
-    coef, *_ = np.linalg.lstsq(design, taus, rcond=None)
-    a_fit, b_fit = float(coef[0]), float(coef[1])
-    resid = taus - design @ coef
-    rel_rms = float(np.sqrt(np.mean(resid**2)) / np.mean(np.abs(taus)))
-    fit = QuadraticFit(
-        a_coef=a_fit,
-        b_coef=b_fit,
-        b_over_a=b_fit / a_fit,
-        fit_residual=rel_rms,
-        residual_warning=rel_rms > residual_threshold,
-    )
-    rates = taus / tau0 - 1.0
-    return fit, rates
 
 
 @dataclass(frozen=True)
@@ -444,6 +380,74 @@ def _angles_of(orientation: tuple[float, float, float]) -> tuple[float, float]:
     return theta, phi
 
 
+class _SweepPoint(NamedTuple):
+    """One sweep sample: the swept axis and the value its row reports,
+    the particle and kinematics to evaluate, and the row's dipole angles.
+    An excluded point is reported but never evaluated."""
+
+    param: str
+    value: float
+    part: ParticleParams
+    kin: KinematicsParams
+    theta: float
+    phi: float
+    excluded: bool = False
+
+
+def _sweep(
+    mat: MaterialParams, points: Sequence[_SweepPoint], method: str, rate_mode: bool
+) -> list[SweepRow]:
+    """Rows for sweep points on one material, in point order.
+
+    A numeric sweep evaluates every point on one kernel table, built for
+    the smallest level spacing, whose window is the longest.  In rate
+    mode a row carries the u = 0 reference of its particle (evaluated
+    once per distinct particle) and the rate tau_d / tau_d_u0 - 1;
+    otherwise tau_d_u0 repeats tau_d and the rate is 0.  Excluded points
+    get NaN entries and the flag 'excluded'.
+    """
+    deltas = [pt.part.delta_tilde for pt in points if not pt.excluded]
+    table = decoherence_table(mat, min(deltas)) if deltas and method == "numeric" else None
+
+    def tau(part: ParticleParams, kin: KinematicsParams) -> float:
+        return tau_d(mat, part, kin, method=method, table=table).tau_d
+
+    refs: dict[tuple[ParticleParams, KinematicsParams], float] = {}
+    rows = []
+    for pt in points:
+        if pt.excluded:
+            td = tau0 = rate = math.nan
+        elif rate_mode:
+            rest = KinematicsParams(u=0.0, a_nm=pt.kin.a_nm)
+            if (pt.part, rest) not in refs:
+                refs[pt.part, rest] = tau(pt.part, rest)
+            tau0 = refs[pt.part, rest]
+            td = tau(pt.part, pt.kin)
+            rate = td / tau0 - 1.0
+        else:
+            td = tau0 = tau(pt.part, pt.kin)
+            rate = 0.0
+        rows.append(
+            SweepRow(
+                sweep_param=pt.param,
+                value=pt.value,
+                tau_d=td,
+                tau_d_u0=tau0,
+                rate=rate,
+                method=method,
+                material=mat.name,
+                particle=pt.part.name,
+                theta=pt.theta,
+                phi=pt.phi,
+                u=pt.kin.u,
+                delta_tilde=pt.part.delta_tilde,
+                gamma_tilde=mat.gamma_tilde,
+                flag="excluded" if pt.excluded else "",
+            )
+        )
+    return rows
+
+
 def sweep_velocity(
     mat: MaterialParams,
     part: ParticleParams,
@@ -452,33 +456,12 @@ def sweep_velocity(
     a_nm: float | None = None,
 ) -> list[SweepRow]:
     """tau_D and the normalized rate across a velocity grid."""
-    table = decoherence_table(mat, part.delta_tilde) if method == "numeric" else None
-    tau0 = tau_d(
-        mat, part, KinematicsParams(u=0.0, a_nm=a_nm), method=method, table=table
-    ).tau_d
     theta, phi = _angles_of(part.orientation)
-
-    def one(u: float) -> SweepRow:
-        td = tau_d(
-            mat, part, KinematicsParams(u=u, a_nm=a_nm), method=method, table=table
-        ).tau_d
-        return SweepRow(
-            sweep_param="u",
-            value=u,
-            tau_d=td,
-            tau_d_u0=tau0,
-            rate=td / tau0 - 1.0,
-            method=method,
-            material=mat.name,
-            particle=part.name,
-            theta=theta,
-            phi=phi,
-            u=u,
-            delta_tilde=part.delta_tilde,
-            gamma_tilde=mat.gamma_tilde,
-        )
-
-    return _map_ordered(one, list(velocities))
+    points = [
+        _SweepPoint("u", u, part, KinematicsParams(u=u, a_nm=a_nm), theta, phi)
+        for u in velocities
+    ]
+    return _sweep(mat, points, method, rate_mode=True)
 
 
 def sweep_polarization(
@@ -492,8 +475,9 @@ def sweep_polarization(
 ) -> list[SweepRow]:
     """tau_D (or the velocity rate) over a dipole-direction grid.
 
-    theta in [0, pi], phi in [0, 2 pi); the sweep value column carries
-    phi and rows iterate theta-major.
+    theta in [0, pi], phi in [0, 2 pi); rows iterate theta-major.  The
+    sweep columns name theta when the grid varies theta alone, and phi
+    otherwise.
     """
     thetas = list(theta_grid)
     phis = list(phi_grid)
@@ -501,37 +485,20 @@ def sweep_polarization(
         raise DomainError("theta grid must lie in [0, pi]")
     if any(not 0.0 <= ph < TWO_PI for ph in phis):
         raise DomainError("phi grid must lie in [0, 2 pi)")
-    pairs = [(th, ph) for th in thetas for ph in phis]
-    table = decoherence_table(mat, part.delta_tilde) if method == "numeric" else None
-
-    def one(pair: tuple[float, float]) -> SweepRow:
-        th, ph = pair
-        p = part.with_orientation(orientation_from_angles(th, ph))
-        td = tau_d(mat, p, kin, method=method, table=table).tau_d
-        tau0 = (
-            tau_d(
-                mat, p, KinematicsParams(u=0.0, a_nm=kin.a_nm), method=method, table=table
-            ).tau_d
-            if rate_mode
-            else td
+    by_theta = len(thetas) > 1 and len(phis) == 1
+    points = [
+        _SweepPoint(
+            "theta" if by_theta else "phi",
+            th if by_theta else ph,
+            part.with_orientation(orientation_from_angles(th, ph)),
+            kin,
+            th,
+            ph,
         )
-        return SweepRow(
-            sweep_param="phi",
-            value=ph,
-            tau_d=td,
-            tau_d_u0=tau0,
-            rate=td / tau0 - 1.0 if rate_mode else 0.0,
-            method=method,
-            material=mat.name,
-            particle=part.name,
-            theta=th,
-            phi=ph,
-            u=kin.u,
-            delta_tilde=part.delta_tilde,
-            gamma_tilde=mat.gamma_tilde,
-        )
-
-    return _map_ordered(one, pairs)
+        for th in thetas
+        for ph in phis
+    ]
+    return _sweep(mat, points, method, rate_mode)
 
 
 def sweep_material_particle(
@@ -552,16 +519,9 @@ def sweep_material_particle(
         mat, part = preset(combo)
         key = "au" if "au" in combo.lower() else "nsi"
         u = (velocities or DEFAULT_COMBO_VELOCITY)[key]
-        rows = sweep_polarization(
-            mat,
-            part,
-            KinematicsParams(u=u),
-            theta_grid,
-            phi_grid,
-            method=method,
-            rate_mode=True,
+        out += sweep_polarization(
+            mat, part, KinematicsParams(u=u), theta_grid, phi_grid, method, rate_mode=True
         )
-        out.extend(rows)
     return out
 
 
@@ -579,58 +539,21 @@ def sweep_level_spacing(
     flag; interior extrema of the ratio curve are flagged in the output
     (strict local min/max against both neighbours).
     """
-    deltas = list(delta_grid)
-    valid = [d for d in deltas if abs(d - 1.0) >= exclusion_band]
-    table = (
-        decoherence_table(mat, min(valid)) if (valid and method == "numeric") else None
-    )
-    rows: list[SweepRow] = []
-    ratios: list[float | None] = []
-    for d in deltas:
-        if abs(d - 1.0) < exclusion_band:
-            rows.append(
-                SweepRow(
-                    sweep_param="delta",
-                    value=d,
-                    tau_d=math.nan,
-                    tau_d_u0=math.nan,
-                    rate=math.nan,
-                    method=method,
-                    material=mat.name,
-                    particle=part_template.name,
-                    theta=_angles_of(part_template.orientation)[0],
-                    phi=_angles_of(part_template.orientation)[1],
-                    u=kin.u,
-                    delta_tilde=d,
-                    gamma_tilde=mat.gamma_tilde,
-                    flag="excluded",
-                )
-            )
-            ratios.append(None)
-            continue
-        part = replace(part_template, delta_tilde=d)
-        td = tau_d(mat, part, kin, method=method, table=table).tau_d
-        tau0 = tau_d(
-            mat, part, KinematicsParams(u=0.0, a_nm=kin.a_nm), method=method, table=table
-        ).tau_d
-        rows.append(
-            SweepRow(
-                sweep_param="delta",
-                value=d,
-                tau_d=td,
-                tau_d_u0=tau0,
-                rate=td / tau0 - 1.0,
-                method=method,
-                material=mat.name,
-                particle=part_template.name,
-                theta=_angles_of(part_template.orientation)[0],
-                phi=_angles_of(part_template.orientation)[1],
-                u=kin.u,
-                delta_tilde=d,
-                gamma_tilde=mat.gamma_tilde,
-            )
+    theta, phi = _angles_of(part_template.orientation)
+    points = [
+        _SweepPoint(
+            "delta",
+            d,
+            replace(part_template, delta_tilde=d),
+            kin,
+            theta,
+            phi,
+            excluded=abs(d - 1.0) < exclusion_band,
         )
-        ratios.append(td / tau0)
+        for d in delta_grid
+    ]
+    rows = _sweep(mat, points, method, rate_mode=True)
+    ratios = [None if r.flag else r.tau_d / r.tau_d_u0 for r in rows]
 
     flagged = []
     for i, row in enumerate(rows):
@@ -640,3 +563,56 @@ def sweep_level_spacing(
                 row = replace(row, flag="extremum")
         flagged.append(row)
     return flagged
+
+
+def _check_fit_velocities(us: np.ndarray, delta_tilde: float) -> None:
+    if us.size < 4:
+        raise DomainError("need at least 4 velocities for the quadratic fit")
+    if np.any(np.abs(us) >= delta_tilde / 2.0):
+        raise DomainError("fit velocities must stay below the threshold delta/2")
+
+
+def quadratic_fit_rows(
+    rows: Sequence[SweepRow], residual_threshold: float = 1e-3
+) -> QuadraticFit:
+    """Fit tau(u) = a - b u^2 to the rows of one velocity sweep.
+
+    Requires >= 4 rows, all below u = delta_tilde / 2, where the
+    stationary excited population (activation law
+    exp(-2 delta_tilde / u), see asymptotic_population) is still under
+    its ~2 % crossover.
+    """
+    us = np.array([r.u for r in rows], dtype=float)
+    _check_fit_velocities(us, rows[0].delta_tilde if rows else math.inf)
+    taus = np.array([r.tau_d for r in rows])
+    design = np.vstack([np.ones_like(us), -(us**2)]).T
+    coef, *_ = np.linalg.lstsq(design, taus, rcond=None)
+    a_fit, b_fit = float(coef[0]), float(coef[1])
+    resid = taus - design @ coef
+    rel_rms = float(np.sqrt(np.mean(resid**2)) / np.mean(np.abs(taus)))
+    return QuadraticFit(
+        a_coef=a_fit,
+        b_coef=b_fit,
+        b_over_a=b_fit / a_fit,
+        fit_residual=rel_rms,
+        residual_warning=rel_rms > residual_threshold,
+    )
+
+
+def quadratic_ratio_fit(
+    mat: MaterialParams,
+    part: ParticleParams,
+    velocities: Sequence[float],
+    method: str = "numeric",
+    a_nm: float | None = None,
+    residual_threshold: float = 1e-3,
+) -> tuple[QuadraticFit, np.ndarray]:
+    """Fit tau(u) = a - b u^2 over the velocity sample (quadratic_fit_rows).
+
+    Returns the fit and the rate curve tau/tau_0 - 1 on the same
+    velocities.  The velocities are checked before any tau_d is computed.
+    """
+    us = np.asarray(list(velocities), dtype=float)
+    _check_fit_velocities(us, part.delta_tilde)
+    rows = sweep_velocity(mat, part, us, method=method, a_nm=a_nm)
+    return quadratic_fit_rows(rows, residual_threshold), np.array([r.rate for r in rows])

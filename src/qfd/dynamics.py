@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qfd.coefficients import CoefficientTrace, MarkovCoefficients, markov_limit
+from qfd.coefficients import MARKOV_REL_TOL, CoefficientTrace, MarkovCoefficients, markov_limit
 from qfd.errors import GridError, PhysicsError
 from qfd.model import KinematicsParams, MaterialParams, ParticleParams
 from qfd.numerics import cumulative_integral
@@ -68,13 +68,6 @@ class EvolutionResult:
     xi: np.ndarray  # accumulated coherence phase
     decoherence_factor: np.ndarray  # e^{-2 cumD}
     delta_tilde: float
-
-    @property
-    def states(self) -> list[QubitState]:
-        return [
-            QubitState(rho11=float(r), rho12=complex(c), t=float(tt))
-            for tt, r, c in zip(self.t, self.rho11, self.rho12)
-        ]
 
     @property
     def cycles(self) -> np.ndarray:
@@ -180,12 +173,14 @@ def asymptotic_population(
     follows the activation law rho11 ~ A exp(-2 delta_tilde / u) with
     A of order one (the Fourier decay of the image-dipole envelope
     kernel_P), so the nominal threshold u = delta_tilde / 2 marks a
-    crossover at the ~2 % level.  Below rho11 ~ 1e-10 the value is set
-    by the cancellation in 1 - zeta/D rather than by the physics.
+    crossover at the ~2 % level.  Populations below the relative
+    tolerance of the stationary quadratures (MARKOV_REL_TOL), which
+    bounds the error of 1 - zeta/D, are rounding residue and read 0.
     """
     mk = markov if markov is not None else markov_limit(mat, part, kin)
     rm_inf = -mk.zeta_inf / mk.D_inf
-    return float(np.clip(0.5 * (1.0 + rm_inf), 0.0, 0.5))
+    rho11 = float(np.clip(0.5 * (1.0 + rm_inf), 0.0, 0.5))
+    return rho11 if rho11 >= MARKOV_REL_TOL else 0.0
 
 
 def coherence_difference(

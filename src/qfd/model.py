@@ -36,10 +36,11 @@ class MaterialParams:
     name: str = ""
 
     def __post_init__(self):
-        if not self.omega_s > 0:
-            raise ConfigError(f"omega_s must be > 0, got {self.omega_s}")
-        if not self.gamma_tilde > 0:
-            raise ConfigError(f"gamma_tilde must be > 0, got {self.gamma_tilde}")
+        # chained comparisons also refuse NaN and infinity
+        if not 0 < self.omega_s < math.inf:
+            raise ConfigError(f"omega_s must be finite and > 0, got {self.omega_s}")
+        if not 0 < self.gamma_tilde < math.inf:
+            raise ConfigError(f"gamma_tilde must be finite and > 0, got {self.gamma_tilde}")
 
 
 @dataclass(frozen=True)
@@ -52,15 +53,15 @@ class ParticleParams:
     name: str = ""
 
     def __post_init__(self):
-        if not self.delta_tilde > 0:
-            raise ConfigError(f"delta_tilde must be > 0, got {self.delta_tilde}")
-        if self.r0_tilde < 0:
-            raise ConfigError(f"r0_tilde must be >= 0, got {self.r0_tilde}")
+        if not 0 < self.delta_tilde < math.inf:
+            raise ConfigError(f"delta_tilde must be finite and > 0, got {self.delta_tilde}")
+        if not 0 <= self.r0_tilde < math.inf:
+            raise ConfigError(f"r0_tilde must be finite and >= 0, got {self.r0_tilde}")
         n = self.orientation
         if len(n) != 3:
             raise ConfigError("orientation must have 3 components")
         norm2 = n[0] * n[0] + n[1] * n[1] + n[2] * n[2]
-        if abs(norm2 - 1.0) > _UNIT_TOL:
+        if not abs(norm2 - 1.0) <= _UNIT_TOL:
             raise ConfigError(
                 f"orientation must be a unit vector (|n|^2 - 1 = {norm2 - 1.0:.2e})"
             )
@@ -77,8 +78,10 @@ class KinematicsParams:
     a_nm: float | None = None  # surface distance in nanometers, metadata only
 
     def __post_init__(self):
-        if self.a_nm is not None and not self.a_nm > 0:
-            raise ConfigError(f"a_nm must be > 0, got {self.a_nm}")
+        if not math.isfinite(self.u):
+            raise ConfigError(f"u must be finite, got {self.u}")
+        if self.a_nm is not None and not 0 < self.a_nm < math.inf:
+            raise ConfigError(f"a_nm must be finite and > 0, got {self.a_nm}")
 
 
 @dataclass(frozen=True)
@@ -195,11 +198,6 @@ def spectral_density_d2(delta_tilde: float, gamma_tilde: float) -> float:
     d2den = 12.0 * x * x - 4.0 + 2.0 * g2
     # J = gt x / den
     return gamma_tilde * (-x * d2den * den - 2.0 * dden * (den - x * dden)) / den**3
-
-
-def spectral_density_tail(omega_max: float, gamma_tilde: float) -> float:
-    """Upper bound estimate of the neglected tail int_{omega_max}^inf J."""
-    return 0.5 * gamma_tilde / (omega_max * omega_max - 1.0)
 
 
 def pole_omega_r(gamma_tilde: float) -> PoleData:

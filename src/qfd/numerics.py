@@ -190,21 +190,6 @@ class QuadratureResult:
             raise DomainError("evaluations must be >= 1")
 
 
-def _as_vectorized(f: Callable) -> Callable:
-    """Return a callable mapping ndarray -> ndarray, wrapping scalar f if needed."""
-
-    def call(x: np.ndarray) -> np.ndarray:
-        try:
-            y = np.asarray(f(x), dtype=float)
-            if y.shape == x.shape:
-                return y
-        except Exception:
-            pass
-        return np.asarray([f(float(v)) for v in x.ravel()], dtype=float).reshape(x.shape)
-
-    return call
-
-
 def integrate_adaptive(
     f: Callable[[np.ndarray], np.ndarray],
     lo: float,
@@ -218,8 +203,9 @@ def integrate_adaptive(
     The panel set is refined by synchronous bisection: every panel whose
     Kronrod-Gauss discrepancy exceeds its width-proportional share of the
     global tolerance is split, so the evaluation order (and hence the
-    result) is deterministic.  f is called on numpy arrays of nodes;
-    plain scalar callables are wrapped transparently.
+    result) is deterministic.  f is called on 2-D numpy arrays of nodes
+    and must return an array of the same shape; a result of another shape
+    raises DomainError.
 
     Raises ConvergenceError carrying the best estimate when the panel
     budget is exhausted before the tolerance is met.
@@ -228,14 +214,17 @@ def integrate_adaptive(
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
     if rel_tol <= 0 or abs_tol <= 0:
         raise DomainError("tolerances must be positive")
-    fv = _as_vectorized(f)
     span = hi - lo
 
     def panel_eval(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
         nodes = mid[:, None] + half[:, None] * _NODES[None, :]
-        y = fv(nodes)
+        y = np.asarray(f(nodes), dtype=float)
+        if y.shape != nodes.shape:
+            raise DomainError(
+                f"integrand returned shape {y.shape} for nodes of shape {nodes.shape}"
+            )
         if not np.all(np.isfinite(y)):
             where = nodes[~np.isfinite(y)]
             raise DomainError(f"integrand not finite at x = {where.flat[0]}")

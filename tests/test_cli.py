@@ -224,6 +224,59 @@ def test_sweep_delta_exclusion_flag(tmp_path):
     assert rows[0][-1] == "excluded" and rows[1][-1] == "excluded"
 
 
+def test_sweep_u_builds_one_kernel_table(tmp_path, monkeypatch):
+    # the fit sidecar reuses the sweep's rows instead of a second table
+    import qfd.decoherence as dec
+
+    calls = []
+    build = dec.decoherence_table
+    monkeypatch.setattr(
+        dec, "decoherence_table", lambda *a, **k: calls.append(a) or build(*a, **k)
+    )
+    code = run(
+        ["sweep", "--param", "u", "--from", "0.005", "--to", "0.03",
+         "--points", "4", "--preset", "nv-nsi", "--out", str(tmp_path / "u.csv")]
+    )
+    assert code == 0
+    assert len(calls) == 1
+    assert (tmp_path / "u.csv.fit.json").exists()
+
+
+def test_sweep_theta_combos_label_the_theta_axis(tmp_path):
+    out = tmp_path / "combo.csv"
+    code = run(
+        ["sweep", "--param", "theta", "--from", "0.5", "--to", "1.5",
+         "--points", "3", "--combos", "nv-nsi", "--method", "markov",
+         "--out", str(out)]
+    )
+    assert code == 0
+    header, rows = read_csv(out)
+    theta = header.index("theta")
+    assert [r[0] for r in rows] == ["theta"] * 3
+    assert [r[1] for r in rows] == [r[theta] for r in rows]
+    assert float(rows[-1][1]) == 1.5
+
+
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [
+        ("--u", "nan", "u"),
+        ("--u", "inf", "u"),
+        ("--r0", "nan", "r0_tilde"),
+        ("--delta", "inf", "delta_tilde"),
+        ("--delta", "nan", "delta_tilde"),
+        ("--gamma", "inf", "gamma_tilde"),
+        ("--omega-s", "inf", "omega_s"),
+        ("--a-nm", "inf", "a_nm"),
+    ],
+)
+def test_non_finite_input_exit_2(tmp_path, capsys, flag, value, name):
+    code = run(["tdec", "--preset", "nv-nsi", flag, value,
+                "--out", str(tmp_path / "t.json")])
+    assert code == 2
+    assert f"{name} must be finite" in capsys.readouterr().err
+
+
 def test_sweep_config_error_exit_2(tmp_path):
     assert run(
         ["sweep", "--param", "u", "--from", "0.01", "--to", "0.02",

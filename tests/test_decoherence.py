@@ -306,12 +306,3 @@ def test_sweep_csv_layout():
     )
     assert len(lines) == 3
     assert ",markov," in lines[1]
-
-
-def test_threads_env_does_not_change_results(monkeypatch):
-    mat, part = NV_NSI
-    serial = sweep_velocity(mat, part, [0.01, 0.02, 0.03], method="markov")
-    monkeypatch.setenv("QFD_THREADS", "3")
-    threaded = sweep_velocity(mat, part, [0.01, 0.02, 0.03], method="markov")
-    assert [r.tau_d for r in serial] == [r.tau_d for r in threaded]
-    assert [r.value for r in serial] == [r.value for r in threaded]

@@ -167,9 +167,13 @@ def test_quadrature_result_invariants():
         QuadratureResult(value=1.0, abs_error_estimate=0.0, evaluations=0)
 
 
-def test_quadrature_scalar_function_wrapped():
-    res = integrate_adaptive(lambda x: math.exp(-x), 0.0, 3.0)
-    assert res.value == pytest.approx(1.0 - math.exp(-3.0), abs=1e-10)
+def test_quadrature_wrong_shape_raises():
+    # integrands get the node array; a result of another shape is refused,
+    # not retried node by node
+    with pytest.raises(DomainError, match="shape"):
+        integrate_adaptive(lambda x: np.sum(np.exp(-x)), 0.0, 3.0)
+    with pytest.raises(DomainError, match="shape"):
+        integrate_adaptive(lambda x: np.exp(-x).ravel(), 0.0, 3.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,50 @@
+"""The README's command-line examples run as written."""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from qfd.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    """Arguments of every `qfd` line in the README's sh blocks."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["qfd"]:
+                commands.append(words[1:])
+    return commands
+
+
+COMMANDS = readme_commands()
+
+
+def resolve_only(argv: list[str]) -> bool:
+    """Examples checked through --dump-config, which resolves every
+    parameter and then stops: `coeffs --method all --cycles 6` runs the
+    brute-force oracle on 1,885 grid points (about 4 minutes) and the
+    two-preset combo sweep takes about 20 s."""
+    return (argv[0] == "coeffs" and "all" in argv) or "--combos" in argv
+
+
+def test_readme_shows_every_subcommand():
+    assert {argv[0] for argv in COMMANDS} == {"coeffs", "evolve", "tdec", "sweep"}
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=[" ".join(a[:3]) for a in COMMANDS])
+def test_readme_command_runs(argv, tmp_path):
+    argv = list(argv)
+    out = argv.index("--out") + 1
+    argv[out] = str(tmp_path / argv[out])
+    written = Path(argv[out])
+    if resolve_only(argv):
+        written = tmp_path / "resolved.ini"
+        argv += ["--dump-config", str(written)]
+    assert main(argv) == 0
+    assert written.exists()
