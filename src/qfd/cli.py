@@ -294,6 +294,17 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
+def _check_out_path(path: str, flag: str) -> None:
+    """Refuse an output file that cannot be written, before any work runs."""
+    if path == "-":
+        return
+    if os.path.isdir(path):
+        raise ConfigError(f"{flag} {path!r} is a directory")
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise ConfigError(f"{flag} {path!r}: {directory!r} is not an existing directory")
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -524,8 +535,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(args)
         if args.dump_config:
+            _check_out_path(args.dump_config, "--dump-config")
             _write_atomic(args.dump_config, cfg.to_ini())
             return 0
+        _check_out_path(cfg.out_path, "--out")
         return args.func(args, cfg)
     except ConfigError as exc:
         print(f"qfd: config error: {exc}", file=sys.stderr)

@@ -32,7 +32,6 @@ relax to.
 from __future__ import annotations
 
 import functools
-import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -286,15 +285,10 @@ class CoefficientTrace:
 
     def to_csv(self) -> str:
         """CSV export: columns t, N_cycles, D, f, zeta, cumD, cumF, method."""
-        buf = io.StringIO()
-        buf.write("t,N_cycles,D,f,zeta,cumD,cumF,method\n")
-        cyc = self.cycles
-        for i in range(self.grid.size):
-            buf.write(
-                f"{self.grid[i]:.17g},{cyc[i]:.17g},{self.D[i]:.17g},{self.f[i]:.17g},"
-                f"{self.zeta[i]:.17g},{self.cumD[i]:.17g},{self.cumF[i]:.17g},{self.method}\n"
-            )
-        return buf.getvalue()
+        line = ",".join(["%.17g"] * 7) + ",%s\n"
+        columns = (self.grid, self.cycles, self.D, self.f, self.zeta, self.cumD, self.cumF)
+        rows = [line % (*row, self.method) for row in zip(*(x.tolist() for x in columns))]
+        return "t,N_cycles,D,f,zeta,cumD,cumF,method\n" + "".join(rows)
 
 
 def kernel_decay_time(gamma_tilde: float) -> float:
@@ -361,20 +355,18 @@ def _panel_nodes(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a = grid[:-1]
     b = grid[1:]
     counts = np.maximum(1, np.ceil((b - a) / _MAX_SUBPANEL_WIDTH).astype(int))
-    sub_a = []
-    sub_b = []
-    for ai, bi, ki in zip(a, b, counts):
-        edges = np.linspace(ai, bi, ki + 1)
-        sub_a.append(edges[:-1])
-        sub_b.append(edges[1:])
-    sa = np.concatenate(sub_a)
-    sb = np.concatenate(sub_b)
+    first = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    j = np.arange(first[-1] + counts[-1]) - np.repeat(first, counts)
+    # np.linspace(a, b, k + 1) arithmetic, edge j = j * ((b - a) / k) + a,
+    # so the edges are bit-identical to a per-panel linspace; a panel's
+    # last edge is the next panel's first, a exactly, and the grid's end
+    sa = j * np.repeat((b - a) / counts, counts) + np.repeat(a, counts)
+    sb = np.concatenate([sa[1:], grid[-1:]])
     mid = 0.5 * (sa + sb)
     half = 0.5 * (sb - sa)
     nodes = (mid[:, None] + half[:, None] * _GL4_X[None, :]).ravel()
     wts = (half[:, None] * _GL4_W[None, :]).ravel()
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]) * 4
-    return nodes, wts, offsets
+    return nodes, wts, first * 4
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ the secular equation is implemented.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,20 +75,16 @@ class EvolutionResult:
     def to_csv(self) -> str:
         """CSV export: t, N_cycles, rho11, re_rho12, im_rho12, abs_rho12,
         purity, decoherence_factor, xi."""
-        buf = io.StringIO()
-        buf.write(
-            "t,N_cycles,rho11,re_rho12,im_rho12,abs_rho12,purity,decoherence_factor,xi\n"
-        )
-        cyc = self.cycles
-        for i in range(self.t.size):
-            c = self.rho12[i]
-            buf.write(
-                f"{self.t[i]:.17g},{cyc[i]:.17g},{self.rho11[i]:.17g},"
-                f"{c.real:.17g},{c.imag:.17g},{abs(c):.17g},"
-                f"{self.purity[i]:.17g},{self.decoherence_factor[i]:.17g},"
-                f"{self.xi[i]:.17g}\n"
-            )
-        return buf.getvalue()
+        line = ",".join(["%.17g"] * 9) + "\n"
+        columns = (self.t, self.cycles, self.rho11, self.rho12, self.purity,
+                   self.decoherence_factor, self.xi)
+        # abs of a Python complex: np.abs differs in the last bit on some rows
+        rows = [
+            line % (t, n, r11, c.real, c.imag, abs(c), p, df, xi)
+            for t, n, r11, c, p, df, xi in zip(*(x.tolist() for x in columns))
+        ]
+        header = "t,N_cycles,rho11,re_rho12,im_rho12,abs_rho12,purity,decoherence_factor,xi\n"
+        return header + "".join(rows)
 
 
 def evolve(

@@ -336,6 +336,26 @@ def test_config_file_with_overrides(tmp_path):
     assert len(rows) > 10
 
 
+def test_dump_config_into_a_directory_exit_2(tmp_path, capsys):
+    assert run(["tdec", "--preset", "nv-nsi", "--dump-config", str(tmp_path)]) == 2
+    assert "--dump-config" in capsys.readouterr().err
+
+
 def test_missing_config_exit_2(tmp_path):
     assert run(["coeffs", "--config", str(tmp_path / "nope.ini"),
                 "--out", "-"]) == 2
+
+
+@pytest.mark.parametrize("where", ["directory", "missing directory"])
+def test_unwritable_out_exit_2_before_any_work(tmp_path, capsys, monkeypatch, where):
+    import qfd.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "time_grid", lambda *a, **k: calls.append(a))
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "e.csv"
+    code = run(["evolve", "--preset", "nv-nsi", "--u", "0.3", "--cycles", "20",
+                "--out", str(out)])
+    assert code == 2
+    assert "--out" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "missing").exists()

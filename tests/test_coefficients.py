@@ -8,6 +8,10 @@ import pytest
 from scipy import integrate as sp_integrate
 
 from qfd.coefficients import (
+    _GL4_W,
+    _GL4_X,
+    _MAX_SUBPANEL_WIDTH,
+    _panel_nodes,
     coefficients_analytic_small_u,
     coefficients_brute,
     coefficients_e1,
@@ -164,6 +168,39 @@ def test_trace_csv_layout():
     assert lines[0] == "t,N_cycles,D,f,zeta,cumD,cumF,method"
     assert lines[1].endswith(",e1")
     assert len(lines) == 7
+
+
+def panel_nodes_reference(grid):
+    """Per-panel np.linspace sub-panel edges, the loop _panel_nodes replaces."""
+    counts = np.maximum(1, np.ceil(np.diff(grid) / _MAX_SUBPANEL_WIDTH).astype(int))
+    edges = [np.linspace(a, b, k + 1) for a, b, k in zip(grid[:-1], grid[1:], counts)]
+    sa = np.concatenate([e[:-1] for e in edges])
+    sb = np.concatenate([e[1:] for e in edges])
+    mid = 0.5 * (sa + sb)
+    half = 0.5 * (sb - sa)
+    nodes = (mid[:, None] + half[:, None] * _GL4_X[None, :]).ravel()
+    wts = (half[:, None] * _GL4_W[None, :]).ravel()
+    return nodes, wts, np.concatenate([[0], np.cumsum(counts)[:-1]]) * 4
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        # dense 0.1 panels, then cycle/16 = 1.96 panels past the decay window
+        time_grid(0.2, 1.0, 20.0),
+        # a coarse oracle grid: panels of 3.9, split into 8 sub-panels
+        np.linspace(0.0, 31.4, 9),
+        np.array([0.0, 0.05, 0.5, 0.5000001, 1.7, 1.75, 9.3, 9.4, 40.0]),
+    ],
+    ids=["time-grid", "coarse", "mixed"],
+)
+def test_panel_nodes_match_per_panel_linspace(grid):
+    got = _panel_nodes(grid)
+    ref = panel_nodes_reference(grid)
+    assert np.diff(grid).max() > _MAX_SUBPANEL_WIDTH
+    for g, r in zip(got, ref):
+        assert g.dtype == r.dtype
+        assert np.array_equal(g, r)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from qfd import numerics
 from qfd.errors import BracketError, ConvergenceError, DomainError, GridError
 from qfd.numerics import (
     QuadratureResult,
@@ -86,6 +87,49 @@ def test_e1_scaled_consistency():
     big = -800.0 + 400.0j
     val = exp_integral_e1_scaled(big)
     assert np.isfinite(val.real) and np.isfinite(val.imag)
+
+
+def test_e1_scaled_array_matches_scalar_calls_bitwise():
+    # more than two continued-fraction blocks, whose arguments converge
+    # after 3 to 120 iterations, shuffled with power-series arguments; a
+    # pool of distinct arguments keeps the scalar reference calls few.
+    # The series part stays under 16,384 arguments: past that size the
+    # power series itself rounds some results differently in the last bit.
+    rng = np.random.default_rng(3)
+    z = np.geomspace(0.05, 3000.0, 400) * np.exp(1j * rng.uniform(-3.0, 3.0, 400))
+    z = np.concatenate([z, [-30.0 + 8.0j, -20.0 + 20.0j, -20.0 + 1.0j, -25.0 - 0.5j]])
+    series = numerics._series_mask(z)
+    pool = np.concatenate([z[~series], z[series]])
+    n_cf = int((~series).sum())
+    which = rng.permutation(np.concatenate([
+        np.arange(2 * numerics._CF_BLOCK + 1000) % n_cf,
+        n_cf + np.arange(20 * (pool.size - n_cf)) % (pool.size - n_cf),
+    ]))
+    got = exp_integral_e1_scaled(pool[which])
+    ref = np.array([exp_integral_e1_scaled(complex(z)) for z in pool])[which]
+    assert np.array_equal(got.view(float), ref.view(float))
+
+
+def test_e1_continued_fraction_failure_names_an_argument(monkeypatch):
+    monkeypatch.setattr(numerics, "_CF_MAX_ITER", 2)
+    z = np.array([5.0 + 1.0j, 40.0 - 3.0j, -30.0 + 8.0j])
+    with pytest.raises(ConvergenceError) as info:
+        exp_integral_e1_scaled(z)
+    assert info.value.best_estimate.shape == z.shape
+    assert "(5+1j)" in str(info.value)
+
+
+def test_e1_continued_fraction_failure_in_a_later_block(monkeypatch):
+    # the first block converges; the error names the second block's argument
+    monkeypatch.setattr(numerics, "_CF_MAX_ITER", 3)
+    monkeypatch.setattr(numerics, "_CF_BLOCK", 2)
+    z = np.array([3000.0j, 1e4 + 0.0j, 5.0 + 1.0j, 1e5 + 1.0j, 40.0 - 3.0j])
+    with pytest.raises(ConvergenceError) as info:
+        exp_integral_e1_scaled(z)
+    best = info.value.best_estimate
+    assert best.shape == z.shape
+    assert "(5+1j)" in str(info.value)
+    assert np.array_equal(best[[0, 1, 3]], exp_integral_e1_scaled(z[[0, 1, 3]]))
 
 
 def test_e1_domain_errors():
