@@ -27,7 +27,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -80,12 +80,21 @@ class NumericsOptions:
     horizon_cycles: float | None = None  # None = automatic window
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ConfigError("tolerances must be positive")
-        if self.omega_max <= 1:
-            raise ConfigError("omega_max must exceed the resonance at 1")
+        # chained comparisons also refuse NaN and infinity
+        if not 0 < self.rel_tol < math.inf:
+            raise ConfigError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
+        if not 0 < self.abs_tol < math.inf:
+            raise ConfigError(f"abs_tol must be finite and > 0, got {self.abs_tol}")
+        if not 1 < self.omega_max < math.inf:
+            raise ConfigError(
+                f"omega_max must be finite and exceed the resonance at 1, got {self.omega_max}"
+            )
         if self.pts_per_cycle < 8:
-            raise ConfigError("pts_per_cycle must be >= 8")
+            raise ConfigError(f"pts_per_cycle must be >= 8, got {self.pts_per_cycle}")
+        if self.horizon_cycles is not None and not 0 < self.horizon_cycles < math.inf:
+            raise ConfigError(
+                f"horizon_cycles must be finite and > 0, got {self.horizon_cycles}"
+            )
 
 
 @dataclass(frozen=True)
@@ -151,6 +160,16 @@ def parse_angle(text: str) -> float:
         raise ConfigError(f"cannot parse angle {text!r}") from exc
 
 
+def _components(text: str) -> tuple[float, ...]:
+    """Comma-separated floats, e.g. an orientation nx,ny,nz."""
+    return tuple(float(x) for x in text.split(","))
+
+
+def _horizon(text: str) -> float | None:
+    """Trace horizon in cycles; auto, none or empty select the automatic window."""
+    return None if text.strip().lower() in ("auto", "none", "") else float(text)
+
+
 def _load_ini(path: str) -> configparser.ConfigParser:
     cp = configparser.ConfigParser()
     read = cp.read(path)
@@ -163,10 +182,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file and CLI overrides into explicit params."""
     cp = _load_ini(args.config) if getattr(args, "config", None) else None
 
-    def ini(section: str, key: str, default=None):
-        if cp is not None and cp.has_option(section, key):
-            return cp.get(section, key)
-        return default
+    def ini(section: str, key: str, default=None, kind=str):
+        if cp is None or not cp.has_option(section, key):
+            return default
+        text = cp.get(section, key)
+        try:
+            return kind(text)
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse [{section}] {key} = {text!r}: {exc}") from exc
 
     mat: MaterialParams | None = None
     part_delta = None
@@ -191,8 +214,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         )
 
     mat_name = ini("material", "name", mat.name if mat else "")
-    omega_s = ini("material", "omega_s_rad_s", mat.omega_s if mat else None)
-    gamma = ini("material", "gamma_tilde", mat.gamma_tilde if mat else None)
+    omega_s = ini("material", "omega_s_rad_s", mat.omega_s if mat else None, float)
+    gamma = ini("material", "gamma_tilde", mat.gamma_tilde if mat else None, float)
     if getattr(args, "material", None):
         m = material_preset(args.material)
         omega_s, gamma, mat_name = m.omega_s, m.gamma_tilde, m.name
@@ -202,20 +225,19 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         gamma = args.gamma
     if omega_s is None or gamma is None:
         raise ConfigError("material underspecified: give --preset, --material or explicit values")
-    material = MaterialParams(omega_s=float(omega_s), gamma_tilde=float(gamma), name=mat_name)
+    material = MaterialParams(omega_s=omega_s, gamma_tilde=gamma, name=mat_name)
 
-    part_delta = ini("particle", "delta_tilde", part_delta)
-    part_r0 = ini("particle", "r0_tilde", part_r0)
-    o_text = ini("particle", "orientation")
-    if o_text:
-        part_orient = tuple(float(x) for x in o_text.split(","))
+    part_delta = ini("particle", "delta_tilde", part_delta, float)
+    part_r0 = ini("particle", "r0_tilde", part_r0, float)
+    if ini("particle", "orientation"):
+        part_orient = ini("particle", "orientation", kind=_components)
     part_name = ini("particle", "name", part_name)
     if getattr(args, "delta", None) is not None:
         part_delta = args.delta
     if getattr(args, "r0", None) is not None:
         part_r0 = args.r0
     if getattr(args, "orientation", None):
-        part_orient = tuple(float(x) for x in args.orientation.split(","))
+        part_orient = _components(args.orientation)
     if getattr(args, "theta", None) is not None or getattr(args, "phi", None) is not None:
         th = parse_angle(args.theta) if getattr(args, "theta", None) is not None else math.pi / 2
         ph = parse_angle(args.phi) if getattr(args, "phi", None) is not None else 0.0
@@ -227,38 +249,30 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if part_orient is None:
         part_orient = (1.0, 0.0, 0.0)
     particle = ParticleParams(
-        delta_tilde=float(part_delta),
-        r0_tilde=float(part_r0),
+        delta_tilde=part_delta,
+        r0_tilde=part_r0,
         orientation=unit_orientation(part_orient),
         name=part_name,
     )
 
-    u = ini("kinematics", "u", 0.0)
-    a_nm = ini("kinematics", "a_nm")
+    u = ini("kinematics", "u", 0.0, float)
+    a_nm = ini("kinematics", "a_nm", None, float)
     if getattr(args, "u", None) is not None:
         u = args.u
     if getattr(args, "a_nm", None) is not None:
         a_nm = args.a_nm
-    kinematics = KinematicsParams(u=float(u), a_nm=None if a_nm is None else float(a_nm))
+    kinematics = KinematicsParams(u=u, a_nm=a_nm)
 
-    horizon_text = ini("numerics", "horizon_cycles", "auto")
-    numerics = NumericsOptions(
-        rel_tol=float(ini("numerics", "rel_tol", 1e-8)),
-        abs_tol=float(ini("numerics", "abs_tol", 1e-10)),
-        omega_max=float(ini("numerics", "omega_max", 50.0)),
-        pts_per_cycle=int(
-            getattr(args, "pts_per_cycle", None) or ini("numerics", "pts_per_cycle", 400)
-        ),
-        horizon_cycles=(
-            None
-            if str(horizon_text).strip().lower() in ("auto", "none", "")
-            else float(horizon_text)
-        ),
-    )
-    if getattr(args, "omega_max", None) is not None:
-        numerics = replace(numerics, omega_max=args.omega_max)
-    if getattr(args, "horizon_cycles", None) is not None:
-        numerics = replace(numerics, horizon_cycles=args.horizon_cycles)
+    numerics = {
+        "rel_tol": ini("numerics", "rel_tol", 1e-8, float),
+        "abs_tol": ini("numerics", "abs_tol", 1e-10, float),
+        "omega_max": ini("numerics", "omega_max", 50.0, float),
+        "pts_per_cycle": ini("numerics", "pts_per_cycle", 400, int),
+        "horizon_cycles": ini("numerics", "horizon_cycles", None, _horizon),
+    }
+    for name in ("omega_max", "pts_per_cycle", "horizon_cycles"):
+        if getattr(args, name, None) is not None:
+            numerics[name] = getattr(args, name)
 
     out_path = getattr(args, "out", None) or ini("output", "path", "-") or "-"
     out_format = getattr(args, "format", None) or ini("output", "format", "csv")
@@ -269,7 +283,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         material=material,
         particle=particle,
         kinematics=kinematics,
-        numerics=numerics,
+        numerics=NumericsOptions(**numerics),
         out_path=out_path,
         out_format=out_format,
     )

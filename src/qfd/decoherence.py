@@ -3,9 +3,9 @@
 The coherence envelope is Dfun(t) = e^{-2 int_0^t D}, so the decoherence
 time is the root of cumD(tau) = 1 (envelope down to e^-2).  Three routes:
 
-* numeric  - root of the accumulated diffusion from a reference trace,
-  extended linearly once the kernels have died out (the diffusion
-  coefficient is constant there to ~1e-12);
+* numeric  - exact crossing of the piecewise-linear accumulated
+  diffusion of a reference trace, extended linearly once the kernels
+  have died out (the diffusion coefficient is constant there to ~1e-12);
 * analytic - closed small-velocity formula built from the stationary
   response functions h and g below;
 * markov   - plain 1 / D_inf with the exact stationary constant.
@@ -38,6 +38,7 @@ from qfd.model import (
     KinematicsParams,
     MaterialParams,
     ParticleParams,
+    _density_denominator,
     kernel_P,
     kernel_Q,
     orientation_from_angles,
@@ -47,7 +48,6 @@ from qfd.model import (
     spectral_density,
     spectral_density_d2,
 )
-from qfd.numerics import find_root_bracketed
 
 TWO_PI = 2.0 * math.pi
 
@@ -142,6 +142,29 @@ def decoherence_table(
     return make_kernel_table(mat.gamma_tilde, grid)
 
 
+def _trace_and_tail_slope(
+    mat: MaterialParams, part: ParticleParams, kin: KinematicsParams,
+    pts_per_cycle: int, horizon_cycles: float | None, table: KernelTable | None,
+) -> tuple[CoefficientTrace, float]:
+    """Reference trace plus the tail-corrected slope of cumD past its end.
+
+    An explicit horizon_cycles cap that cuts the window short raises
+    once the cap proves insufficient.
+    """
+    if table is None:
+        table = decoherence_table(mat, part.delta_tilde, pts_per_cycle, horizon_cycles)
+    trace = coefficients_from_table(table, part, kin)
+    t_end = float(trace.grid[-1])
+    c_end = float(trace.cumD[-1])
+    capped = t_end < decoherence_window(part.delta_tilde, mat.gamma_tilde) * (1 - 1e-12)
+    if capped and c_end < 1.0:
+        raise PhysicsError(
+            f"trace horizon cap reached before the envelope crossed e^-2 "
+            f"(cumD = {c_end:.6g} at t = {t_end:.6g})"
+        )
+    return trace, float(trace.D[-1]) + _tail_slope_correction(mat, part, kin, t_end)
+
+
 def cumulative_diffusion(
     mat: MaterialParams,
     part: ParticleParams,
@@ -154,21 +177,12 @@ def cumulative_diffusion(
 
     The trace spans the kernel-decay window (all coefficients are
     constant beyond it), and the evaluator continues cumD linearly with
-    the final diffusion value.  An explicit horizon_cycles cap that cuts
+    the tail-corrected slope.  An explicit horizon_cycles cap that cuts
     the window short raises once the cap proves insufficient.
     """
-    if table is None:
-        table = decoherence_table(mat, part.delta_tilde, pts_per_cycle, horizon_cycles)
-    trace = coefficients_from_table(table, part, kin)
+    trace, d_end = _trace_and_tail_slope(mat, part, kin, pts_per_cycle, horizon_cycles, table)
     t_end = float(trace.grid[-1])
     c_end = float(trace.cumD[-1])
-    d_end = float(trace.D[-1]) + _tail_slope_correction(mat, part, kin, t_end)
-    capped = t_end < decoherence_window(part.delta_tilde, mat.gamma_tilde) * (1 - 1e-12)
-    if capped and c_end < 1.0:
-        raise PhysicsError(
-            f"trace horizon cap reached before the envelope crossed e^-2 "
-            f"(cumD = {c_end:.6g} at t = {t_end:.6g})"
-        )
 
     def cum_d(t: float) -> float:
         if t <= t_end:
@@ -184,37 +198,27 @@ def tau_d_numeric(
     kin: KinematicsParams,
     pts_per_cycle: int = 400,
     horizon_cycles: float | None = None,
-    root_tol: float | None = None,
     table: KernelTable | None = None,
 ) -> DecoherenceTimeResult:
-    """Decoherence time from the accumulated diffusion of a reference trace.
+    """Decoherence time: the exact root of cumD = 1.
 
-    Brackets the crossing cumD = 1 (inside the trace or on its linear
-    continuation) and bisects to root_tol (default 1e-10 of the scale).
+    cumD (as in :func:`cumulative_diffusion`) is linear between grid
+    points and past the trace's end, so the root is closed-form on the
+    segment ``searchsorted`` finds or on the tail-corrected continuation.
     """
-    trace, cum_d = cumulative_diffusion(
-        mat, part, kin, pts_per_cycle, horizon_cycles, table
-    )
-    t_end = float(trace.grid[-1])
-    c_end = float(trace.cumD[-1])
-    d_end = float(trace.D[-1])
-    if c_end >= 1.0:
-        idx = int(np.searchsorted(trace.cumD, 1.0))
-        lo = float(trace.grid[max(idx - 1, 0)])
-        hi = float(trace.grid[min(idx, trace.grid.size - 1)])
-        if lo == hi:
-            hi = lo + 1e-9 * max(lo, 1.0)
+    trace, d_end = _trace_and_tail_slope(mat, part, kin, pts_per_cycle, horizon_cycles, table)
+    g, c = trace.grid, trace.cumD
+    if c[-1] >= 1.0:
+        i = int(np.searchsorted(c, 1.0))
+        tau = g[i - 1] + (1.0 - c[i - 1]) * (g[i] - g[i - 1]) / (c[i] - c[i - 1])
+    elif d_end > 0.0:
+        tau = g[-1] + (1.0 - c[-1]) / d_end
     else:
-        if d_end <= 0.0:
-            raise BracketError(
-                f"diffusion coefficient is not positive at the horizon "
-                f"(D = {d_end:.3e}, cumD = {c_end:.6g}); cannot bracket"
-            )
-        est = t_end + (1.0 - c_end) / d_end
-        lo, hi = t_end, 2.0 * est
-    tol = root_tol if root_tol is not None else 1e-10 * max(hi, 1.0)
-    tau = find_root_bracketed(lambda t: cum_d(t) - 1.0, lo, hi, tol)
-    return DecoherenceTimeResult(tau_d=tau, method="numeric", params_snapshot=(mat, part, kin))
+        raise BracketError(
+            f"diffusion coefficient is not positive at the horizon "
+            f"(D = {d_end:.3e}, cumD = {c[-1]:.6g}); cumD never reaches 1"
+        )
+    return DecoherenceTimeResult(float(tau), "numeric", (mat, part, kin))
 
 
 def tau_d_markov(
@@ -237,10 +241,7 @@ def _h_funcs(delta: float, gt: float) -> tuple[float, float, float]:
     the second derivative of h/delta."""
     h = spectral_density(delta, gt)
     h2 = spectral_density_d2(delta, gt)
-    x = delta
-    den = (x * x - 1.0) ** 2 + gt * gt * x * x
-    dden = 4.0 * x * (x * x - 1.0) + 2.0 * gt * gt * x
-    d2den = 12.0 * x * x - 4.0 + 2.0 * gt * gt
+    den, dden, d2den = _density_denominator(delta, gt)
     h_over_delta_2 = gt * (2.0 * dden * dden - den * d2den) / den**3
     return h, h2, h_over_delta_2
 

@@ -95,9 +95,9 @@ def evolve(
     """Evolve the reduced state over the full span of a coefficient trace.
 
     The population sector integrates the dissipative drive against the
-    accumulated diffusion; exponentials are arranged so every argument is
-    nonpositive and long horizons cannot overflow.  Positivity is checked
-    on every sample and violations beyond the slack abort loudly.
+    accumulated diffusion in blocks that keep every exponential in range,
+    so long horizons cannot overflow.  Positivity is checked on every
+    sample and violations beyond the slack abort loudly.
     """
     dt = trace.delta_tilde if delta_tilde is None else float(delta_tilde)
     if delta_tilde is not None and abs(dt - trace.delta_tilde) > 1e-12:
@@ -106,24 +106,22 @@ def evolve(
         )
     g = trace.grid
     cum_d = trace.cumD
-    rm0 = 2.0 * initial.rho11 - 1.0
 
-    # int_0^t zeta e^{4 cumD} dt', evaluated against the endpoint value so
-    # only nonpositive exponents are ever exponentiated
-    emax = 4.0 * float(np.max(cum_d))
-    if emax < 600.0:
-        v = cumulative_integral(g, trace.zeta * np.exp(4.0 * cum_d))
-        rm = np.exp(-4.0 * cum_d) * (rm0 - 4.0 * v)
-    else:  # very long horizons: stepwise form, arguments always <= 0
-        rm = np.empty_like(cum_d)
-        rm[0] = rm0
-        dcum = np.diff(cum_d)
-        dtg = np.diff(g)
-        zl, zr = trace.zeta[:-1], trace.zeta[1:]
-        for i in range(1, g.size):
-            decay = np.exp(-4.0 * dcum[i - 1])
-            drive = 0.5 * dtg[i - 1] * (zl[i - 1] * decay + zr[i - 1])
-            rm[i] = decay * rm[i - 1] - 4.0 * drive
+    # int zeta e^{4 cumD} dt' in blocks over which 4 cumD spans under 600
+    # (e^710 overflows), each rebased at its first point; the point before a
+    # block brings rm in with a nonpositive exponent, however large the step
+    rm = np.empty_like(cum_d)
+    rm[0] = 2.0 * initial.rho11 - 1.0
+    block = np.floor(4.0 * cum_d / 600.0)
+    bounds = [0, *(np.flatnonzero(np.diff(block)) + 1), g.size]
+    for b, e in zip(bounds[:-1], bounds[1:]):
+        lo = max(b - 1, 0)
+        if e - lo < 2:
+            continue  # a lone first point
+        rel = 4.0 * (cum_d[lo:e] - cum_d[b])
+        v = cumulative_integral(g[lo:e], trace.zeta[lo:e] * np.exp(rel))
+        k = b - lo
+        rm[b:e] = np.exp(-rel[k:]) * (np.exp(rel[0]) * rm[lo] - 4.0 * v[k:])
 
     rho11 = 0.5 * (1.0 + rm)
     if np.any(rho11 < -POSITIVITY_SLACK) or np.any(rho11 > 1.0 + POSITIVITY_SLACK):

@@ -189,14 +189,20 @@ def spectral_density(omega, gamma_tilde: float):
     return float(val) if np.isscalar(omega) else val
 
 
-def spectral_density_d2(delta_tilde: float, gamma_tilde: float) -> float:
-    """Analytic second derivative of the spectral density at w = delta_tilde."""
-    x = delta_tilde
+def _density_denominator(x: float, gamma_tilde: float) -> tuple[float, float, float]:
+    """Denominator (x^2 - 1)^2 + gt^2 x^2 of J(x) = gt x / den and its
+    first and second x-derivatives."""
     g2 = gamma_tilde * gamma_tilde
     den = (x * x - 1.0) ** 2 + g2 * x * x
     dden = 4.0 * x * (x * x - 1.0) + 2.0 * g2 * x
     d2den = 12.0 * x * x - 4.0 + 2.0 * g2
-    # J = gt x / den
+    return den, dden, d2den
+
+
+def spectral_density_d2(delta_tilde: float, gamma_tilde: float) -> float:
+    """Analytic second derivative of the spectral density at w = delta_tilde."""
+    x = delta_tilde
+    den, dden, d2den = _density_denominator(x, gamma_tilde)
     return gamma_tilde * (-x * d2den * den - 2.0 * dden * (den - x * dden)) / den**3
 
 

@@ -26,8 +26,12 @@ EULER_GAMMA = 0.5772156649015328606065120900824024
 _SERIES_RADIUS = 4.0
 _SERIES_MAX_TERMS = 160
 _CF_MAX_ITER = 500
-# Arguments per continued-fraction block; 2^12 to 2^17 timed the same.
-_CF_BLOCK = 1 << 15
+# Arguments per block of either branch.  Blocks bound the working arrays,
+# and they keep the series below 16,384 arguments (256 KiB), the call size
+# from which it rounded some results differently in the last bit (likely
+# numpy reusing temporaries in place).  2^12 to 2^17 timed the same for
+# the continued fraction.
+_E1_BLOCK = 1 << 13
 # Near the branch cut the continued fraction stalls while the power series
 # stays perfectly conditioned (the sum grows like e^{-Re z}), so the series
 # region is widened to a lens hugging the negative real axis.
@@ -36,7 +40,19 @@ _SERIES_CUT_RADIUS = 26.0
 
 
 def _e1_series(z: np.ndarray) -> np.ndarray:
-    """Power series  E1(z) = -gamma - Log z - sum (-z)^k / (k k!),  |z| <= 4."""
+    """Power series  E1(z) = -gamma - Log z - sum (-z)^k / (k k!),  |z| <= 4.
+
+    z is 1-D and runs in blocks of _E1_BLOCK arguments, so each result
+    is the same whatever the size of the call.
+    """
+    out = np.empty_like(z)
+    for lo in range(0, z.size, _E1_BLOCK):
+        block = slice(lo, lo + _E1_BLOCK)
+        out[block] = _e1_series_block(z[block])
+    return out
+
+
+def _e1_series_block(z: np.ndarray) -> np.ndarray:
     term = np.ones_like(z)
     acc = np.zeros_like(z)
     for k in range(1, _SERIES_MAX_TERMS + 1):
@@ -54,13 +70,12 @@ def _e1_cf_scaled(z: np.ndarray) -> np.ndarray:
     Modified Lentz iteration on
         e^z E1(z) = 1 / (z + 1 - 1^2/(z + 3 - 2^2/(z + 5 - ...)))
     Converges off the negative real axis; slowest near the cut.  z is
-    1-D and runs in blocks of _CF_BLOCK arguments, which bounds the
-    working arrays whatever the input size.
+    1-D and runs in blocks of _E1_BLOCK arguments.
     """
     out = np.empty_like(z)
     stuck = None
-    for lo in range(0, z.size, _CF_BLOCK):
-        block = slice(lo, lo + _CF_BLOCK)
+    for lo in range(0, z.size, _E1_BLOCK):
+        block = slice(lo, lo + _E1_BLOCK)
         first = _e1_cf_block(z[block], out[block])
         if stuck is None and first is not None:
             stuck = z[lo + first]

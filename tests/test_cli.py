@@ -268,13 +268,32 @@ def test_sweep_theta_combos_label_the_theta_axis(tmp_path):
         ("--gamma", "inf", "gamma_tilde"),
         ("--omega-s", "inf", "omega_s"),
         ("--a-nm", "inf", "a_nm"),
+        ("--pts-per-cycle", "0", "pts_per_cycle"),
+        ("--horizon-cycles", "0", "horizon_cycles"),
+        ("--horizon-cycles", "nan", "horizon_cycles"),
+        ("--omega-max", "nan", "omega_max"),
+        ("[numerics] rel_tol", "nan", "rel_tol"),
+        ("[numerics] rel_tol", "abc", "[numerics] rel_tol"),
+        ("[numerics] pts_per_cycle", "1.5", "[numerics] pts_per_cycle"),
+        ("[kinematics] u", "fast", "[kinematics] u"),
     ],
 )
 def test_non_finite_input_exit_2(tmp_path, capsys, flag, value, name):
-    code = run(["tdec", "--preset", "nv-nsi", flag, value,
-                "--out", str(tmp_path / "t.json")])
+    # bad numbers exit 2 with a message that names the parameter; a flag
+    # written "[section] key" is given in a config file instead
+    if flag.startswith("["):
+        section, key = flag[1:].split("] ")
+        ini = tmp_path / "bad.ini"
+        ini.write_text(f"[{section}]\n{key} = {value}\n")
+        given = ["--config", str(ini)]
+    else:
+        given = [flag, value]
+    code = run(["tdec", "--preset", "nv-nsi", *given, "--out", str(tmp_path / "t.json")])
     assert code == 2
-    assert f"{name} must be finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert name in err
+    if value in ("nan", "inf"):
+        assert f"{name} must be finite" in err
 
 
 def test_sweep_config_error_exit_2(tmp_path):

@@ -1,6 +1,8 @@
 """Density-matrix evolution tests: limits, invariants, asymptotics."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,6 +123,56 @@ def test_delta_mismatch_rejected():
     trace, _ = make_run(u=0.0, cycles=2.0, pts=64)
     with pytest.raises(GridError):
         evolve(PLUS_STATE, trace, delta_tilde=0.3)
+
+
+def stepwise_rho11(initial: QubitState, trace) -> np.ndarray:
+    """Reference: the trapezoid recurrence one step at a time, every
+    exponent nonpositive."""
+    rm = np.empty_like(trace.cumD)
+    rm[0] = 2.0 * initial.rho11 - 1.0
+    for i in range(1, rm.size):
+        decay = math.exp(-4.0 * (trace.cumD[i] - trace.cumD[i - 1]))
+        step = trace.grid[i] - trace.grid[i - 1]
+        drive = 0.5 * step * (trace.zeta[i - 1] * decay + trace.zeta[i])
+        rm[i] = decay * rm[i - 1] - 4.0 * drive
+    return np.clip(0.5 * (1.0 + rm), 0.0, 1.0)
+
+
+def test_long_horizon_matches_stepwise_recurrence():
+    # 4 max cumD is about 3,600 here: the drive integral runs in several
+    # rebased blocks
+    mat, part = NV_NSI
+    part = replace(part, r0_tilde=1.0)
+    grid = time_grid(part.delta_tilde, mat.gamma_tilde, 2000.0, 400)
+    trace = coefficients_e1(mat, part, KinematicsParams(u=0.3), grid)
+    assert 4.0 * trace.cumD[-1] > 3000.0
+    initial = QubitState(rho11=0.9, rho12=0.25)
+    res = evolve(initial, trace)
+    rho11 = stepwise_rho11(initial, trace)
+    np.testing.assert_allclose(res.rho11, rho11, rtol=1e-12, atol=0.0)
+    purity = rho11**2 + (1.0 - rho11) ** 2 + 2.0 * np.abs(res.rho12) ** 2
+    np.testing.assert_allclose(res.purity, purity, rtol=1e-12, atol=0.0)
+    envelope = np.exp(-2.0 * trace.cumD)
+    xi = trace.delta_tilde * grid + 2.0 * trace.cumF
+    assert np.array_equal(res.t, grid)
+    assert np.array_equal(res.decoherence_factor, envelope)
+    assert np.array_equal(res.xi, xi)
+    assert np.array_equal(res.rho12, 0.25 * envelope * np.exp(-1j * xi))
+
+
+@pytest.mark.parametrize("r0, cycles", [(1e5, 200.0), (1e9, 20.0)])
+def test_huge_cumd_steps_abort_without_overflow(r0, cycles):
+    # one grid step moves 4 cumD by up to ~1e4 (r0 = 1e5) or ~1e8, and by
+    # ~3e5 already on the first step (r0 = 1e9); no exponential may
+    # overflow on the way to the positivity check
+    mat, part = NV_NSI
+    part = replace(part, r0_tilde=r0)
+    grid = time_grid(part.delta_tilde, mat.gamma_tilde, cycles, 400)
+    trace = coefficients_e1(mat, part, KinematicsParams(u=0.3), grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(PhysicsError):
+            evolve(QubitState(rho11=1.0, rho12=0.0), trace)
 
 
 def test_positivity_breakdown_aborts():
