@@ -39,6 +39,7 @@ from qfd.coefficients import (
     time_grid,
 )
 from qfd.decoherence import (
+    decoherence_table,
     quadratic_fit_rows,
     sweep_level_spacing,
     sweep_material_particle,
@@ -237,7 +238,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "r0", None) is not None:
         part_r0 = args.r0
     if getattr(args, "orientation", None):
-        part_orient = _components(args.orientation)
+        try:
+            part_orient = _components(args.orientation)
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse --orientation {args.orientation!r}: {exc}") from exc
     if getattr(args, "theta", None) is not None or getattr(args, "phi", None) is not None:
         th = parse_angle(args.theta) if getattr(args, "theta", None) is not None else math.pi / 2
         ph = parse_angle(args.phi) if getattr(args, "phi", None) is not None else 0.0
@@ -385,17 +389,12 @@ def cmd_evolve(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_tdec(args: argparse.Namespace, cfg: RunConfig) -> int:
     mat, part, kin, num = cfg.material, cfg.particle, cfg.kinematics, cfg.numerics
-    res = tau_d(
-        mat,
-        part,
-        kin,
-        method=args.method,
-        **(
-            {"pts_per_cycle": num.pts_per_cycle, "horizon_cycles": num.horizon_cycles}
-            if args.method == "numeric"
-            else {}
-        ),
-    )
+    table = None
+    if args.method != "analytic":
+        # a horizon cap would leave the Markov constants short of stationary
+        horizon = num.horizon_cycles if args.method == "numeric" else None
+        table = decoherence_table(mat, part.delta_tilde, num.pts_per_cycle, horizon)
+    res = tau_d(mat, part, kin, method=args.method, table=table)
     report = {
         "tau_d": res.tau_d,
         "method": res.method,

@@ -25,8 +25,9 @@ Three independent evaluation routes are provided:
   second order in the velocity, including the exponential-integral
   correction that keeps it accurate for damping of order one.
 
-``markov_limit`` evaluates the t -> inf constants the same coefficients
-relax to.
+``markov_limit`` reads the t -> inf constants the same coefficients
+relax to off a trace on the decoherence table (``decoherence_table``),
+the grid on which every coefficient has become constant.
 """
 
 from __future__ import annotations
@@ -63,10 +64,6 @@ TWO_PI = 2.0 * math.pi
 # envelope of both kernels decays like exp(-gamma_tilde t / 2); beyond
 # this many e-foldings the integrands are numerically dead
 _KERNEL_DECAY_EFOLDS = 55.0
-
-# horizon needed to push the cosine kernel's algebraic 1/t^2 remainder
-# below ~1e-6 relative in stationary integrals
-_ALGEBRAIC_TAIL_HORIZON = 3000.0
 
 # 4-point Gauss-Legendre rule on [-1, 1]; degree-7 exactness makes the
 # panel integration error negligible against every tolerance used here
@@ -343,6 +340,11 @@ def _check_grid(grid: np.ndarray) -> np.ndarray:
 
 _MAX_SUBPANEL_WIDTH = 0.5
 
+# node block of make_kernel_table, whose complex temporaries then take
+# 64 KiB: blocks of 8192 raised the peak RSS of `coeffs --method all` by
+# a further 0.7 MB, and each block adds a fixed E1 loop overhead
+_KERNEL_BLOCK = 4096
+
 
 def _panel_nodes(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """GL4 nodes/weights for every grid panel, internally refined.
@@ -385,17 +387,22 @@ class KernelTable:
 
 
 def make_kernel_table(gamma_tilde: float, grid) -> KernelTable:
-    """Evaluate both closed-form kernels on the panel nodes of a grid."""
+    """Evaluate both closed-form kernels on the panel nodes of a grid.
+
+    The kernels run over blocks of _KERNEL_BLOCK nodes, which bounds
+    their complex temporaries; every value is bit-identical to one
+    whole-array call.
+    """
     g = _check_grid(grid)
     nodes, wts, offsets = _panel_nodes(g)
+    kc = np.empty_like(nodes)
+    ks = np.empty_like(nodes)
+    for i in range(0, nodes.size, _KERNEL_BLOCK):
+        block = slice(i, i + _KERNEL_BLOCK)
+        kc[block] = omega_kernel_cos(nodes[block], gamma_tilde)
+        ks[block] = omega_kernel_sin(nodes[block], gamma_tilde)
     return KernelTable(
-        grid=g,
-        gamma_tilde=gamma_tilde,
-        nodes=nodes,
-        weights=wts,
-        offsets=offsets,
-        kc=omega_kernel_cos(nodes, gamma_tilde),
-        ks=omega_kernel_sin(nodes, gamma_tilde),
+        grid=g, gamma_tilde=gamma_tilde, nodes=nodes, weights=wts, offsets=offsets, kc=kc, ks=ks
     )
 
 
@@ -657,17 +664,16 @@ def coefficients_analytic_small_u(
 # Markov (stationary) limits
 # ---------------------------------------------------------------------------
 
-# relative tolerance of the stationary quadratures (markov_limit,
-# stationary_offset); it also bounds the error of 1 - zeta/D
-MARKOV_REL_TOL = 1e-10
+# smallest resolved stationary population (1 - zeta/D)/2; the worst
+# error of 1 - zeta/D at rest on the presets is 2.4e-10 (rb-nsi)
+MARKOV_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class MarkovCoefficients:
-    """Asymptotic coefficient values D_inf, f_inf, zeta_inf."""
+    """Asymptotic coefficient values D_inf, zeta_inf."""
 
     D_inf: float
-    f_inf: float
     zeta_inf: float
 
     def __post_init__(self):
@@ -679,34 +685,28 @@ def markov_limit(
     mat: MaterialParams,
     part: ParticleParams,
     kin: KinematicsParams,
+    table: KernelTable | None = None,
 ) -> MarkovCoefficients:
-    """Exact t -> inf coefficient constants by stationary quadrature.
+    """Exact t -> inf coefficient constants, read off a trace on a
+    decoherence table (built unless given; one built for a smaller level
+    spacing spans a longer window and serves too).
 
-    The integrands die like exp(-gamma_tilde t / 2), so integrating over
-    one kernel-decay window captures the limits to ~1e-12.  Exact in the
-    velocity (no small-u expansion); at u = 0 the diffusion constant
-    reduces to r0_tilde d_i J(delta_tilde) / 32.
+    D_inf is D at the trace's end plus the analytic remainder of the
+    cosine kernel's 1/t^2 tail; zeta_inf is zeta there, the sine kernel
+    being a pure pole term.  Exact in the velocity; at u = 0 the
+    diffusion constant reduces to r0_tilde d_i J(delta_tilde) / 32.
     """
-    gt = mat.gamma_tilde
-    pref = part.r0_tilde / TWO_PI
-    # the cosine kernel carries an algebraic 1/t^2 tail on top of the
-    # exponential pole decay (the even extension of J has a slope kink at
-    # w = 0), so its stationary integrals need a long horizon
-    horizon_cos = max(kernel_decay_time(gt), _ALGEBRAIC_TAIL_HORIZON)
-    horizon_sin = kernel_decay_time(gt)
+    # deferred: qfd.decoherence, which owns the table, imports this module
+    from qfd.decoherence import _tail_slope_correction, decoherence_table
 
-    kc = functools.partial(omega_kernel_cos, gamma_tilde=gt)
-    ks = functools.partial(omega_kernel_sin, gamma_tilde=gt)
-    kwargs = dict(rel_tol=MARKOV_REL_TOL, abs_tol=1e-14, max_subdivisions=262144)
-
-    def limit(trig, kernel, horizon: float) -> float:
-        g = _delay_integrand(part, kin, trig, kernel)
-        return pref * integrate_adaptive(g, 0.0, horizon, **kwargs).value
-
-    d_inf = limit(np.cos, kc, horizon_cos)
-    f_inf = limit(np.sin, kc, horizon_cos)
-    z_inf = limit(np.sin, ks, horizon_sin)
-    return MarkovCoefficients(D_inf=d_inf, f_inf=f_inf, zeta_inf=z_inf)
+    if table is None:
+        table = decoherence_table(mat, part.delta_tilde)
+    trace = coefficients_from_table(table, part, kin)
+    t_end = float(trace.grid[-1])
+    return MarkovCoefficients(
+        D_inf=float(trace.D[-1]) + _tail_slope_correction(mat, part, kin, t_end),
+        zeta_inf=float(trace.zeta[-1]),
+    )
 
 
 def markov_diffusion_small_u(
@@ -723,22 +723,3 @@ def markov_diffusion_small_u(
     j2 = spectral_density_d2(part.delta_tilde, mat.gamma_tilde)
     u2 = kin.u * kin.u
     return part.r0_tilde / 32.0 * (wts.d_i * j + 0.375 * wts.d_a * u2 * j2)
-
-
-def stationary_offset(
-    mat: MaterialParams, part: ParticleParams, kin: KinematicsParams
-) -> float:
-    """Late-time offset C_inf = lim [cumD(t) - D_inf t] = -(r0t/2pi) int t g(t) dt.
-
-    Captures the build-up transient of the diffusion coefficient; it is
-    independent of r0_tilde only through the explicit prefactor.
-    """
-    gt = mat.gamma_tilde
-    pref = part.r0_tilde / TWO_PI
-    horizon = max(kernel_decay_time(gt), _ALGEBRAIC_TAIL_HORIZON)
-    # first moment of the D integrand: the kernel carries the factor t'
-    g = _delay_integrand(part, kin, np.cos, lambda tp: tp * omega_kernel_cos(tp, gt))
-    res = integrate_adaptive(
-        g, 0.0, horizon, rel_tol=MARKOV_REL_TOL, abs_tol=1e-14, max_subdivisions=262144
-    )
-    return -pref * res.value

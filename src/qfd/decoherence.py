@@ -5,10 +5,10 @@ time is the root of cumD(tau) = 1 (envelope down to e^-2).  Three routes:
 
 * numeric  - exact crossing of the piecewise-linear accumulated
   diffusion of a reference trace, extended linearly once the kernels
-  have died out (the diffusion coefficient is constant there to ~1e-12);
+  have died out, with the tail-corrected slope D_inf;
 * analytic - closed small-velocity formula built from the stationary
   response functions h and g below;
-* markov   - plain 1 / D_inf with the exact stationary constant.
+* markov   - plain 1 / D_inf, read off the same trace (markov_limit).
 
 Sweeps over velocity, dipole angles, material/particle combinations and
 level spacing emit flat result rows ready for CSV export.
@@ -30,7 +30,6 @@ from qfd.coefficients import (
     kernel_decay_time,
     make_kernel_table,
     markov_limit,
-    stationary_offset,
     time_grid,
 )
 from qfd.errors import BracketError, DomainError, PhysicsError
@@ -41,6 +40,7 @@ from qfd.model import (
     _density_denominator,
     kernel_P,
     kernel_Q,
+    kernel_R,
     orientation_from_angles,
     orientation_weights,
     pole_omega_r,
@@ -106,9 +106,9 @@ def _tail_slope_correction(
 ) -> float:
     """Analytic remainder D_inf - D(t_end) of the kernel's 1/t^2 tail.
 
-    Two integration-by-parts orders of
-        int_T^inf cos(dt s) (-gt/s^2) P(u s) ds * r0t/(2 pi);
-    the residual scales like 1/(dt^3 T^4) and is negligible past the
+    Three integration-by-parts orders of
+        int_T^inf cos(dt s) g(s) ds * r0t/(2 pi),  g = -gt P(u s)/s^2;
+    the residual scales like 1/(dt^4 T^5) and is negligible past the
     decoherence window.
     """
     gt = mat.gamma_tilde
@@ -117,9 +117,23 @@ def _tail_slope_correction(
     x = u * t_end
     p = kernel_P(x, part.orientation)
     dp = -3.0 * x * kernel_Q(x, part.orientation)  # dP/dx
+    d2p = -12.0 * kernel_R(x, part.orientation)  # d2P/dx2
     term1 = p * math.sin(dt * t_end) / (dt * t_end * t_end)
     term2 = (u * dp * t_end - 2.0 * p) * math.cos(dt * t_end) / (dt * dt * t_end**3)
-    return part.r0_tilde * gt / TWO_PI * (term1 + term2)
+    d2g = u * u * d2p * t_end**2 - 4.0 * u * dp * t_end + 6.0 * p  # -(s^4/gt) g''
+    term3 = -d2g * math.sin(dt * t_end) / (dt**3 * t_end**4)
+    return part.r0_tilde * gt / TWO_PI * (term1 + term2 + term3)
+
+
+def _graded_start(grid: np.ndarray) -> np.ndarray:
+    """The grid graded toward t = 0, where Kc carries a t^2 log t term
+    (Davis & Rabinowitz, Methods of Numerical Integration, 2.12): 4x the
+    density up to t = 1, and 12 geometric points h 0.3^k below its first
+    point h."""
+    k = int(np.searchsorted(grid, 1.0, side="right")) - 1
+    head = np.interp(np.arange(4 * k + 1) / 4, np.arange(k + 1), grid[: k + 1])
+    geometric = head[1] * 0.3 ** np.arange(12, 0, -1)
+    return np.concatenate([[0.0], geometric, head[1:], grid[k + 1 :]])
 
 
 def decoherence_table(
@@ -128,7 +142,8 @@ def decoherence_table(
     pts_per_cycle: int = 400,
     horizon_cycles: float | None = None,
 ) -> KernelTable:
-    """Kernel table on the decoherence-extraction grid.
+    """Kernel table on the decoherence-extraction grid, time_grid over
+    the decoherence window graded toward t = 0.
 
     Building it once and sharing it across velocities, orientations and
     (shorter-window) level spacings avoids recomputing the kernels,
@@ -139,7 +154,7 @@ def decoherence_table(
     if horizon_cycles is not None:
         window = min(window, horizon_cycles * cycle)
     grid = time_grid(delta_tilde, mat.gamma_tilde, window / cycle, pts_per_cycle)
-    return make_kernel_table(mat.gamma_tilde, grid)
+    return make_kernel_table(mat.gamma_tilde, _graded_start(grid))
 
 
 def _trace_and_tail_slope(
@@ -222,10 +237,13 @@ def tau_d_numeric(
 
 
 def tau_d_markov(
-    mat: MaterialParams, part: ParticleParams, kin: KinematicsParams
+    mat: MaterialParams,
+    part: ParticleParams,
+    kin: KinematicsParams,
+    table: KernelTable | None = None,
 ) -> DecoherenceTimeResult:
     """Markov estimate tau = 1 / D_inf with the exact stationary constant."""
-    mk = markov_limit(mat, part, kin)
+    mk = markov_limit(mat, part, kin, table)
     return DecoherenceTimeResult(
         tau_d=1.0 / mk.D_inf, method="markov", params_snapshot=(mat, part, kin)
     )
@@ -317,17 +335,8 @@ def tau_d(
     if method == "analytic":
         return tau_d_analytic(mat, part, kin, **kwargs)
     if method == "markov":
-        return tau_d_markov(mat, part, kin)
+        return tau_d_markov(mat, part, kin, table=table)
     raise DomainError(f"unknown decoherence-time method {method!r}")
-
-
-def markov_expected_tau(
-    mat: MaterialParams, part: ParticleParams, kin: KinematicsParams
-) -> float:
-    """Numeric-route prediction tau = (1 - C_inf)/D_inf used in validation."""
-    mk = markov_limit(mat, part, kin)
-    c_inf = stationary_offset(mat, part, kin)
-    return (1.0 - c_inf) / mk.D_inf
 
 
 # ---------------------------------------------------------------------------
@@ -400,15 +409,18 @@ def _sweep(
 ) -> list[SweepRow]:
     """Rows for sweep points on one material, in point order.
 
-    A numeric sweep evaluates every point on one kernel table, built for
-    the smallest level spacing, whose window is the longest.  In rate
-    mode a row carries the u = 0 reference of its particle (evaluated
-    once per distinct particle) and the rate tau_d / tau_d_u0 - 1;
+    A numeric or Markov sweep evaluates every point on one kernel
+    table, built for the smallest level spacing, whose window is the
+    longest.  In rate mode a row carries the u = 0 reference of its
+    particle (evaluated once per distinct particle) and the rate
+    tau_d / tau_d_u0 - 1;
     otherwise tau_d_u0 repeats tau_d and the rate is 0.  Excluded points
     get NaN entries and the flag 'excluded'.
     """
     deltas = [pt.part.delta_tilde for pt in points if not pt.excluded]
-    table = decoherence_table(mat, min(deltas)) if deltas and method == "numeric" else None
+    table = None
+    if deltas and method in ("numeric", "markov"):
+        table = decoherence_table(mat, min(deltas))
 
     def tau(part: ParticleParams, kin: KinematicsParams) -> float:
         return tau_d(mat, part, kin, method=method, table=table).tau_d

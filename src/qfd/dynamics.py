@@ -166,9 +166,9 @@ def asymptotic_population(
     follows the activation law rho11 ~ A exp(-2 delta_tilde / u) with
     A of order one (the Fourier decay of the image-dipole envelope
     kernel_P), so the nominal threshold u = delta_tilde / 2 marks a
-    crossover at the ~2 % level.  Populations below the relative
-    tolerance of the stationary quadratures (MARKOV_REL_TOL), which
-    bounds the error of 1 - zeta/D, are rounding residue and read 0.
+    crossover at the ~2 % level.  Populations below MARKOV_REL_TOL,
+    which bounds the error of 1 - zeta/D on the stationary constants
+    of markov_limit, are residue and read 0.
     """
     mk = markov if markov is not None else markov_limit(mat, part, kin)
     rm_inf = -mk.zeta_inf / mk.D_inf

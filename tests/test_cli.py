@@ -165,6 +165,13 @@ def test_tdec_json_report(tmp_path):
     assert payload["params"]["delta_tilde"] == 0.2
 
 
+def test_tdec_markov_on_gold(tmp_path):
+    out = tmp_path / "tdec.json"
+    code = run(["tdec", "--preset", "rb-au", "--method", "markov", "--out", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["tau_d"] > 0
+
+
 def test_tdec_near_resonance_exit_3(tmp_path):
     code = run(
         ["tdec", "--preset", "nv-nsi", "--delta", "0.97", "--method", "analytic",
@@ -224,8 +231,9 @@ def test_sweep_delta_exclusion_flag(tmp_path):
     assert rows[0][-1] == "excluded" and rows[1][-1] == "excluded"
 
 
-def test_sweep_u_builds_one_kernel_table(tmp_path, monkeypatch):
-    # the fit sidecar reuses the sweep's rows instead of a second table
+@pytest.fixture
+def table_calls(monkeypatch):
+    """The arguments of every decoherence_table call a sweep makes."""
     import qfd.decoherence as dec
 
     calls = []
@@ -233,13 +241,29 @@ def test_sweep_u_builds_one_kernel_table(tmp_path, monkeypatch):
     monkeypatch.setattr(
         dec, "decoherence_table", lambda *a, **k: calls.append(a) or build(*a, **k)
     )
+    return calls
+
+
+def test_sweep_u_builds_one_kernel_table(tmp_path, table_calls):
+    # the fit sidecar reuses the sweep's rows instead of a second table
     code = run(
         ["sweep", "--param", "u", "--from", "0.005", "--to", "0.03",
          "--points", "4", "--preset", "nv-nsi", "--out", str(tmp_path / "u.csv")]
     )
     assert code == 0
-    assert len(calls) == 1
+    assert len(table_calls) == 1
     assert (tmp_path / "u.csv.fit.json").exists()
+
+
+def test_markov_combo_sweep_builds_one_table_per_combo(tmp_path, table_calls):
+    # the Markov constants are read off the sweep's kernel table, gold too
+    code = run(
+        ["sweep", "--param", "phi", "--from", "0", "--to", "6", "--points", "7",
+         "--combos", "nv-nsi,rb-au", "--method", "markov",
+         "--out", str(tmp_path / "combo.csv")]
+    )
+    assert code == 0
+    assert [mat.name for mat, *_ in table_calls] == ["n-Si", "Au"]
 
 
 def test_sweep_theta_combos_label_the_theta_axis(tmp_path):
@@ -276,6 +300,7 @@ def test_sweep_theta_combos_label_the_theta_axis(tmp_path):
         ("[numerics] rel_tol", "abc", "[numerics] rel_tol"),
         ("[numerics] pts_per_cycle", "1.5", "[numerics] pts_per_cycle"),
         ("[kinematics] u", "fast", "[kinematics] u"),
+        ("--orientation", "1,x,0", "--orientation"),
     ],
 )
 def test_non_finite_input_exit_2(tmp_path, capsys, flag, value, name):

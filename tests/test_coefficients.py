@@ -10,23 +10,27 @@ from scipy import integrate as sp_integrate
 from qfd.coefficients import (
     _GL4_W,
     _GL4_X,
+    _KERNEL_BLOCK,
     _MAX_SUBPANEL_WIDTH,
     _panel_nodes,
     coefficients_analytic_small_u,
     coefficients_brute,
     coefficients_e1,
     kernel_cos_zero,
+    make_kernel_table,
     markov_diffusion_small_u,
     markov_limit,
     omega_kernel_cos,
     omega_kernel_sin,
     time_grid,
 )
+from qfd.dynamics import asymptotic_population
 from qfd.errors import GridError
 from qfd.model import (
     KinematicsParams,
     MaterialParams,
     ParticleParams,
+    orientation_weights,
     pole_omega_r,
     preset,
     spectral_density,
@@ -203,6 +207,16 @@ def test_panel_nodes_match_per_panel_linspace(grid):
         assert np.array_equal(g, r)
 
 
+def test_kernel_table_blocks_match_whole_array_bitwise():
+    # 3.5 node blocks on gold, whose nodes take both E1 branches
+    gt = 0.003
+    grid = np.linspace(0.0, 200.0, 7 * _KERNEL_BLOCK // 8 + 1)
+    table = make_kernel_table(gt, grid)
+    assert table.nodes.size > 3 * _KERNEL_BLOCK
+    assert np.array_equal(table.kc, omega_kernel_cos(table.nodes, gt))
+    assert np.array_equal(table.ks, omega_kernel_sin(table.nodes, gt))
+
+
 # ---------------------------------------------------------------------------
 # method agreement
 # ---------------------------------------------------------------------------
@@ -359,14 +373,37 @@ def test_analytic_warns_outside_window():
 # ---------------------------------------------------------------------------
 
 
-def test_markov_static_value():
-    # stationary-phase limit: D_inf = r0t d_i J(delta)/32 at rest
+@pytest.mark.parametrize("name", ["nv-nsi", "rb-nsi", "rb-au"])
+def test_markov_static_value(name):
+    # stationary-phase limit: D_inf = zeta_inf = r0t d_i J(delta)/32 at
+    # rest, so the stationary excited population is exactly 0
+    mat, part = preset(name)
+    rest = KinematicsParams(u=0.0)
+    mk = markov_limit(mat, part, rest)
+    d_i = orientation_weights(part.orientation).d_i
+    exact = part.r0_tilde * d_i * spectral_density(part.delta_tilde, mat.gamma_tilde) / 32.0
+    assert mk.D_inf == pytest.approx(exact, rel=1e-9, abs=0.0)
+    assert mk.zeta_inf == pytest.approx(exact, rel=1e-9, abs=0.0)
+    assert asymptotic_population(mat, part, rest, mk) == 0.0
+    if name == "nv-nsi":
+        # the value the figure-level runs quote (rounded upstream arithmetic)
+        assert mk.D_inf == pytest.approx(6.4997e-5, abs=2e-9)
+
+
+def test_markov_route_runs_no_adaptive_quadrature(monkeypatch):
+    import qfd.coefficients
+    import qfd.numerics
+    from qfd.decoherence import tau_d
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("adaptive quadrature on the Markov route")
+
+    monkeypatch.setattr(qfd.numerics, "integrate_adaptive", refuse)
+    monkeypatch.setattr(qfd.coefficients, "integrate_adaptive", refuse)
     mat, part = NV_NSI
-    mk = markov_limit(mat, part, KinematicsParams(u=0.0))
-    exact = part.r0_tilde * 1.0 * spectral_density(0.2, 1.0) / 32.0
-    assert mk.D_inf == pytest.approx(exact, rel=1e-6)
-    # the value the figure-level runs quote (rounded upstream arithmetic)
-    assert mk.D_inf == pytest.approx(6.4997e-5, abs=2e-9)
+    kin = KinematicsParams(u=0.003)
+    mk = markov_limit(mat, part, kin)
+    assert tau_d(mat, part, kin, method="markov").tau_d == 1.0 / mk.D_inf
 
 
 def test_markov_closed_form_agreement():
@@ -390,4 +427,4 @@ def test_markov_positive_diffusion_required():
     from qfd.coefficients import MarkovCoefficients
 
     with pytest.raises(DomainError):
-        MarkovCoefficients(D_inf=0.0, f_inf=0.0, zeta_inf=0.0)
+        MarkovCoefficients(D_inf=0.0, zeta_inf=0.0)

@@ -236,8 +236,8 @@ def test_threshold_departure():
 
 
 def test_asymptote_below_resolution_reads_zero():
-    # 1 - zeta/D is only resolved to the Markov quadrature tolerance
-    # (1e-10): at u = 0.01 the activation law gives ~1e-17, far below it
+    # populations below MARKOV_REL_TOL (1e-9), which bounds the error of
+    # 1 - zeta/D, read 0: at u = 0.01 the activation law gives ~1e-17
     mat, part = NV_NSI
     assert asymptotic_population(mat, part, KinematicsParams(u=0.01)) == 0.0
     resolved = asymptotic_population(mat, part, KinematicsParams(u=0.02))
