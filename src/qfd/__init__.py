@@ -3,7 +3,7 @@
 The package is organised in layers:
 
 ``qfd.numerics``
-    Self-contained numerical kernel: complex exponential integral E1,
+    Self-contained numerical kernel: exponential integrals E1 and Ei,
     adaptive Gauss-Kronrod quadrature, cumulative integration, bracketed
     root solving and quartic root extraction.
 ``qfd.model``

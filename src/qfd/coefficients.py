@@ -15,15 +15,16 @@ with the frequency integrals folded into the kernels
 
 Three independent evaluation routes are provided:
 
-* ``coefficients_e1``     - reference path; kernels in closed form built
-  from the resonance pole and exponential integrals, the t' integral by
-  high-order panel quadrature on the caller's grid.
-* ``coefficients_brute``  - validation oracle; direct nested adaptive
-  quadrature of the raw double integrals (cost grows quadratically,
-  meant for coarse grids).
+* ``coefficients_e1``     - reference path; kernels in closed form for
+  every damping, from the poles of J and exponential integrals, the t'
+  integral by high-order panel quadrature on the caller's grid.
+* ``coefficients_brute``  - validation oracle, the only adaptive quadrature;
+  nested quadrature of the raw double integrals (cost grows
+  quadratically, meant for coarse grids).
 * ``coefficients_analytic_small_u`` - stationary-phase expansion to
-  second order in the velocity, including the exponential-integral
-  correction that keeps it accurate for damping of order one.
+  second order in the velocity (gamma_tilde < 2), with the
+  exponential-integral correction that keeps it accurate for damping of
+  order one.
 
 ``markov_limit`` reads the t -> inf constants the same coefficients
 relax to off a trace on the decoherence table (``decoherence_table``),
@@ -56,13 +57,15 @@ from qfd.numerics import (
     cumulative_integral,
     exp_integral_e1,
     exp_integral_e1_scaled,
+    exp_integral_ei_scaled,
     integrate_adaptive,
 )
 
 TWO_PI = 2.0 * math.pi
 
-# envelope of both kernels decays like exp(-gamma_tilde t / 2); beyond
-# this many e-foldings the integrands are numerically dead
+# the pole terms of both kernels decay like exp(-gamma_tilde t / 2) below
+# gamma_tilde = 2 and like exp(-t / b) above it (the slow pole i/b);
+# beyond this many e-foldings the integrands are numerically dead
 _KERNEL_DECAY_EFOLDS = 55.0
 
 # 4-point Gauss-Legendre rule on [-1, 1]; degree-7 exactness makes the
@@ -83,80 +86,89 @@ _GL4_W = np.array(
 def _pole_pair(gamma_tilde: float) -> tuple[complex, float]:
     if not 0.0 < gamma_tilde < 2.0:
         raise DomainError(
-            "closed-form kernels require 0 < gamma_tilde < 2 "
-            f"(got {gamma_tilde}); use the quadrature path instead"
+            "the small-velocity analytic route requires 0 < gamma_tilde < 2 "
+            f"(got {gamma_tilde}); every other method runs at any damping"
         )
     p = pole_omega_r(gamma_tilde)
     return p.omega_r, float(p.sqrt_factor.real)
 
 
-def kernel_cos_zero(gamma_tilde: float, omega_max: float = 200.0) -> float:
-    """Limiting kernel value Kc(0) = int_0^inf J(w) dw by quadrature.
-
-    The integral is truncated at max(omega_max, 200) and completed with
-    the analytic 1/w^3 tail estimate of the spectral density.
-    """
-    m = max(float(omega_max), 200.0)
-    res = integrate_adaptive(
-        lambda w: spectral_density(w, gamma_tilde), 0.0, m, rel_tol=1e-12, abs_tol=1e-14
-    )
-    gt = gamma_tilde
-    tail = 0.5 * gt / (m * m) * (1.0 + (2.0 - gt * gt) / (2.0 * m * m))
-    return res.value + tail
+def _overdamped_rates(gamma_tilde: float) -> tuple[float, float, float]:
+    """Rates a < b of the imaginary poles i a, i b above gamma_tilde = 2
+    (a b = 1, b - a = s) and s = sqrt(gamma_tilde^2 - 4)."""
+    b = pole_omega_r(gamma_tilde).omega_r.imag
+    return 1.0 / b, b, math.sqrt(gamma_tilde * gamma_tilde - 4.0)
 
 
 def omega_kernel_cos(t_prime, gamma_tilde: float):
-    """Cosine transform of the spectral density, Kc(t').
+    """Cosine transform of the spectral density, Kc(t'), even in t'.
 
-    Closed form for 0 < gamma_tilde < 2: with the upper-half-plane pole
-    w_r and s4 = sqrt(4 - gamma_tilde^2),
-
+    Closed form for every damping, with G(z) = e^z E1(z).  Below
+    gamma_tilde = 2, with the pole w_r and s4 = sqrt(4 - gamma_tilde^2),
         Kc(t) = [pi Re e^{i w_r t} + Im G(i w_r t) + Im G(-i w_r t)] / s4,
-
-    where G(z) = e^z E1(z).  Even in t'.  The t' = 0 entry is filled with
-    the quadrature limit of int J dw.  For gamma_tilde >= 2 the transform
-    falls back to direct quadrature (the pole pair degenerates).
+    Kc(0) = (pi - 2 arg w_r) / s4.  Above it, J = [w/(w^2 + a^2) -
+    w/(w^2 + b^2)] / s (_overdamped_rates) and, by G&R 3.723,
+        Kc(t) = [H(a t) - H(b t)] / (2 s),  H(x) = G(x) - e^{-x} Ei(x),
+    Kc(0) = 2 ln b / s.  At 2, the double-pole limit,
+        Kc(t) = 1 - (t/2) [e^{-t} Ei(t) + G(t)],  Kc(0) = 1.
     """
     scalar = np.isscalar(t_prime)
     t = np.abs(np.atleast_1d(np.asarray(t_prime, dtype=float)))
-    if gamma_tilde >= 2.0:
-        out = _kernel_quadrature(t, gamma_tilde, kind="cos")
-        return float(out[0]) if scalar else out
-    w, s4 = _pole_pair(gamma_tilde)
+    gt = gamma_tilde
     out = np.empty_like(t)
     zero = t == 0.0
-    if np.any(zero):
-        out[zero] = kernel_cos_zero(gamma_tilde)
     tp = t[~zero]
-    if tp.size:
+    if gt < 2.0:
+        w, s4 = _pole_pair(gt)
+        out[zero] = (math.pi - 2.0 * math.atan2(w.imag, w.real)) / s4
         z = 1j * w * tp
         g_plus = exp_integral_e1_scaled(z)
         g_minus = exp_integral_e1_scaled(-z)
         out[~zero] = (
             math.pi * np.exp(1j * w * tp).real + g_plus.imag + g_minus.imag
         ) / s4
+    elif gt == 2.0:
+        out[zero] = 1.0
+        out[~zero] = 1.0 - 0.5 * tp * (
+            exp_integral_ei_scaled(tp) + exp_integral_e1_scaled(tp).real
+        )
+        # that difference cancels to -2/t^2, so past t = 40 sum its
+        # asymptotic series -sum_k (2k)!/t^(2k) instead
+        far = t > 40.0
+        steps = np.multiply.outer(t[far] ** -2.0, np.arange(2, 40, 2) * np.arange(1, 39, 2))
+        out[far] = -np.cumprod(steps, axis=1).sum(axis=1)
+    else:
+        a, b, s = _overdamped_rates(gt)
+
+        def h(x):
+            return exp_integral_e1_scaled(x).real - exp_integral_ei_scaled(x)
+
+        out[zero] = 2.0 * math.log(b) / s
+        out[~zero] = (h(a * tp) - h(b * tp)) / (2.0 * s)
     return float(out[0]) if scalar else out
 
 
 def omega_kernel_sin(t_prime, gamma_tilde: float):
-    """Sine transform of the spectral density, Ks(t').
+    """Sine transform of the spectral density, Ks(t'), odd in t'.
 
     The odd extension of J is analytic, so the transform is a pure
-    residue term with no exponential-integral remainder:
-
-        Ks(t) = pi Im e^{i w_r t} / sqrt(4 - gamma_tilde^2),  t >= 0,
-
-    extended to negative arguments as an odd function.
+    residue term with no exponential-integral remainder, for t >= 0
+        pi Im e^{i w_r t} / s4,  pi (t/2) e^{-t}  and  pi (e^{-a t} - e^{-b t}) / (2 s)
+    below, at and above gamma_tilde = 2 (as in omega_kernel_cos).
     """
     scalar = np.isscalar(t_prime)
     t = np.atleast_1d(np.asarray(t_prime, dtype=float))
     sign = np.sign(t)
     ta = np.abs(t)
-    if gamma_tilde >= 2.0:
-        out = sign * _kernel_quadrature(ta, gamma_tilde, kind="sin")
-        return float(out[0]) if scalar else out
-    w, s4 = _pole_pair(gamma_tilde)
-    out = sign * math.pi * np.exp(1j * w * ta).imag / s4
+    gt = gamma_tilde
+    if gt < 2.0:
+        w, s4 = _pole_pair(gt)
+        out = sign * math.pi * np.exp(1j * w * ta).imag / s4
+    elif gt == 2.0:
+        out = sign * 0.5 * math.pi * ta * np.exp(-ta)
+    else:
+        a, b, s = _overdamped_rates(gt)
+        out = sign * -math.pi * np.exp(-a * ta) * np.expm1(-s * ta) / (2.0 * s)
     return float(out[0]) if scalar else out
 
 
@@ -199,15 +211,6 @@ def _tail_sin(omega_max: float, t: float, gamma_tilde: float) -> float:
     return gt * (t3 + c2 * t5)
 
 
-def _kernel_quadrature(
-    t: np.ndarray, gamma_tilde: float, kind: str, omega_max: float = 200.0
-) -> np.ndarray:
-    """Kernel samples by direct frequency quadrature (gamma_tilde >= 2)."""
-    return np.array(
-        [_frequency_kernel(ti, gamma_tilde, kind, omega_max, 1e-11, 1e-13) for ti in t.flat]
-    ).reshape(t.shape)
-
-
 def _frequency_kernel(
     t: float,
     gamma_tilde: float,
@@ -223,8 +226,6 @@ def _frequency_kernel(
     breakpoints, plus the analytic tail of the truncated 1/w^3 falloff.
     """
     gt = gamma_tilde
-    if t == 0.0:
-        return kernel_cos_zero(gt, omega_max) if kind == "cos" else 0.0
     trig, tail = (np.cos, _tail_cos) if kind == "cos" else (np.sin, _tail_sin)
     breaks = _resonance_breakpoints(gt, omega_max)
     total = 0.0
@@ -289,8 +290,11 @@ class CoefficientTrace:
 
 
 def kernel_decay_time(gamma_tilde: float) -> float:
-    """Time beyond which both kernels are numerically negligible."""
-    return 2.0 * _KERNEL_DECAY_EFOLDS / gamma_tilde
+    """Time beyond which both kernels are numerically negligible, but
+    for the cosine kernel's -gamma_tilde/t^2 tail."""
+    if gamma_tilde < 2.0:
+        return 2.0 * _KERNEL_DECAY_EFOLDS / gamma_tilde
+    return _KERNEL_DECAY_EFOLDS * pole_omega_r(gamma_tilde).omega_r.imag
 
 
 def time_grid(

@@ -1,8 +1,9 @@
 """Language-agnostic numerical kernel.
 
-Pure functions only: complex exponential integral E1, globally adaptive
-Gauss-Kronrod quadrature, cumulative trapezoid integration, bracketed
-bisection root solving and quartic root extraction with a Newton polish.
+Pure functions only: exponential integrals E1 (complex) and Ei, globally
+adaptive Gauss-Kronrod quadrature, cumulative trapezoid integration,
+bracketed bisection root solving and quartic root extraction with a
+Newton polish.
 Everything accepts/returns plain floats, complex numbers or numpy arrays
 and holds no shared mutable state, so concurrent use is safe.
 """
@@ -34,13 +35,14 @@ _CF_MAX_ITER = 500
 _E1_BLOCK = 1 << 13
 # Near the branch cut the continued fraction stalls while the power series
 # stays perfectly conditioned (the sum grows like e^{-Re z}), so the series
-# region is widened to a lens hugging the negative real axis.
+# region is widened to a lens hugging the negative real axis; past
+# |z| = 40 the lens takes 40 terms of the asymptotic series.
 _SERIES_CUT_COS = -0.8
-_SERIES_CUT_RADIUS = 26.0
+_SERIES_CUT_RADIUS = 40.0
 
 
 def _e1_series(z: np.ndarray) -> np.ndarray:
-    """Power series  E1(z) = -gamma - Log z - sum (-z)^k / (k k!),  |z| <= 4.
+    """Power series  E1(z) = -gamma - Log z - sum (-z)^k / (k k!)  (_e1_branches).
 
     z is 1-D and runs in blocks of _E1_BLOCK arguments, so each result
     is the same whatever the size of the call.
@@ -124,6 +126,17 @@ def _e1_cf_block(z: np.ndarray, out: np.ndarray) -> int | None:
     return int(active[0])
 
 
+def _e1_asymptotic_scaled(z: np.ndarray) -> np.ndarray:
+    """Asymptotic series  e^z E1(z) ~ sum_k<40 (-1)^k k! / z^(k+1)  (A&S
+    5.1.51), for |z| > 40 in the lens about the negative real axis."""
+    term = 1.0 / z
+    acc = term
+    for k in range(1, 40):
+        term = term * (-k / z)
+        acc = acc + term
+    return acc
+
+
 def _check_e1_domain(z: np.ndarray) -> None:
     if np.any(z == 0):
         raise DomainError("E1 is singular at z = 0")
@@ -132,53 +145,65 @@ def _check_e1_domain(z: np.ndarray) -> None:
         raise DomainError("E1 principal branch is discontinuous on the negative real axis")
 
 
-def _series_mask(z: np.ndarray) -> np.ndarray:
+def _e1_branches(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Power-series and asymptotic masks; the rest take the continued fraction."""
     az = np.abs(z)
-    return (az <= _SERIES_RADIUS) | (
-        (z.real <= _SERIES_CUT_COS * az) & (az <= _SERIES_CUT_RADIUS)
-    )
+    lens = z.real <= _SERIES_CUT_COS * az
+    series = (az <= _SERIES_RADIUS) | (lens & (az <= _SERIES_CUT_RADIUS))
+    return series, lens & ~series
+
+
+def _e1(z, scaled: bool, check: bool = True):
+    """E1(z), or e^z E1(z) if scaled, each argument by its branch; a
+    scalar for a scalar z.  check=False admits the upper lip of the cut."""
+    scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0)
+    zz = np.atleast_1d(np.asarray(z, dtype=complex))
+    if check:
+        _check_e1_domain(zz)
+    out = np.empty_like(zz)
+    series, asymptotic = _e1_branches(zz)
+    if np.any(series):
+        zs = zz[series]
+        out[series] = np.exp(zs) * _e1_series(zs) if scaled else _e1_series(zs)
+    for mask, branch in (
+        (asymptotic, _e1_asymptotic_scaled),
+        (~(series | asymptotic), _e1_cf_scaled),
+    ):
+        if np.any(mask):
+            zm = zz[mask]
+            out[mask] = branch(zm) if scaled else branch(zm) * np.exp(-zm)
+    return complex(out[0]) if scalar else out
 
 
 def exp_integral_e1(z):
     """Principal-branch exponential integral E1(z) for complex z.
 
-    Power series for |z| <= 4, contracted continued fraction beyond; the
-    two regimes agree to ~1e-15 on the switchover circle.  Satisfies the
-    reflection property E1(conj z) = conj(E1(z)).
+    Power series for |z| <= 4 and in a lens about the negative real axis
+    to |z| = 40, asymptotic series beyond it, continued fraction elsewhere;
+    neighbouring branches agree to ~1e-13.  E1(conj z) = conj(E1(z)).
 
     Raises DomainError for z = 0 or z on the branch cut (negative real
     axis).  May overflow to inf for Re z << -700, where E1 itself exceeds
     float range; use :func:`exp_integral_e1_scaled` in that regime.
     """
-    scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0)
-    zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    _check_e1_domain(zz)
-    out = np.empty_like(zz)
-    small = _series_mask(zz)
-    if np.any(small):
-        out[small] = _e1_series(zz[small])
-    if np.any(~small):
-        zl = zz[~small]
-        out[~small] = _e1_cf_scaled(zl) * np.exp(-zl)
-    return complex(out[0]) if scalar else out
+    return _e1(z, scaled=False)
 
 
 def exp_integral_e1_scaled(z):
     """Scaled exponential integral  e^z E1(z),  stable for large |z|.
 
-    Same branch conventions and domain restrictions as exp_integral_e1.
+    Same branches, conventions and domain restrictions as exp_integral_e1.
     """
-    scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0)
-    zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    _check_e1_domain(zz)
-    out = np.empty_like(zz)
-    small = _series_mask(zz)
-    if np.any(small):
-        zs = zz[small]
-        out[small] = np.exp(zs) * _e1_series(zs)
-    if np.any(~small):
-        out[~small] = _e1_cf_scaled(zz[~small])
-    return complex(out[0]) if scalar else out
+    return _e1(z, scaled=True)
+
+
+def exp_integral_ei_scaled(x) -> np.ndarray:
+    """Scaled exponential integral  e^{-x} Ei(x)  for real x > 0, as an array:
+    -Re[e^z E1(z)] on the upper lip z = -x + i0 of the cut, in the lens."""
+    xx = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(xx > 0):
+        raise DomainError("Ei is evaluated here only for x > 0")
+    return -_e1(-xx + 0j, scaled=True, check=False).real
 
 
 # ---------------------------------------------------------------------------

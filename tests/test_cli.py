@@ -152,17 +152,20 @@ def test_evolve_free_columns_constant(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_tdec_json_report(tmp_path):
+# gamma 1 is the preset's own; 2 and above have closed-form kernels too
+@pytest.mark.parametrize("gamma", ["1", "2", "2.5", "4"])
+def test_tdec_json_report(tmp_path, gamma):
     out = tmp_path / "tdec.json"
     code = run(
         ["tdec", "--preset", "nv-nsi", "--u", "0.003", "--method", "markov",
-         "--out", str(out)]
+         "--gamma", gamma, "--out", str(out)]
     )
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["method"] == "markov"
     assert payload["tau_d"] > 0
     assert payload["params"]["delta_tilde"] == 0.2
+    assert payload["params"]["gamma_tilde"] == float(gamma)
 
 
 def test_tdec_markov_on_gold(tmp_path):

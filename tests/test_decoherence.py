@@ -45,6 +45,19 @@ def test_tau_close_to_markov_estimate():
     assert td.method == "numeric"
 
 
+@pytest.mark.parametrize("name", ["nv-nsi", "rb-nsi", "rb-au", "nv-au"])
+def test_tau_continuous_across_critical_damping(name):
+    # the kernels change form at gamma_tilde = 2 (pole pair, double pole,
+    # two imaginary poles), the decoherence time does not
+    mat, part = preset(name)
+    lo, at, hi = (
+        tau_d_numeric(replace(mat, gamma_tilde=gt), part, REST).tau_d
+        for gt in (2.0 - 1e-6, 2.0, 2.0 + 1e-6)
+    )
+    assert hi == pytest.approx(lo, rel=1e-5)
+    assert at == pytest.approx(lo, rel=1e-5)
+
+
 def test_tau_definition_consistency():
     # the envelope really is at e^-2: tau is the exact crossing cumD = 1
     mat, part = NV_NSI

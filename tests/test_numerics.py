@@ -13,6 +13,7 @@ from qfd.numerics import (
     cumulative_integral,
     exp_integral_e1,
     exp_integral_e1_scaled,
+    exp_integral_ei_scaled,
     find_root_bracketed,
     integrate_adaptive,
     quartic_roots,
@@ -33,8 +34,10 @@ def test_e1_at_one():
     assert exp_integral_e1(1.0 + 0.0j) == pytest.approx(0.2193839344, abs=1e-9)
 
 
-@pytest.mark.parametrize("deg", [5, 45, 89, 91, 120, 150, 170, -30, -120])
-@pytest.mark.parametrize("mag", [0.01, 0.5, 2.0, 4.0, 4.5, 10.0, 50.0, 300.0])
+# 178 deg and 26 to 41: near the cut, where the continued fraction stalls,
+# about the end of the series lens at |z| = 40
+@pytest.mark.parametrize("deg", [5, 45, 89, 91, 120, 150, 170, 178, -30, -120])
+@pytest.mark.parametrize("mag", [0.01, 0.5, 2.0, 4.0, 4.5, 10.0, 26.0, 39.9, 41.0, 50.0, 300.0])
 def test_e1_against_mpmath(deg, mag):
     z = mag * np.exp(1j * math.radians(deg))
     ref = mp_e1(complex(z))
@@ -90,13 +93,14 @@ def test_e1_scaled_consistency():
 
 
 def test_e1_scaled_array_matches_scalar_calls_bitwise():
-    # more than two continued-fraction blocks, whose arguments converge
-    # after 3 to 120 iterations, shuffled with power-series arguments; a
-    # pool of distinct arguments keeps the scalar reference calls few.
+    # more than two blocks of continued-fraction (converging after 3 to
+    # 120 iterations) and asymptotic arguments, shuffled with power-series
+    # arguments; a pool of distinct arguments keeps the scalar reference
+    # calls few.
     rng = np.random.default_rng(3)
     z = np.geomspace(0.05, 3000.0, 400) * np.exp(1j * rng.uniform(-3.0, 3.0, 400))
     z = np.concatenate([z, [-30.0 + 8.0j, -20.0 + 20.0j, -20.0 + 1.0j, -25.0 - 0.5j]])
-    series = numerics._series_mask(z)
+    series = numerics._e1_branches(z)[0]
     pool = np.concatenate([z[~series], z[series]])
     n_cf = int((~series).sum())
     which = rng.permutation(np.concatenate([
@@ -116,7 +120,7 @@ def test_e1_series_array_matches_scalar_calls_bitwise():
         1j * rng.uniform(-math.pi, math.pi, 500)
     )
     which = rng.integers(0, pool.size, 29_608)
-    assert numerics._series_mask(pool).all()
+    assert numerics._e1_branches(pool)[0].all()
     got = exp_integral_e1(pool[which])
     ref = np.array([exp_integral_e1(complex(z)) for z in pool])[which]
     assert np.array_equal(got.view(float), ref.view(float))
@@ -124,7 +128,9 @@ def test_e1_series_array_matches_scalar_calls_bitwise():
 
 def test_e1_continued_fraction_failure_names_an_argument(monkeypatch):
     monkeypatch.setattr(numerics, "_CF_MAX_ITER", 2)
-    z = np.array([5.0 + 1.0j, 40.0 - 3.0j, -30.0 + 8.0j])
+    # -30+24j: just outside the series lens, the slowest arguments the
+    # continued fraction takes
+    z = np.array([5.0 + 1.0j, 40.0 - 3.0j, -30.0 + 24.0j])
     with pytest.raises(ConvergenceError) as info:
         exp_integral_e1_scaled(z)
     assert info.value.best_estimate.shape == z.shape
@@ -151,6 +157,17 @@ def test_e1_domain_errors():
         exp_integral_e1(-1.0 + 0.0j)
     with pytest.raises(DomainError):
         exp_integral_e1(np.array([1.0 + 0j, -2.0 + 0j]))
+    with pytest.raises(DomainError):
+        exp_integral_ei_scaled(np.array([1.0, 0.0]))
+
+
+def test_ei_scaled_against_mpmath():
+    # both E1 branches of the cut's upper lip: the series to x = 40 and
+    # the asymptotic series beyond
+    x = np.concatenate([np.geomspace(1e-6, 1e4, 120), [39.999, 40.0, 40.001]])
+    got = exp_integral_ei_scaled(x)
+    ref = np.array([float(mpmath.exp(-mpmath.mpf(v)) * mpmath.ei(v)) for v in x])
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +200,12 @@ def test_quadrature_spectral_density_vs_residue_form():
     # truncated integral of the surface response matches the exact value
     # (pi - 2 arg w_r)/sqrt(4 - gt^2) once the tail estimate is added
     from qfd.model import pole_omega_r, spectral_density
-    from qfd.coefficients import kernel_cos_zero
+    from qfd.coefficients import _frequency_kernel
 
     gt = 1.0
     w = pole_omega_r(gt).omega_r
     exact = (math.pi - 2.0 * np.angle(w)) / math.sqrt(4.0 - gt * gt)
-    got = kernel_cos_zero(gt, omega_max=50.0)
+    got = _frequency_kernel(0.0, gt, "cos", 50.0, rel_tol=1e-12, abs_tol=1e-14)
     assert got == pytest.approx(exact, abs=1e-9)
     # raw truncation at 50 leaves a visible tail; the estimate closes it
     raw = integrate_adaptive(
