@@ -7,8 +7,8 @@ Subcommands map one-to-one onto the package's figure-level experiments:
 * ``qfd tdec``    - decoherence-time scalar report (JSON)
 * ``qfd sweep``   - velocity / angle / level-spacing sweeps as flat CSV
 
-Configuration is a flat INI file (sections material, particle,
-kinematics, numerics, output) with every CLI flag acting as an override;
+Configuration is a flat INI file whose keys are declared once, in
+``_KEYS``, with CLI flags as overrides (resolve_config gives the order);
 ``--dump-config`` emits the fully resolved file, which re-ingests to the
 byte-identical result.  Floats are always printed with 17 significant
 digits and files are written atomically.
@@ -28,6 +28,8 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, fields
+from functools import reduce
+from itertools import groupby
 
 import numpy as np
 
@@ -39,13 +41,13 @@ from qfd.coefficients import (
     time_grid,
 )
 from qfd.decoherence import (
-    decoherence_table,
     quadratic_fit_rows,
     sweep_level_spacing,
     sweep_material_particle,
     sweep_polarization,
     sweep_rows_to_csv,
     sweep_velocity,
+    table_for_method,
     tau_d,
 )
 from qfd.dynamics import QubitState, evolve
@@ -59,6 +61,8 @@ from qfd.errors import (
     QfdError,
 )
 from qfd.model import (
+    DEFAULT_ORIENTATION,
+    DEFAULT_R0_TILDE,
     KinematicsParams,
     MaterialParams,
     ParticleParams,
@@ -68,8 +72,6 @@ from qfd.model import (
     unit_orientation,
     validate_dimensional,
 )
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -82,70 +84,16 @@ class NumericsOptions:
 
     def __post_init__(self):
         # chained comparisons also refuse NaN and infinity
-        if not 0 < self.rel_tol < math.inf:
-            raise ConfigError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
-        if not 0 < self.abs_tol < math.inf:
-            raise ConfigError(f"abs_tol must be finite and > 0, got {self.abs_tol}")
-        if not 1 < self.omega_max < math.inf:
-            raise ConfigError(
-                f"omega_max must be finite and exceed the resonance at 1, got {self.omega_max}"
-            )
-        if self.pts_per_cycle < 8:
-            raise ConfigError(f"pts_per_cycle must be >= 8, got {self.pts_per_cycle}")
-        if self.horizon_cycles is not None and not 0 < self.horizon_cycles < math.inf:
-            raise ConfigError(
-                f"horizon_cycles must be finite and > 0, got {self.horizon_cycles}"
-            )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run parameters; nothing is lazy at compute time."""
-
-    material: MaterialParams
-    particle: ParticleParams
-    kinematics: KinematicsParams
-    numerics: NumericsOptions
-    out_path: str = "-"
-    out_format: str = "csv"
-
-    def to_ini(self) -> str:
-        """Serialize so that re-ingestion reproduces this config exactly."""
-        n = self.particle.orientation
-        lines = [
-            "[material]",
-            f"omega_s_rad_s = {self.material.omega_s:.17g}",
-            f"gamma_tilde = {self.material.gamma_tilde:.17g}",
-            f"name = {self.material.name}",
-            "",
-            "[particle]",
-            f"delta_tilde = {self.particle.delta_tilde:.17g}",
-            f"r0_tilde = {self.particle.r0_tilde:.17g}",
-            f"orientation = {n[0]:.17g},{n[1]:.17g},{n[2]:.17g}",
-            f"name = {self.particle.name}",
-            "",
-            "[kinematics]",
-            f"u = {self.kinematics.u:.17g}",
-        ]
-        if self.kinematics.a_nm is not None:
-            lines.append(f"a_nm = {self.kinematics.a_nm:.17g}")
-        lines += [
-            "",
-            "[numerics]",
-            f"rel_tol = {self.numerics.rel_tol:.17g}",
-            f"abs_tol = {self.numerics.abs_tol:.17g}",
-            f"omega_max = {self.numerics.omega_max:.17g}",
-            f"pts_per_cycle = {self.numerics.pts_per_cycle}",
-            "horizon_cycles = "
-            + ("auto" if self.numerics.horizon_cycles is None
-               else f"{self.numerics.horizon_cycles:.17g}"),
-            "",
-            "[output]",
-            f"path = {self.out_path}",
-            f"format = {self.out_format}",
-            "",
-        ]
-        return "\n".join(lines)
+        horizon = self.horizon_cycles
+        for name, ok, need in (
+            ("rel_tol", 0 < self.rel_tol < math.inf, "finite and > 0"),
+            ("abs_tol", 0 < self.abs_tol < math.inf, "finite and > 0"),
+            ("omega_max", 1 < self.omega_max < math.inf, "finite and exceed the resonance at 1"),
+            ("pts_per_cycle", self.pts_per_cycle >= 8, ">= 8"),
+            ("horizon_cycles", horizon is None or 0 < horizon < math.inf, "finite and > 0"),
+        ):
+            if not ok:
+                raise ConfigError(f"{name} must be {need}, got {getattr(self, name)}")
 
 
 def parse_angle(text: str) -> float:
@@ -171,126 +119,132 @@ def _horizon(text: str) -> float | None:
     return None if text.strip().lower() in ("auto", "none", "") else float(text)
 
 
-def _load_ini(path: str) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
-    return cp
+# Every config key in INI order: section, key, the RunConfig field it
+# fills, the dest of the flag that overrides it (None for INI-only keys)
+# and the parser of its INI text.  An INI value that parses to None (a
+# blank orientation or path, an automatic horizon) leaves the field as
+# the earlier layers set it.
+_KEYS = (
+    ("material", "omega_s_rad_s", "material.omega_s", "omega_s", float),
+    ("material", "gamma_tilde", "material.gamma_tilde", "gamma", float),
+    ("material", "name", "material.name", None, str),
+    ("particle", "delta_tilde", "particle.delta_tilde", "delta", float),
+    ("particle", "r0_tilde", "particle.r0_tilde", "r0", float),
+    ("particle", "orientation", "particle.orientation", None,
+     lambda text: _components(text) if text else None),
+    ("particle", "name", "particle.name", None, str),
+    ("kinematics", "u", "kinematics.u", "u", float),
+    ("kinematics", "a_nm", "kinematics.a_nm", "a_nm", float),
+    ("numerics", "rel_tol", "numerics.rel_tol", None, float),
+    ("numerics", "abs_tol", "numerics.abs_tol", None, float),
+    ("numerics", "omega_max", "numerics.omega_max", "omega_max", float),
+    ("numerics", "pts_per_cycle", "numerics.pts_per_cycle", "pts_per_cycle", int),
+    ("numerics", "horizon_cycles", "numerics.horizon_cycles", "horizon_cycles", _horizon),
+    ("output", "path", "out_path", "out", lambda text: text or None),
+    ("output", "format", "out_format", "format", str),
+)
+
+# field defaults; every other field starts as None until a layer sets it
+_DEFAULTS = {
+    "material.name": "", "particle.name": "", "kinematics.u": 0.0,
+    "particle.r0_tilde": DEFAULT_R0_TILDE, "particle.orientation": DEFAULT_ORIENTATION,
+    **{f"numerics.{f.name}": f.default for f in fields(NumericsOptions)},
+    "out_path": "-", "out_format": "csv",
+}
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Fully resolved run parameters; nothing is lazy at compute time."""
+
+    material: MaterialParams
+    particle: ParticleParams
+    kinematics: KinematicsParams
+    numerics: NumericsOptions
+    out_path: str
+    out_format: str
+
+    def to_ini(self) -> str:
+        """Serialize so that re-ingestion reproduces this config exactly:
+        floats with 17 significant digits, tuples comma-joined, the
+        automatic horizon as auto and an unset a_nm left out."""
+        blocks = []
+        for section, keys in groupby(_KEYS, key=lambda row: row[0]):
+            lines = [f"[{section}]\n"]
+            for _, key, field, _, parse in keys:
+                v = reduce(getattr, field.split("."), self)
+                if v is None and parse is not _horizon:
+                    continue
+                text = ("auto" if v is None else ",".join(map(_fmt, v)) if isinstance(v, tuple)
+                        else _fmt(v) if isinstance(v, float) else v)
+                lines.append(f"{key} = {text}\n")
+            blocks.append("".join(lines))
+        return "\n".join(blocks)
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, config file and CLI overrides into explicit params."""
-    cp = _load_ini(args.config) if getattr(args, "config", None) else None
+    """Merge the config layers into explicit params, each layer over the
+    ones before it: defaults, preset, config file, --material, flags,
+    --orientation and --theta/--phi."""
+    cp = configparser.ConfigParser()
+    if args.config and not cp.read(args.config):
+        raise ConfigError(f"config file not found: {args.config}")
+    values = dict.fromkeys(row[2] for row in _KEYS) | _DEFAULTS
 
-    def ini(section: str, key: str, default=None, kind=str):
-        if cp is None or not cp.has_option(section, key):
-            return default
-        text = cp.get(section, key)
-        try:
-            return kind(text)
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse [{section}] {key} = {text!r}: {exc}") from exc
-
-    mat: MaterialParams | None = None
-    part_delta = None
-    part_r0 = None
-    part_orient = None
-    part_name = ""
+    def take(group: str, params) -> None:
+        values.update({f"{group}.{f.name}": getattr(params, f.name) for f in fields(params)})
 
     # combo rows take every parameter from their own presets; without a
     # preset the first combo completes the config of --out and --dump-config
     preset_name = (
-        getattr(args, "preset", None)
-        or ini("material", "preset")
+        args.preset
+        or cp.get("material", "preset", fallback=None)
         or (getattr(args, "combos", None) or "").split(",")[0].strip()
     )
     if preset_name:
-        mat, p = preset(preset_name)
-        part_delta, part_r0, part_orient, part_name = (
-            p.delta_tilde,
-            p.r0_tilde,
-            p.orientation,
-            p.name,
-        )
-
-    mat_name = ini("material", "name", mat.name if mat else "")
-    omega_s = ini("material", "omega_s_rad_s", mat.omega_s if mat else None, float)
-    gamma = ini("material", "gamma_tilde", mat.gamma_tilde if mat else None, float)
-    if getattr(args, "material", None):
-        m = material_preset(args.material)
-        omega_s, gamma, mat_name = m.omega_s, m.gamma_tilde, m.name
-    if getattr(args, "omega_s", None) is not None:
-        omega_s = args.omega_s
-    if getattr(args, "gamma", None) is not None:
-        gamma = args.gamma
-    if omega_s is None or gamma is None:
-        raise ConfigError("material underspecified: give --preset, --material or explicit values")
-    material = MaterialParams(omega_s=omega_s, gamma_tilde=gamma, name=mat_name)
-
-    part_delta = ini("particle", "delta_tilde", part_delta, float)
-    part_r0 = ini("particle", "r0_tilde", part_r0, float)
-    if ini("particle", "orientation"):
-        part_orient = ini("particle", "orientation", kind=_components)
-    part_name = ini("particle", "name", part_name)
-    if getattr(args, "delta", None) is not None:
-        part_delta = args.delta
-    if getattr(args, "r0", None) is not None:
-        part_r0 = args.r0
-    if getattr(args, "orientation", None):
+        mat, part = preset(preset_name)
+        take("material", mat)
+        take("particle", part)
+    for section, key, field, _, parse in _KEYS:
+        if cp.has_option(section, key):
+            text = cp.get(section, key)
+            try:
+                value = parse(text)
+            except ValueError as exc:
+                raise ConfigError(f"cannot parse [{section}] {key} = {text!r}: {exc}") from exc
+            if value is not None:
+                values[field] = value
+    if args.material:
+        take("material", material_preset(args.material))
+    for _, _, field, flag, _ in _KEYS:
+        if flag and getattr(args, flag) not in (None, ""):
+            values[field] = getattr(args, flag)
+    if args.orientation:
         try:
-            part_orient = _components(args.orientation)
+            values["particle.orientation"] = _components(args.orientation)
         except ValueError as exc:
             raise ConfigError(f"cannot parse --orientation {args.orientation!r}: {exc}") from exc
-    if getattr(args, "theta", None) is not None or getattr(args, "phi", None) is not None:
-        th = parse_angle(args.theta) if getattr(args, "theta", None) is not None else math.pi / 2
-        ph = parse_angle(args.phi) if getattr(args, "phi", None) is not None else 0.0
-        part_orient = orientation_from_angles(th, ph)
-    if part_delta is None:
+    if args.theta is not None or args.phi is not None:
+        values["particle.orientation"] = orientation_from_angles(
+            parse_angle(args.theta) if args.theta is not None else math.pi / 2,
+            parse_angle(args.phi) if args.phi is not None else 0.0,
+        )
+
+    groups: dict[str, dict] = {}
+    for path, value in values.items():
+        group, _, name = path.rpartition(".")
+        groups.setdefault(group, {})[name] = value
+    mat, part, out = groups["material"], groups["particle"], groups[""]
+    if None in mat.values():
+        raise ConfigError("material underspecified: give --preset, --material or explicit values")
+    material = MaterialParams(**mat)
+    if None in part.values():
         raise ConfigError("particle underspecified: need delta_tilde (via --preset or --delta)")
-    if part_r0 is None:
-        part_r0 = 1e-2
-    if part_orient is None:
-        part_orient = (1.0, 0.0, 0.0)
-    particle = ParticleParams(
-        delta_tilde=part_delta,
-        r0_tilde=part_r0,
-        orientation=unit_orientation(part_orient),
-        name=part_name,
-    )
-
-    u = ini("kinematics", "u", 0.0, float)
-    a_nm = ini("kinematics", "a_nm", None, float)
-    if getattr(args, "u", None) is not None:
-        u = args.u
-    if getattr(args, "a_nm", None) is not None:
-        a_nm = args.a_nm
-    kinematics = KinematicsParams(u=u, a_nm=a_nm)
-
-    numerics = {
-        "rel_tol": ini("numerics", "rel_tol", 1e-8, float),
-        "abs_tol": ini("numerics", "abs_tol", 1e-10, float),
-        "omega_max": ini("numerics", "omega_max", 50.0, float),
-        "pts_per_cycle": ini("numerics", "pts_per_cycle", 400, int),
-        "horizon_cycles": ini("numerics", "horizon_cycles", None, _horizon),
-    }
-    for name in ("omega_max", "pts_per_cycle", "horizon_cycles"):
-        if getattr(args, name, None) is not None:
-            numerics[name] = getattr(args, name)
-
-    out_path = getattr(args, "out", None) or ini("output", "path", "-") or "-"
-    out_format = getattr(args, "format", None) or ini("output", "format", "csv")
-    if out_format not in ("csv", "json"):
-        raise ConfigError(f"unknown output format {out_format!r}")
-
-    cfg = RunConfig(
-        material=material,
-        particle=particle,
-        kinematics=kinematics,
-        numerics=NumericsOptions(**numerics),
-        out_path=out_path,
-        out_format=out_format,
-    )
+    particle = ParticleParams(**{**part, "orientation": unit_orientation(part["orientation"])})
+    kinematics = KinematicsParams(**groups["kinematics"])
+    if out["out_format"] not in ("csv", "json"):
+        raise ConfigError(f"unknown output format {out['out_format']!r}")
+    cfg = RunConfig(material, particle, kinematics, NumericsOptions(**groups["numerics"]), **out)
     for warning in validate_dimensional(material, particle, kinematics):
         print(f"qfd: warning: {warning}", file=sys.stderr)
     return cfg
@@ -389,11 +343,8 @@ def cmd_evolve(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_tdec(args: argparse.Namespace, cfg: RunConfig) -> int:
     mat, part, kin, num = cfg.material, cfg.particle, cfg.kinematics, cfg.numerics
-    table = None
-    if args.method != "analytic":
-        # a horizon cap would leave the Markov constants short of stationary
-        horizon = num.horizon_cycles if args.method == "numeric" else None
-        table = decoherence_table(mat, part.delta_tilde, num.pts_per_cycle, horizon)
+    table = table_for_method(mat, part.delta_tilde, args.method, num.pts_per_cycle,
+                             num.horizon_cycles)
     res = tau_d(mat, part, kin, method=args.method, table=table)
     report = {
         "tau_d": res.tau_d,
@@ -423,9 +374,10 @@ def _sweep_values(args: argparse.Namespace) -> np.ndarray:
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
-    mat, part, kin = cfg.material, cfg.particle, cfg.kinematics
+    mat, part, kin, num = cfg.material, cfg.particle, cfg.kinematics, cfg.numerics
     values = _sweep_values(args)
-    method = args.method
+    opts = dict(method=args.method, pts_per_cycle=num.pts_per_cycle,
+                horizon_cycles=num.horizon_cycles)
 
     if args.param in ("theta", "phi"):
         thetas = [parse_angle(args.theta) if args.theta else math.pi / 2]
@@ -436,17 +388,17 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
             phis = list(values)
         if args.combos:
             combos = [c.strip() for c in args.combos.split(",") if c.strip()]
-            rows = sweep_material_particle(combos, thetas, phis, method=method)
+            rows = sweep_material_particle(combos, thetas, phis, **opts)
         else:
-            rows = sweep_polarization(mat, part, kin, thetas, phis, method=method)
+            rows = sweep_polarization(mat, part, kin, thetas, phis, **opts)
     elif args.combos:
         raise ConfigError("--combos applies to theta/phi sweeps only")
     elif args.param == "u":
         if args.points < 4:
             raise ConfigError("u sweeps feeding fits need --points >= 4")
-        rows = sweep_velocity(mat, part, values, method=method, a_nm=kin.a_nm)
+        rows = sweep_velocity(mat, part, values, a_nm=kin.a_nm, **opts)
     else:
-        rows = sweep_level_spacing(mat, part, kin, values, method=method)
+        rows = sweep_level_spacing(mat, part, kin, values, **opts)
 
     if cfg.out_format == "json":
         payload = [

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qfd.errors import DomainError, GridError
+from qfd.errors import ConfigError, DomainError, GridError
 from qfd.model import (
     KinematicsParams,
     MaterialParams,
@@ -84,8 +84,9 @@ _GL4_W = np.array(
 
 
 def _pole_pair(gamma_tilde: float) -> tuple[complex, float]:
+    """w_r and s4 = sqrt(4 - gamma_tilde^2); bad input at or above 2."""
     if not 0.0 < gamma_tilde < 2.0:
-        raise DomainError(
+        raise ConfigError(
             "the small-velocity analytic route requires 0 < gamma_tilde < 2 "
             f"(got {gamma_tilde}); every other method runs at any damping"
         )

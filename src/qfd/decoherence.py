@@ -26,6 +26,7 @@ import numpy as np
 from qfd.coefficients import (
     CoefficientTrace,
     KernelTable,
+    _pole_pair,
     coefficients_from_table,
     kernel_decay_time,
     make_kernel_table,
@@ -60,11 +61,10 @@ DEFAULT_COMBO_VELOCITY = {"nsi": 3e-3, "au": 1.5e-4}
 
 @dataclass(frozen=True)
 class DecoherenceTimeResult:
-    """Decoherence time with its extraction method and input snapshot."""
+    """Decoherence time with its extraction method."""
 
     tau_d: float
     method: str
-    params_snapshot: tuple[MaterialParams, ParticleParams, KinematicsParams]
 
     def __post_init__(self):
         if not self.tau_d > 0:
@@ -157,6 +157,19 @@ def decoherence_table(
     return make_kernel_table(mat.gamma_tilde, _graded_start(grid))
 
 
+def table_for_method(
+    mat: MaterialParams, delta_tilde: float, method: str,
+    pts_per_cycle: int = 400, horizon_cycles: float | None = None,
+) -> KernelTable | None:
+    """The decoherence_table a tau_d method reads, or None for analytic.
+    Markov ignores a horizon cap, which would leave its constants short
+    of stationary."""
+    if method not in ("numeric", "markov"):
+        return None
+    horizon = horizon_cycles if method == "numeric" else None
+    return decoherence_table(mat, delta_tilde, pts_per_cycle, horizon)
+
+
 def _trace_and_tail_slope(
     mat: MaterialParams, part: ParticleParams, kin: KinematicsParams,
     pts_per_cycle: int, horizon_cycles: float | None, table: KernelTable | None,
@@ -233,7 +246,7 @@ def tau_d_numeric(
             f"diffusion coefficient is not positive at the horizon "
             f"(D = {d_end:.3e}, cumD = {c[-1]:.6g}); cumD never reaches 1"
         )
-    return DecoherenceTimeResult(float(tau), "numeric", (mat, part, kin))
+    return DecoherenceTimeResult(float(tau), "numeric")
 
 
 def tau_d_markov(
@@ -243,10 +256,7 @@ def tau_d_markov(
     table: KernelTable | None = None,
 ) -> DecoherenceTimeResult:
     """Markov estimate tau = 1 / D_inf with the exact stationary constant."""
-    mk = markov_limit(mat, part, kin, table)
-    return DecoherenceTimeResult(
-        tau_d=1.0 / mk.D_inf, method="markov", params_snapshot=(mat, part, kin)
-    )
+    return DecoherenceTimeResult(1.0 / markov_limit(mat, part, kin, table).D_inf, "markov")
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +306,8 @@ def tau_d_analytic(
     Markov term (32 / r0t d_i)(1/h - (3/8)(d_a/d_i) u^2 h''/h^2) plus the
     velocity-independent finite-time correction -g/(s4 h) + 2/(pi delta)
     and the corresponding u^2 bracket.  Level spacings inside the
-    resonance exclusion band are refused (the expansion blows up there).
+    resonance exclusion band are refused (the expansion blows up there),
+    and so is gamma_tilde >= 2 (_pole_pair).
     """
     delta = part.delta_tilde
     gt = mat.gamma_tilde
@@ -305,12 +316,10 @@ def tau_d_analytic(
             f"delta_tilde = {delta} falls in the prohibited near-resonance "
             f"band |delta - 1| < {exclusion_band}"
         )
-    if gt >= 2.0:
-        raise DomainError("analytic route requires gamma_tilde < 2")
+    _, s4 = _pole_pair(gt)
     wts = orientation_weights(part.orientation)
     di, da = wts.d_i, wts.d_a
     u2 = kin.u * kin.u
-    s4 = math.sqrt(4.0 - gt * gt)
     h, h2, hod2 = _h_funcs(delta, gt)
     g, g2 = _g_funcs(delta, gt)
 
@@ -318,7 +327,7 @@ def tau_d_analytic(
     const = -g / (s4 * h) + 2.0 / (math.pi * delta)
     bracket = (g * h2 / h**2 - g2 / h) + (2.0 / (math.pi * h)) * (hod2 - h2 / delta)
     tau = tau_mark + const + 0.375 * (da / di) * u2 * bracket
-    return DecoherenceTimeResult(tau_d=tau, method="analytic", params_snapshot=(mat, part, kin))
+    return DecoherenceTimeResult(tau, "analytic")
 
 
 def tau_d(
@@ -405,22 +414,23 @@ class _SweepPoint(NamedTuple):
 
 
 def _sweep(
-    mat: MaterialParams, points: Sequence[_SweepPoint], method: str, rate_mode: bool
+    mat: MaterialParams, points: Sequence[_SweepPoint], method: str,
+    pts_per_cycle: int, horizon_cycles: float | None, rate_mode: bool,
 ) -> list[SweepRow]:
     """Rows for sweep points on one material, in point order.
 
     A numeric or Markov sweep evaluates every point on one kernel
-    table, built for the smallest level spacing, whose window is the
-    longest.  In rate mode a row carries the u = 0 reference of its
-    particle (evaluated once per distinct particle) and the rate
-    tau_d / tau_d_u0 - 1;
+    table (table_for_method), built for the smallest level spacing,
+    whose window is the longest.  In rate mode a row carries the u = 0
+    reference of its particle (evaluated once per distinct particle)
+    and the rate tau_d / tau_d_u0 - 1;
     otherwise tau_d_u0 repeats tau_d and the rate is 0.  Excluded points
     get NaN entries and the flag 'excluded'.
     """
     deltas = [pt.part.delta_tilde for pt in points if not pt.excluded]
     table = None
-    if deltas and method in ("numeric", "markov"):
-        table = decoherence_table(mat, min(deltas))
+    if deltas:
+        table = table_for_method(mat, min(deltas), method, pts_per_cycle, horizon_cycles)
 
     def tau(part: ParticleParams, kin: KinematicsParams) -> float:
         return tau_d(mat, part, kin, method=method, table=table).tau_d
@@ -467,6 +477,7 @@ def sweep_velocity(
     velocities: Sequence[float],
     method: str = "numeric",
     a_nm: float | None = None,
+    pts_per_cycle: int = 400, horizon_cycles: float | None = None,
 ) -> list[SweepRow]:
     """tau_D and the normalized rate across a velocity grid."""
     theta, phi = _angles_of(part.orientation)
@@ -474,7 +485,7 @@ def sweep_velocity(
         _SweepPoint("u", u, part, KinematicsParams(u=u, a_nm=a_nm), theta, phi)
         for u in velocities
     ]
-    return _sweep(mat, points, method, rate_mode=True)
+    return _sweep(mat, points, method, pts_per_cycle, horizon_cycles, rate_mode=True)
 
 
 def sweep_polarization(
@@ -485,6 +496,7 @@ def sweep_polarization(
     phi_grid: Sequence[float],
     method: str = "numeric",
     rate_mode: bool = False,
+    pts_per_cycle: int = 400, horizon_cycles: float | None = None,
 ) -> list[SweepRow]:
     """tau_D (or the velocity rate) over a dipole-direction grid.
 
@@ -511,7 +523,7 @@ def sweep_polarization(
         for th in thetas
         for ph in phis
     ]
-    return _sweep(mat, points, method, rate_mode)
+    return _sweep(mat, points, method, pts_per_cycle, horizon_cycles, rate_mode)
 
 
 def sweep_material_particle(
@@ -520,6 +532,7 @@ def sweep_material_particle(
     phi_grid: Sequence[float],
     velocities: dict[str, float] | None = None,
     method: str = "numeric",
+    pts_per_cycle: int = 400, horizon_cycles: float | None = None,
 ) -> list[SweepRow]:
     """Velocity-rate curves over angles for preset material/particle pairs.
 
@@ -533,7 +546,8 @@ def sweep_material_particle(
         key = "au" if "au" in combo.lower() else "nsi"
         u = (velocities or DEFAULT_COMBO_VELOCITY)[key]
         out += sweep_polarization(
-            mat, part, KinematicsParams(u=u), theta_grid, phi_grid, method, rate_mode=True
+            mat, part, KinematicsParams(u=u), theta_grid, phi_grid, method, rate_mode=True,
+            pts_per_cycle=pts_per_cycle, horizon_cycles=horizon_cycles,
         )
     return out
 
@@ -545,6 +559,7 @@ def sweep_level_spacing(
     delta_grid: Sequence[float],
     method: str = "numeric",
     exclusion_band: float = RESONANCE_EXCLUSION_BAND,
+    pts_per_cycle: int = 400, horizon_cycles: float | None = None,
 ) -> list[SweepRow]:
     """Normalized rate tau(u)/tau(0) across level spacings.
 
@@ -565,7 +580,7 @@ def sweep_level_spacing(
         )
         for d in delta_grid
     ]
-    rows = _sweep(mat, points, method, rate_mode=True)
+    rows = _sweep(mat, points, method, pts_per_cycle, horizon_cycles, rate_mode=True)
     ratios = [None if r.flag else r.tau_d / r.tau_d_u0 for r in rows]
 
     flagged = []

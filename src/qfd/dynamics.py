@@ -87,11 +87,7 @@ class EvolutionResult:
         return header + "".join(rows)
 
 
-def evolve(
-    initial: QubitState,
-    trace: CoefficientTrace,
-    delta_tilde: float | None = None,
-) -> EvolutionResult:
+def evolve(initial: QubitState, trace: CoefficientTrace) -> EvolutionResult:
     """Evolve the reduced state over the full span of a coefficient trace.
 
     The population sector integrates the dissipative drive against the
@@ -99,11 +95,7 @@ def evolve(
     so long horizons cannot overflow.  Positivity is checked on every
     sample and violations beyond the slack abort loudly.
     """
-    dt = trace.delta_tilde if delta_tilde is None else float(delta_tilde)
-    if delta_tilde is not None and abs(dt - trace.delta_tilde) > 1e-12:
-        raise GridError(
-            f"delta_tilde {dt} does not match the trace ({trace.delta_tilde})"
-        )
+    dt = trace.delta_tilde
     g = trace.grid
     cum_d = trace.cumD
 

@@ -165,13 +165,20 @@ def _e1(z, scaled: bool, check: bool = True):
     if np.any(series):
         zs = zz[series]
         out[series] = np.exp(zs) * _e1_series(zs) if scaled else _e1_series(zs)
+    failure = None
     for mask, branch in (
         (asymptotic, _e1_asymptotic_scaled),
         (~(series | asymptotic), _e1_cf_scaled),
     ):
         if np.any(mask):
             zm = zz[mask]
-            out[mask] = branch(zm) if scaled else branch(zm) * np.exp(-zm)
+            try:
+                value = branch(zm)
+            except ConvergenceError as exc:  # the continued fraction, last
+                failure, value = exc, exc.best_estimate
+            out[mask] = value if scaled else value * np.exp(-zm)
+    if failure is not None:  # with every argument's best value
+        raise ConvergenceError(str(failure), best_estimate=out) from failure
     return complex(out[0]) if scalar else out
 
 

@@ -1,5 +1,6 @@
 """CLI integration tests: subcommands, exit codes, determinism, round trips."""
 
+import configparser
 import json
 import math
 
@@ -324,14 +325,23 @@ def test_non_finite_input_exit_2(tmp_path, capsys, flag, value, name):
         assert f"{name} must be finite" in err
 
 
-def test_sweep_config_error_exit_2(tmp_path):
-    assert run(
-        ["sweep", "--param", "u", "--from", "0.01", "--to", "0.02",
-         "--points", "3", "--preset", "nv-nsi", "--out", str(tmp_path / "x.csv")]
-    ) == 2  # u sweeps need >= 4 points
-    assert run(
-        ["coeffs", "--preset", "unobtainium", "--out", str(tmp_path / "y.csv")]
-    ) == 2
+def test_sweep_config_error_exit_2(tmp_path, capsys):
+    u_sweep = ["sweep", "--param", "u", "--from", "0.01", "--to", "0.02"]
+    above_critical = ["--preset", "nv-nsi", "--gamma", "2.5"]
+    cases = [
+        (u_sweep + ["--points", "3", "--preset", "nv-nsi"], "--points >= 4"),
+        (["coeffs", "--preset", "unobtainium"], "unobtainium"),
+        # only the small-velocity analytic route needs gamma_tilde < 2, and
+        # a damping outside its range is bad input, not a numerical failure
+        (["tdec", *above_critical, "--method", "analytic"], "gamma_tilde"),
+        (u_sweep + ["--points", "4", *above_critical, "--method", "analytic"], "gamma_tilde"),
+        (["coeffs", *above_critical, "--method", "analytic", "--cycles", "0.1"], "gamma_tilde"),
+        (["coeffs", *above_critical, "--method", "all", "--cycles", "0.1"], "gamma_tilde"),
+    ]
+    for argv, name in cases:
+        assert run(argv + ["--out", str(tmp_path / "x.out")]) == 2, argv
+        assert name in capsys.readouterr().err
+    assert not (tmp_path / "x.out").exists()
 
 
 def test_sweep_json_format(tmp_path):
@@ -347,9 +357,109 @@ def test_sweep_json_format(tmp_path):
     assert {"tau_d", "rate", "u"} <= set(payload[0])
 
 
+U_SWEEP = ["sweep", "--param", "u", "--from", "0.005", "--to", "0.03", "--points", "4",
+           "--preset", "nv-nsi"]
+
+
+def test_sweep_honours_pts_per_cycle(tmp_path):
+    coarse, fine = tmp_path / "400.csv", tmp_path / "1600.csv"
+    assert run(U_SWEEP + ["--out", str(coarse)]) == 0
+    assert run(U_SWEEP + ["--pts-per-cycle", "1600", "--out", str(fine)]) == 0
+    _, coarse_rows = read_csv(coarse)
+    header, rows = read_csv(fine)
+    tau, u = header.index("tau_d"), header.index("u")
+    assert all(a[tau] != b[tau] for a, b in zip(coarse_rows, rows))
+    # each row is the tdec of its velocity on the same grid
+    report = tmp_path / "tdec.json"
+    for row in rows:
+        assert run(["tdec", "--preset", "nv-nsi", "--u", row[u], "--pts-per-cycle", "1600",
+                    "--out", str(report)]) == 0
+        assert float(row[tau]) == pytest.approx(json.loads(report.read_text())["tau_d"],
+                                                rel=1e-12)
+
+
+@pytest.mark.parametrize("command", [["tdec", "--preset", "nv-nsi"], U_SWEEP],
+                         ids=["tdec", "sweep"])
+def test_horizon_cap_too_short_exit_4(tmp_path, command):
+    # half a cycle ends the trace before the envelope reaches e^-2
+    out = tmp_path / "x.out"
+    assert run(command + ["--horizon-cycles", "0.5", "--out", str(out)]) == 4
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
-# config round trip
+# config schema and round trip
 # ---------------------------------------------------------------------------
+
+
+# Precedence chains, one key each.  Row i of a chain applies the chain's
+# layers 0..i, each of which sets the key; the dump must show layer i's
+# value, so each layer beats every layer before it.
+PRECEDENCE = {
+    ("material", "gamma_tilde"): [
+        ("preset", "", ["--preset", "nv-nsi"], 1.0),
+        ("config", "[material]\ngamma_tilde = 0.5\n", [], 0.5),
+        ("material", "", ["--material", "au"], 0.003),
+        ("flag", "", ["--gamma", "0.75"], 0.75),
+    ],
+    ("particle", "orientation"): [
+        ("default", "", ["--omega-s", "1e14", "--gamma", "1", "--delta", "0.3"], (1.0, 0.0, 0.0)),
+        ("config", "[particle]\norientation = 0,3,4\n", [], (0.0, 0.6, 0.8)),
+        ("orientation", "", ["--orientation", "0,1,0"], (0.0, 1.0, 0.0)),
+        ("angles", "", ["--theta", "0"], (0.0, 0.0, 1.0)),
+    ],
+    ("numerics", "pts_per_cycle"): [
+        ("default", "", ["--preset", "rb-nsi"], 400),
+        ("config", "[numerics]\npts_per_cycle = 200\n", [], 200),
+        ("flag", "", ["--pts-per-cycle", "100"], 100),
+    ],
+    ("output", "path"): [
+        ("default", "", ["--preset", "rb-nsi"], "-"),
+        ("config", "[output]\npath = from-config.csv\n", [], "from-config.csv"),
+        ("flag", "", ["--out", "from-flag.csv"], "from-flag.csv"),
+    ],
+}
+
+
+def _precedence_rows():
+    rows = []
+    for (section, key), chain in PRECEDENCE.items():
+        ini, flags = "", []
+        for layer, ini_text, layer_flags, value in chain:
+            ini, flags = ini + ini_text, flags + layer_flags
+            rows.append(pytest.param(section, key, ini, flags, value, id=f"{key}-{layer}"))
+    return rows
+
+
+def _ini_value(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(f"{x:.17g}" for x in value)
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
+@pytest.mark.parametrize("section, key, ini, flags, value", _precedence_rows())
+def test_config_precedence(tmp_path, section, key, ini, flags, value):
+    dump = tmp_path / "resolved.ini"
+    argv = ["tdec", *flags, "--dump-config", str(dump)]
+    if ini:
+        (tmp_path / "run.ini").write_text(ini)
+        argv += ["--config", str(tmp_path / "run.ini")]
+    assert run(argv) == 0
+    resolved = configparser.ConfigParser()
+    resolved.read(dump)
+    assert resolved[section][key] == _ini_value(value)
+
+
+def test_every_schema_flag_is_on_every_subcommand():
+    from qfd.cli import _KEYS, build_parser
+
+    dests = {row[3] for row in _KEYS} - {None}
+    assert dests >= {"gamma", "u", "pts_per_cycle", "out", "format"}
+    required = {"sweep": ["--param", "u", "--from", "0", "--to", "1", "--points", "4"]}
+    for command in ("coeffs", "evolve", "tdec", "sweep"):
+        parsed = build_parser().parse_args([command, *required.get(command, [])])
+        assert dests <= set(vars(parsed)), command
+
 
 
 def test_dump_config_round_trip(tmp_path):

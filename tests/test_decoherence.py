@@ -205,7 +205,7 @@ def test_method_dispatch():
 def test_result_requires_positive_tau():
     mat, part = NV_NSI
     with pytest.raises(PhysicsError):
-        DecoherenceTimeResult(tau_d=-1.0, method="numeric", params_snapshot=(mat, part, REST))
+        DecoherenceTimeResult(tau_d=-1.0, method="numeric")
 
 
 # ---------------------------------------------------------------------------

@@ -119,12 +119,6 @@ def test_velocity_ordering_of_coherences():
     assert np.all(a15 >= a30 - 1e-15)
 
 
-def test_delta_mismatch_rejected():
-    trace, _ = make_run(u=0.0, cycles=2.0, pts=64)
-    with pytest.raises(GridError):
-        evolve(PLUS_STATE, trace, delta_tilde=0.3)
-
-
 def stepwise_rho11(initial: QubitState, trace) -> np.ndarray:
     """Reference: the trapezoid recurrence one step at a time, every
     exponent nonpositive."""

@@ -135,6 +135,17 @@ def test_e1_continued_fraction_failure_names_an_argument(monkeypatch):
         exp_integral_e1_scaled(z)
     assert info.value.best_estimate.shape == z.shape
     assert "(5+1j)" in str(info.value)
+    # mixed branches: the series (1+1j) and asymptotic (-50+1j) arguments
+    # keep their values in an estimate of the call's shape, scaled or not
+    # as the call asks
+    z = np.array([5.0 + 1.0j, 1.0 + 1.0j, 40.0 - 3.0j, -50.0 + 1.0j])
+    for e1 in (exp_integral_e1_scaled, exp_integral_e1):
+        with pytest.raises(ConvergenceError) as info:
+            e1(z)
+        best = info.value.best_estimate
+        assert best.shape == z.shape
+        assert best[1] == e1(z[1]) and best[3] == e1(z[3])
+        assert "(5+1j)" in str(info.value)
 
 
 def test_e1_continued_fraction_failure_in_a_later_block(monkeypatch):

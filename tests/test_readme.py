@@ -1,5 +1,6 @@
 """The README's command-line examples run as written."""
 
+import configparser
 import re
 import shlex
 from pathlib import Path
@@ -48,3 +49,23 @@ def test_readme_command_runs(argv, tmp_path):
         argv += ["--dump-config", str(written)]
     assert main(argv) == 0
     assert written.exists()
+
+
+def test_readme_config_block_round_trips(tmp_path):
+    """The README's INI block is accepted as written, and its dump
+    re-ingests to a byte-identical dump."""
+    block = re.search(r"```ini\n(.*?)```", README.read_text(), flags=re.S).group(1)
+    given, first, second = tmp_path / "readme.ini", tmp_path / "d1.ini", tmp_path / "d2.ini"
+    given.write_text(block)
+    assert main(["tdec", "--config", str(given), "--dump-config", str(first)]) == 0
+    assert main(["tdec", "--config", str(first), "--dump-config", str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()
+    written, dumped = configparser.ConfigParser(), configparser.ConfigParser()
+    written.read_string(block)
+    dumped.read(first)
+    for section in written.sections():
+        for key, text in written[section].items():
+            try:
+                assert float(dumped[section][key]) == float(text), key
+            except ValueError:
+                assert dumped[section][key] == text, key
