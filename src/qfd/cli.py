@@ -41,6 +41,7 @@ from qfd.coefficients import (
     time_grid,
 )
 from qfd.decoherence import (
+    angles_of,
     quadratic_fit_rows,
     sweep_level_spacing,
     sweep_material_particle,
@@ -186,9 +187,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge the config layers into explicit params, each layer over the
     ones before it: defaults, preset, config file, --material, flags,
     --orientation and --theta/--phi."""
-    cp = configparser.ConfigParser()
-    if args.config and not cp.read(args.config):
-        raise ConfigError(f"config file not found: {args.config}")
+    cp = configparser.ConfigParser(interpolation=None)  # a '%' is literal
+    try:
+        if args.config and not cp.read(args.config):
+            raise ConfigError(f"config file not found: {args.config}")
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
     values = dict.fromkeys(row[2] for row in _KEYS) | _DEFAULTS
 
     def take(group: str, params) -> None:
@@ -380,8 +384,10 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
                 horizon_cycles=num.horizon_cycles)
 
     if args.param in ("theta", "phi"):
-        thetas = [parse_angle(args.theta) if args.theta else math.pi / 2]
-        phis = [parse_angle(args.phi) if args.phi else 0.0]
+        # the fixed angle is the resolved orientation's, or the flag as given
+        theta, phi = angles_of(part.orientation)
+        thetas = [parse_angle(args.theta) if args.theta else theta]
+        phis = [parse_angle(args.phi) if args.phi else phi]
         if args.param == "theta":
             thetas = list(values)
         else:

@@ -19,8 +19,8 @@ Three independent evaluation routes are provided:
   every damping, from the poles of J and exponential integrals, the t'
   integral by high-order panel quadrature on the caller's grid.
 * ``coefficients_brute``  - validation oracle, the only adaptive quadrature;
-  nested quadrature of the raw double integrals (cost grows
-  quadratically, meant for coarse grids).
+  nested quadrature of the raw double integrals, one pass per grid panel
+  (cost grows quadratically, meant for coarse grids).
 * ``coefficients_analytic_small_u`` - stationary-phase expansion to
   second order in the velocity (gamma_tilde < 2), with the
   exponential-integral correction that keeps it accurate for damping of
@@ -33,7 +33,6 @@ the grid on which every coefficient has become constant.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -173,80 +172,50 @@ def omega_kernel_sin(t_prime, gamma_tilde: float):
     return float(out[0]) if scalar else out
 
 
-def _tail_cos(omega_max: float, t: float, gamma_tilde: float) -> float:
-    """Truncation tail int_M^inf J(w) cos(w t) dw, uniform in t.
+def _frequency_tail(omega_max: float, t: np.ndarray, gamma_tilde: float) -> np.ndarray:
+    """Truncation tails int_M^inf J(w) e^{i w t} dw, uniform in t: the
+    cosine tail as the real part and the sine tail as the imaginary part.
 
     Expands J = gt/w^3 + gt(2-gt^2)/w^5 + O(1/w^7) and integrates both
-    terms exactly through Re E1(i M t) = -Ci(M t); the residual is
-    O(gt/M^6).
+    terms exactly through E1(-i M t) = -Ci(M t) - i (Si(M t) - pi/2); the
+    residual is O(gt/M^6).
     """
-    gt = gamma_tilde
     m = omega_max
-    c2 = 2.0 - gt * gt
-    if t == 0.0:
-        return gt * (0.5 / (m * m) + 0.25 * c2 / m**4)
-    mt = m * t
-    cmt, smt = math.cos(mt), math.sin(mt)
-    e1 = exp_integral_e1(1j * mt)
-    t3 = cmt / (2 * m * m) - 0.5 * t * (smt / m + t * e1.real)
-    t5 = cmt / (4 * m**4) - t * smt / (12 * m**3) - (t * t / 12.0) * t3
-    return gt * (t3 + c2 * t5)
+    e = np.exp(1j * m * t)
+    # t^2 E1(-i M t) vanishes at t = 0, where E1 itself is singular
+    t2e1 = np.zeros_like(e)
+    nz = t != 0.0
+    t2e1[nz] = t[nz] ** 2 * exp_integral_e1(-1j * m * t[nz])
+    t3 = e / (2 * m * m) + 0.5j * t * e / m - 0.5 * t2e1
+    t5 = e / (4 * m**4) + 1j * t * e / (12 * m**3) - (t * t / 12.0) * t3
+    return gamma_tilde * (t3 + (2.0 - gamma_tilde**2) * t5)
 
 
-def _tail_sin(omega_max: float, t: float, gamma_tilde: float) -> float:
-    """Truncation tail int_M^inf J(w) sin(w t) dw, uniform in t.
+def _frequency_kernels(
+    t, gamma_tilde: float, omega_max: float, rel_tol: float, abs_tol: float, max_subdivisions: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(Kc, Ks) = int_0^inf J(w) (cos, sin)(w t) dw at an array of delays t.
 
-    Same two-term expansion as the cosine tail, built on
-    Im E1(i M t) = Si(M t) - pi/2.
+    One adaptive quadrature of J(w) [cos(w t), sin(w t)] up to omega_max
+    per segment between breakpoints, every delay and both kinds sharing
+    its panels, plus the analytic tail of the truncated 1/w^3 falloff.
     """
     gt = gamma_tilde
-    m = omega_max
-    c2 = 2.0 - gt * gt
-    if t == 0.0:
-        return 0.0
-    mt = m * t
-    cmt, smt = math.cos(mt), math.sin(mt)
-    e1 = exp_integral_e1(1j * mt)
-    t3 = smt / (2 * m * m) + 0.5 * t * (cmt / m + t * e1.imag)
-    t5 = smt / (4 * m**4) + t * cmt / (12 * m**3) - (t * t / 12.0) * t3
-    return gt * (t3 + c2 * t5)
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    # segments bracketing the w = 1 response peak for small damping
+    hw = min(40.0 * gt, 0.5)
+    breaks = sorted(p for p in (0.0, 1.0 - hw, 1.0 + hw, omega_max) if p <= omega_max)
 
+    def integrand(w: np.ndarray) -> np.ndarray:
+        wt = w[..., None] * t
+        return spectral_density(w, gt)[..., None, None] * np.stack([np.cos(wt), np.sin(wt)], -2)
 
-def _frequency_kernel(
-    t: float,
-    gamma_tilde: float,
-    kind: str,
-    omega_max: float,
-    rel_tol: float,
-    abs_tol: float,
-    max_subdivisions: int = 4096,
-) -> float:
-    """int_0^inf J(w) trig(w t) dw at one delay t, trig = cos or sin by kind.
-
-    Adaptive quadrature up to omega_max on panels split at the resonance
-    breakpoints, plus the analytic tail of the truncated 1/w^3 falloff.
-    """
-    gt = gamma_tilde
-    trig, tail = (np.cos, _tail_cos) if kind == "cos" else (np.sin, _tail_sin)
-    breaks = _resonance_breakpoints(gt, omega_max)
-    total = 0.0
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        total += integrate_adaptive(
-            lambda w: spectral_density(w, gt) * trig(w * t),
-            a,
-            b,
-            rel_tol=rel_tol,
-            abs_tol=abs_tol,
-            max_subdivisions=max_subdivisions,
-        ).value
-    return total + tail(omega_max, t, gt)
-
-
-def _resonance_breakpoints(gamma_tilde: float, omega_max: float) -> list[float]:
-    """Panel seeds bracketing the w = 1 response peak for small damping."""
-    half_width = min(40.0 * gamma_tilde, 0.5)
-    pts = [0.0, 1.0 - half_width, 1.0 + half_width, omega_max]
-    return sorted(p for p in pts if 0.0 <= p <= omega_max)
+    total = sum(
+        integrate_adaptive(integrand, lo, hi, rel_tol, abs_tol, max_subdivisions).value
+        for lo, hi in zip(breaks[:-1], breaks[1:])
+    )
+    tail = _frequency_tail(omega_max, t, gt)
+    return total[0] + tail.real, total[1] + tail.imag
 
 
 # ---------------------------------------------------------------------------
@@ -468,14 +437,6 @@ def coefficients_e1(
 # ---------------------------------------------------------------------------
 
 
-def _delay_integrand(part: ParticleParams, kin: KinematicsParams, trig, kernel):
-    """t' -> trig(Dt t') K(t') P(u t'), the delay integrand of the
-    coefficient integrals for a frequency kernel K, on scalars or arrays."""
-    dt = part.delta_tilde
-    u = abs(kin.u)
-    return lambda tp: trig(dt * tp) * kernel(tp) * kernel_P(u * tp, part.orientation)
-
-
 def coefficients_brute(
     mat: MaterialParams,
     part: ParticleParams,
@@ -488,12 +449,15 @@ def coefficients_brute(
     """Validation oracle evaluating the raw double integrals numerically.
 
     The frequency integral is truncated at omega_max and completed with
-    the analytic tail of the 1/w^3 falloff; the delay integral is
-    adaptive per grid panel at (rel_tol, abs_tol).  Cost is quadratic in
-    the horizon - use coarse grids.
+    the analytic tail of the 1/w^3 falloff.  The delay integral of
+    (D, f, zeta) is one adaptive quadrature per grid panel, each component
+    at (rel_tol, abs_tol), whose G7K15 panels get both kernels at their 15
+    delays from one frequency quadrature.  Cost is quadratic in the
+    horizon - use coarse grids.
     """
     g = _check_grid(grid)
-    pref = part.r0_tilde / TWO_PI
+    dt = part.delta_tilde
+    u = abs(kin.u)
     # the inner frequency quadrature must sit well below the outer
     # tolerance, otherwise its residual jitter looks like roughness to
     # the outer rule
@@ -504,40 +468,30 @@ def coefficients_brute(
         abs_tol=1e-4 * abs_tol,
         max_subdivisions=65536,
     )
-    # D and f share the cosine kernel: one frequency quadrature per node
-    kc = functools.cache(functools.partial(_frequency_kernel, kind="cos", **inner))
-    ks = functools.partial(_frequency_kernel, kind="sin", **inner)
 
-    arrays = {}
-    routes = (("D", math.cos, kc), ("f", math.sin, kc), ("zeta", math.sin, ks))
-    for which, trig, kernel in routes:
-        # node by node: every kernel value is its own frequency quadrature
-        fn = np.vectorize(_delay_integrand(part, kin, trig, kernel), otypes=[float])
-        vals = np.empty(g.size)
-        vals[0] = 0.0
-        acc = 0.0
-        for i in range(1, g.size):
-            res = integrate_adaptive(
-                fn,
-                g[i - 1],
-                g[i],
-                rel_tol=rel_tol,
-                abs_tol=abs_tol,
-                max_subdivisions=16384,
-            )
-            acc += res.value
-            vals[i] = acc
-        arrays[which] = pref * vals
+    # (cos Kc P, sin Kc P, sin Ks P); one frequency quadrature per panel
+    # row, as batching the rows multiplies the inner temporaries
+    def integrand(tp: np.ndarray) -> np.ndarray:
+        kc, ks = np.array([_frequency_kernels(row, **inner) for row in tp]).swapaxes(0, 1)
+        pv = kernel_P(u * tp, part.orientation)
+        cosn, sinn = np.cos(dt * tp), np.sin(dt * tp)
+        return np.stack([cosn * kc * pv, sinn * kc * pv, sinn * ks * pv], axis=-1)
 
+    vals = np.zeros((g.size, 3))
+    for i in range(1, g.size):
+        vals[i] = vals[i - 1] + integrate_adaptive(
+            integrand, g[i - 1], g[i], rel_tol=rel_tol, abs_tol=abs_tol, max_subdivisions=16384
+        ).value
+    D, f, zeta = part.r0_tilde / TWO_PI * vals.T
     return CoefficientTrace(
         grid=g,
-        D=arrays["D"],
-        f=arrays["f"],
-        zeta=arrays["zeta"],
-        cumD=cumulative_integral(g, arrays["D"]),
-        cumF=cumulative_integral(g, arrays["f"]),
+        D=D,
+        f=f,
+        zeta=zeta,
+        cumD=cumulative_integral(g, D),
+        cumF=cumulative_integral(g, f),
         method="brute",
-        delta_tilde=part.delta_tilde,
+        delta_tilde=dt,
     )
 
 

@@ -58,6 +58,9 @@ RESONANCE_EXCLUSION_BAND = 0.1
 # speeds give u = 3e-3 above n-Si and u = 1.5e-4 above gold
 DEFAULT_COMBO_VELOCITY = {"nsi": 3e-3, "au": 1.5e-4}
 
+# relative rms residual above which a quadratic velocity fit is flagged
+FIT_RESIDUAL_THRESHOLD = 1e-3
+
 
 @dataclass(frozen=True)
 class DecoherenceTimeResult:
@@ -299,7 +302,6 @@ def tau_d_analytic(
     mat: MaterialParams,
     part: ParticleParams,
     kin: KinematicsParams,
-    exclusion_band: float = RESONANCE_EXCLUSION_BAND,
 ) -> DecoherenceTimeResult:
     """Closed low-velocity decoherence time.
 
@@ -311,10 +313,10 @@ def tau_d_analytic(
     """
     delta = part.delta_tilde
     gt = mat.gamma_tilde
-    if abs(delta - 1.0) < exclusion_band:
+    if abs(delta - 1.0) < RESONANCE_EXCLUSION_BAND:
         raise DomainError(
             f"delta_tilde = {delta} falls in the prohibited near-resonance "
-            f"band |delta - 1| < {exclusion_band}"
+            f"band |delta - 1| < {RESONANCE_EXCLUSION_BAND}"
         )
     _, s4 = _pole_pair(gt)
     wts = orientation_weights(part.orientation)
@@ -336,13 +338,12 @@ def tau_d(
     kin: KinematicsParams,
     method: str = "numeric",
     table: KernelTable | None = None,
-    **kwargs,
 ) -> DecoherenceTimeResult:
     """Dispatch to one of the extraction routes by name."""
     if method == "numeric":
-        return tau_d_numeric(mat, part, kin, table=table, **kwargs)
+        return tau_d_numeric(mat, part, kin, table=table)
     if method == "analytic":
-        return tau_d_analytic(mat, part, kin, **kwargs)
+        return tau_d_analytic(mat, part, kin)
     if method == "markov":
         return tau_d_markov(mat, part, kin, table=table)
     raise DomainError(f"unknown decoherence-time method {method!r}")
@@ -392,7 +393,9 @@ def sweep_rows_to_csv(rows: Iterable[SweepRow]) -> str:
     return buf.getvalue()
 
 
-def _angles_of(orientation: tuple[float, float, float]) -> tuple[float, float]:
+def angles_of(orientation: tuple[float, float, float]) -> tuple[float, float]:
+    """Polar angle theta in [0, pi] and azimuth phi in [0, 2 pi) of a unit
+    dipole direction (phi = 0 on the z axis)."""
     nx, ny, nz = orientation
     theta = math.acos(max(-1.0, min(1.0, nz)))
     phi = math.atan2(ny, nx) % TWO_PI if (nx, ny) != (0.0, 0.0) else 0.0
@@ -480,7 +483,7 @@ def sweep_velocity(
     pts_per_cycle: int = 400, horizon_cycles: float | None = None,
 ) -> list[SweepRow]:
     """tau_D and the normalized rate across a velocity grid."""
-    theta, phi = _angles_of(part.orientation)
+    theta, phi = angles_of(part.orientation)
     points = [
         _SweepPoint("u", u, part, KinematicsParams(u=u, a_nm=a_nm), theta, phi)
         for u in velocities
@@ -530,13 +533,12 @@ def sweep_material_particle(
     combos: Sequence[str],
     theta_grid: Sequence[float],
     phi_grid: Sequence[float],
-    velocities: dict[str, float] | None = None,
     method: str = "numeric",
     pts_per_cycle: int = 400, horizon_cycles: float | None = None,
 ) -> list[SweepRow]:
     """Velocity-rate curves over angles for preset material/particle pairs.
 
-    Velocities default to the cross-material pairing u = 3e-3 (n-Si) and
+    Velocities follow the cross-material pairing u = 3e-3 (n-Si) and
     u = 1.5e-4 (Au) so the combinations are compared at comparable
     physical speeds.
     """
@@ -544,7 +546,7 @@ def sweep_material_particle(
     for combo in combos:
         mat, part = preset(combo)
         key = "au" if "au" in combo.lower() else "nsi"
-        u = (velocities or DEFAULT_COMBO_VELOCITY)[key]
+        u = DEFAULT_COMBO_VELOCITY[key]
         out += sweep_polarization(
             mat, part, KinematicsParams(u=u), theta_grid, phi_grid, method, rate_mode=True,
             pts_per_cycle=pts_per_cycle, horizon_cycles=horizon_cycles,
@@ -558,7 +560,6 @@ def sweep_level_spacing(
     kin: KinematicsParams,
     delta_grid: Sequence[float],
     method: str = "numeric",
-    exclusion_band: float = RESONANCE_EXCLUSION_BAND,
     pts_per_cycle: int = 400, horizon_cycles: float | None = None,
 ) -> list[SweepRow]:
     """Normalized rate tau(u)/tau(0) across level spacings.
@@ -567,7 +568,7 @@ def sweep_level_spacing(
     flag; interior extrema of the ratio curve are flagged in the output
     (strict local min/max against both neighbours).
     """
-    theta, phi = _angles_of(part_template.orientation)
+    theta, phi = angles_of(part_template.orientation)
     points = [
         _SweepPoint(
             "delta",
@@ -576,7 +577,7 @@ def sweep_level_spacing(
             kin,
             theta,
             phi,
-            excluded=abs(d - 1.0) < exclusion_band,
+            excluded=abs(d - 1.0) < RESONANCE_EXCLUSION_BAND,
         )
         for d in delta_grid
     ]
@@ -600,9 +601,7 @@ def _check_fit_velocities(us: np.ndarray, delta_tilde: float) -> None:
         raise DomainError("fit velocities must stay below the threshold delta/2")
 
 
-def quadratic_fit_rows(
-    rows: Sequence[SweepRow], residual_threshold: float = 1e-3
-) -> QuadraticFit:
+def quadratic_fit_rows(rows: Sequence[SweepRow]) -> QuadraticFit:
     """Fit tau(u) = a - b u^2 to the rows of one velocity sweep.
 
     Requires >= 4 rows, all below u = delta_tilde / 2, where the
@@ -623,7 +622,7 @@ def quadratic_fit_rows(
         b_coef=b_fit,
         b_over_a=b_fit / a_fit,
         fit_residual=rel_rms,
-        residual_warning=rel_rms > residual_threshold,
+        residual_warning=rel_rms > FIT_RESIDUAL_THRESHOLD,
     )
 
 
@@ -633,7 +632,6 @@ def quadratic_ratio_fit(
     velocities: Sequence[float],
     method: str = "numeric",
     a_nm: float | None = None,
-    residual_threshold: float = 1e-3,
 ) -> tuple[QuadraticFit, np.ndarray]:
     """Fit tau(u) = a - b u^2 over the velocity sample (quadratic_fit_rows).
 
@@ -643,4 +641,4 @@ def quadratic_ratio_fit(
     us = np.asarray(list(velocities), dtype=float)
     _check_fit_velocities(us, part.delta_tilde)
     rows = sweep_velocity(mat, part, us, method=method, a_nm=a_nm)
-    return quadratic_fit_rows(rows, residual_threshold), np.array([r.rate for r in rows])
+    return quadratic_fit_rows(rows), np.array([r.rate for r in rows])

@@ -255,14 +255,15 @@ _WG_FULL[1:14:2] = np.concatenate([_WG[:3], _WG[3:][::-1], _WG[2::-1]])
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Value, conservative error estimate and integrand evaluation count."""
+    """Value, conservative error estimate and integrand evaluation count;
+    arrays of the component shape for a vector-valued integrand."""
 
-    value: float
-    abs_error_estimate: float
+    value: float | np.ndarray
+    abs_error_estimate: float | np.ndarray
     evaluations: int
 
     def __post_init__(self):
-        if self.abs_error_estimate < 0:
+        if np.any(self.abs_error_estimate < 0):
             raise DomainError("abs_error_estimate must be >= 0")
         if self.evaluations < 1:
             raise DomainError("evaluations must be >= 1")
@@ -282,8 +283,11 @@ def integrate_adaptive(
     Kronrod-Gauss discrepancy exceeds its width-proportional share of the
     global tolerance is split, so the evaluation order (and hence the
     result) is deterministic.  f is called on 2-D numpy arrays of nodes
-    and must return an array of the same shape; a result of another shape
-    raises DomainError.
+    and must return an array of that shape, optionally followed by
+    component axes: the components share one panel set, and a panel is
+    split while any component misses its share of that component's own
+    tolerance max(abs_tol, rel_tol |total|).  A result of another leading
+    shape raises DomainError.
 
     Raises ConvergenceError carrying the best estimate when the panel
     budget is exhausted before the tolerance is met.
@@ -299,41 +303,48 @@ def integrate_adaptive(
         half = 0.5 * (b - a)
         nodes = mid[:, None] + half[:, None] * _NODES[None, :]
         y = np.asarray(f(nodes), dtype=float)
-        if y.shape != nodes.shape:
+        if y.shape[:2] != nodes.shape:
             raise DomainError(
                 f"integrand returned shape {y.shape} for nodes of shape {nodes.shape}"
             )
-        if not np.all(np.isfinite(y)):
-            where = nodes[~np.isfinite(y)]
-            raise DomainError(f"integrand not finite at x = {where.flat[0]}")
-        k15 = (y * _WK_FULL[None, :]).sum(axis=1) * half
-        g7 = (y * _WG_FULL[None, :]).sum(axis=1) * half
+        finite = np.isfinite(y).reshape(*nodes.shape, -1).all(axis=2)
+        if not np.all(finite):
+            raise DomainError(f"integrand not finite at x = {nodes[~finite][0]}")
+        # weights along the node axis, the panel width over the panel axis
+        trailing = (1,) * (y.ndim - 2)
+        half = half.reshape(-1, *trailing)
+        k15 = (y * _WK_FULL.reshape(15, *trailing)).sum(axis=1) * half
+        g7 = (y * _WG_FULL.reshape(15, *trailing)).sum(axis=1) * half
         return k15, np.abs(k15 - g7)
 
     a = np.array([lo], dtype=float)
     b = np.array([hi], dtype=float)
     val, err = panel_eval(a, b)
     evaluations = 15
+    # floats for a scalar integrand, component arrays otherwise
+    out = float if val.ndim == 1 else np.asarray
 
     for _ in range(256):
-        total = float(val.sum())
-        tol = max(abs_tol, rel_tol * abs(total))
-        global_err = float(err.sum())
-        if global_err <= tol:
-            return QuadratureResult(total, global_err, evaluations)
-        # split every panel whose error exceeds its width-proportional
-        # share of the budget; if all panels meet their shares the global
-        # error is below tol, so progress is guaranteed
-        share = tol * (b - a) / span
-        bad = err > share
+        total = val.sum(axis=0)
+        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
+        global_err = err.sum(axis=0)
+        if np.all(global_err <= tol):
+            return QuadratureResult(out(total), out(global_err), evaluations)
+        # split every panel where some component's error exceeds its
+        # width-proportional share of its budget; if all panels meet their
+        # shares every global error is below its tol, so progress is
+        # guaranteed
+        share = tol * (b - a).reshape(err.shape[:1] + (1,) * (err.ndim - 1)) / span
+        bad = (err > share).reshape(a.size, -1).any(axis=1)
         if not np.any(bad):
-            return QuadratureResult(total, global_err, evaluations)
+            return QuadratureResult(out(total), out(global_err), evaluations)
         if a.size + int(bad.sum()) > max_subdivisions:
+            worst = float(np.max(global_err))
             raise ConvergenceError(
                 f"quadrature did not converge within {max_subdivisions} panels "
-                f"(estimate {total!r}, error {global_err!r})",
-                best_estimate=total,
-                error_estimate=global_err,
+                f"(largest error {worst!r})",
+                best_estimate=out(total),
+                error_estimate=out(global_err),
             )
         mid_bad = 0.5 * (a[bad] + b[bad])
         ca = np.concatenate([a[bad], mid_bad])
@@ -349,8 +360,8 @@ def integrate_adaptive(
 
     raise ConvergenceError(
         "quadrature exceeded maximum refinement depth",
-        best_estimate=float(val.sum()),
-        error_estimate=float(err.sum()),
+        best_estimate=out(val.sum(axis=0)),
+        error_estimate=out(err.sum(axis=0)),
     )
 
 

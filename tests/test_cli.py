@@ -208,6 +208,20 @@ def test_sweep_phi_periodicity(tmp_path):
     assert float(rows[0][2]) == pytest.approx(float(rows[1][2]), rel=1e-12)
 
 
+def test_sweep_fixed_angle_follows_orientation(tmp_path):
+    # without --theta, a phi sweep keeps the resolved dipole's polar angle
+    out, report = tmp_path / "phi.csv", tmp_path / "tdec.json"
+    given = ["--preset", "nv-nsi", "--orientation", "0,0,1", "--u", "0.3",
+             "--method", "markov"]
+    assert run(["sweep", "--param", "phi", "--from", "0", "--to", "1", "--points", "2",
+                *given, "--out", str(out)]) == 0
+    assert run(["tdec", *given, "--out", str(report)]) == 0
+    header, rows = read_csv(out)
+    tau = json.loads(report.read_text())["tau_d"]
+    assert [float(r[header.index("theta")]) for r in rows] == [0.0, 0.0]
+    assert [float(r[header.index("tau_d")]) for r in rows] == [tau, tau]
+
+
 def test_sweep_u_emits_fit_sidecar(tmp_path):
     out = tmp_path / "u.csv"
     code = run(
@@ -328,7 +342,11 @@ def test_non_finite_input_exit_2(tmp_path, capsys, flag, value, name):
 def test_sweep_config_error_exit_2(tmp_path, capsys):
     u_sweep = ["sweep", "--param", "u", "--from", "0.01", "--to", "0.02"]
     above_critical = ["--preset", "nv-nsi", "--gamma", "2.5"]
+    headless = tmp_path / "headless.ini"
+    headless.write_text("u = 0.1\n")
     cases = [
+        # an INI file that configparser refuses is bad input naming the file
+        (["tdec", "--preset", "nv-nsi", "--config", str(headless)], "headless.ini"),
         (u_sweep + ["--points", "3", "--preset", "nv-nsi"], "--points >= 4"),
         (["coeffs", "--preset", "unobtainium"], "unobtainium"),
         # only the small-velocity analytic route needs gamma_tilde < 2, and
@@ -466,9 +484,13 @@ def test_dump_config_round_trip(tmp_path):
     cfg = tmp_path / "resolved.ini"
     out1 = tmp_path / "run1.csv"
     out2 = tmp_path / "run2.csv"
+    # a '%' in a name is literal, not configparser interpolation
+    named = tmp_path / "named.ini"
+    named.write_text("[material]\nname = 50%\n")
     base = ["coeffs", "--preset", "nv-nsi", "--u", "0.007", "--cycles", "1",
-            "--pts-per-cycle", "64"]
+            "--pts-per-cycle", "64", "--config", str(named)]
     assert run(base + ["--dump-config", str(cfg)]) == 0
+    assert "\nname = 50%\n" in cfg.read_text()
     assert run(base + ["--out", str(out1)]) == 0
     # re-ingest the resolved config with no other flags
     assert run(["coeffs", "--config", str(cfg), "--cycles", "1",

@@ -211,12 +211,12 @@ def test_quadrature_spectral_density_vs_residue_form():
     # truncated integral of the surface response matches the exact value
     # (pi - 2 arg w_r)/sqrt(4 - gt^2) once the tail estimate is added
     from qfd.model import pole_omega_r, spectral_density
-    from qfd.coefficients import _frequency_kernel
+    from qfd.coefficients import _frequency_kernels
 
     gt = 1.0
     w = pole_omega_r(gt).omega_r
     exact = (math.pi - 2.0 * np.angle(w)) / math.sqrt(4.0 - gt * gt)
-    got = _frequency_kernel(0.0, gt, "cos", 50.0, rel_tol=1e-12, abs_tol=1e-14)
+    got = _frequency_kernels(0.0, gt, 50.0, 1e-12, 1e-14, 4096)[0]
     assert got == pytest.approx(exact, abs=1e-9)
     # raw truncation at 50 leaves a visible tail; the estimate closes it
     raw = integrate_adaptive(
@@ -224,6 +224,31 @@ def test_quadrature_spectral_density_vs_residue_form():
     ).value
     assert abs(raw - exact) > 1e-5
     assert abs(got - exact) < 1e-6
+
+
+@pytest.mark.parametrize("gt", [1.0, 2.5])
+def test_frequency_kernels_match_closed_forms(gt):
+    # both kernels at once, every delay sharing the frequency panels,
+    # against the closed forms of the reference route
+    from qfd.coefficients import _frequency_kernels, omega_kernel_cos, omega_kernel_sin
+
+    t = np.array([0.0, 0.3, 1.0, 5.0, 20.0])
+    kc, ks = _frequency_kernels(t, gt, 50.0, 1e-12, 1e-14, 65536)
+    assert np.max(np.abs(kc - omega_kernel_cos(t, gt))) < 1e-9
+    assert np.max(np.abs(ks - omega_kernel_sin(t, gt))) < 1e-9
+
+
+def test_quadrature_vector_integrand_matches_scalar_runs():
+    # components share one panel set, each held to its own tolerance
+    parts = [np.sin, lambda x: x**7, lambda x: np.exp(-x)]
+    stacked = integrate_adaptive(
+        lambda x: np.stack([g(x) for g in parts], axis=-1), 0.0, 3.0, rel_tol=1e-10
+    )
+    assert stacked.value.shape == stacked.abs_error_estimate.shape == (3,)
+    for g, value in zip(parts, stacked.value):
+        single = integrate_adaptive(g, 0.0, 3.0, rel_tol=1e-10)
+        assert type(single.value) is float and type(single.abs_error_estimate) is float
+        assert value == pytest.approx(single.value, rel=1e-10)
 
 
 def test_quadrature_errors():
@@ -258,6 +283,9 @@ def test_quadrature_wrong_shape_raises():
         integrate_adaptive(lambda x: np.sum(np.exp(-x)), 0.0, 3.0)
     with pytest.raises(DomainError, match="shape"):
         integrate_adaptive(lambda x: np.exp(-x).ravel(), 0.0, 3.0)
+    # component axes trail the node axes, never lead them
+    with pytest.raises(DomainError, match="shape"):
+        integrate_adaptive(lambda x: np.stack([x, np.exp(-x)]), 0.0, 3.0)
 
 
 # ---------------------------------------------------------------------------
