@@ -10,10 +10,12 @@ import pytest
 from scipy import integrate as sp_integrate
 
 from qfd.coefficients import (
+    _FAR_PT,
     _GL4_W,
     _GL4_X,
     _KERNEL_BLOCK,
     _MAX_SUBPANEL_WIDTH,
+    _cos_tail_coefficients,
     _panel_nodes,
     coefficients_analytic_small_u,
     coefficients_brute,
@@ -180,6 +182,100 @@ def test_kernel_overdamped_fallback():
     )
 
 
+def closed_form_cos_kernel(t: float, gt: float) -> tuple[float, float]:
+    """omega_kernel_cos's closed forms at 50 digits: (Kc, the size of the
+    terms it sums).  Below gt = 2 that size is |pole term| + |E1
+    remainder|, which keeps the error measure finite where Kc crosses
+    zero; at and above 2 Kc is a one-signed tail and the size is |Kc|."""
+    with mpmath.workdps(50):
+        t, g = mpmath.mpf(t), mpmath.mpf(gt)
+        if gt < 2.0:
+            s4 = mpmath.sqrt(4 - g * g)
+            w = mpmath.mpc(s4 / 2, g / 2)
+            pole = mpmath.pi * mpmath.re(mpmath.exp(1j * w * t)) / s4
+            rem = sum(mpmath.im(mpmath.exp(z) * mpmath.e1(z)) for z in (1j * w * t, -1j * w * t))
+            rem /= s4
+            return float(pole + rem), float(abs(pole) + abs(rem))
+        if gt == 2.0:
+            kc = 1 - t / 2 * (mpmath.exp(-t) * mpmath.ei(t) + mpmath.exp(t) * mpmath.e1(t))
+        else:
+            s = mpmath.sqrt(g * g - 4)
+            b = (g + s) / 2
+
+            def h(x):
+                return mpmath.exp(x) * mpmath.e1(x) - mpmath.exp(-x) * mpmath.ei(x)
+
+            kc = (h(t / b) - h(b * t)) / (2 * s)
+        return float(kc), float(abs(kc))
+
+
+def nearest_pole_distance(gt: float) -> float:
+    """p of the far branch: |w_r| = 1 up to gt = 2, the slow rate a above."""
+    return 1.0 if gt <= 2.0 else 1.0 / pole_omega_r(gt).omega_r.imag
+
+
+@pytest.mark.parametrize("gt", [0.003, 0.3, 1.0, 1.999, 2.0, 2.001, 2.5, 100.0])
+def test_kernel_cos_far_branch_matches_closed_form(gt):
+    # p t from the threshold to 1e6, dense on [40, 70].  The E1 form,
+    # whose G(z) + G(-z) cancels, is off by up to 2.7e-13 on [40, 70]
+    # (gt = 2.001) and by up to 3.5e-8 beyond (gt = 0.003 at p t = 1e6);
+    # the series holds 1.1e-13 and 1.3e-12, the latter the rounding of
+    # the pole term's phase w_r t at gt = 0.003.  gt = 1 has e_2 = 0.
+    pt = np.concatenate([np.linspace(_FAR_PT, 70.0, 61), np.geomspace(70.0, 1e6, 15)[1:]])
+    t = pt / nearest_pole_distance(gt)
+    got = omega_kernel_cos(t, gt)
+    ref, size = np.array([closed_form_cos_kernel(x, gt) for x in t]).T
+    err = np.abs(got - ref) / size
+    assert err[:61].max() < 2e-13
+    assert err[61:].max() < 2e-12
+
+
+def test_kernel_cos_far_branch_regression():
+    # the E1 form loses 1.5e-10 here, where G(z) + G(-z) cancels its
+    # leading 1/z terms
+    ref, _ = closed_form_cos_kernel(3e4, 0.009)
+    assert omega_kernel_cos(3e4, 0.009) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("gt", [0.003, 1.0, 2.0, 2.5, 100.0])
+def test_cos_tail_leading_coefficients(gt):
+    # the tail orders -gt/t^2 and -6 gt (gt^2 - 2)/t^4 of Kc
+    c = _cos_tail_coefficients(gt)
+    assert c[0] == -gt
+    assert c[1] == pytest.approx(-6.0 * gt * (gt * gt - 2.0), rel=1e-15)
+
+
+def test_cos_tail_coefficients_scale():
+    # C_n(scale) = C_n(1) scale^(2n+2): the series in (p t)^-2
+    gt, p = 2.5, 0.5
+    n = np.arange(_cos_tail_coefficients(gt).size)
+    assert np.allclose(
+        _cos_tail_coefficients(gt, p), _cos_tail_coefficients(gt) * p ** (2 * n + 2),
+        rtol=1e-13, atol=0.0,
+    )
+
+
+@pytest.mark.parametrize("gt, per_node", [(0.003, 2), (2.0, 2), (2.5, 4)])
+def test_kernel_table_far_nodes_skip_e1(monkeypatch, gt, per_node):
+    # only nodes below the far threshold reach the exponential integrals:
+    # two complex E1 below gt = 2, E1 and Ei at 2, both at a t and b t above
+    import qfd.coefficients
+
+    seen = []
+    for name in ("exp_integral_e1_scaled", "exp_integral_ei_scaled"):
+        real = getattr(qfd.coefficients, name)
+
+        def counted(x, real=real):
+            seen.append(np.size(x))
+            return real(x)
+
+        monkeypatch.setattr(qfd.coefficients, name, counted)
+    table = make_kernel_table(gt, np.linspace(0.0, 2000.0, 4001))
+    near = np.count_nonzero(nearest_pole_distance(gt) * table.nodes < _FAR_PT)
+    assert 0 < near < table.nodes.size
+    assert sum(seen) == per_node * near
+
+
 # ---------------------------------------------------------------------------
 # trace container and grids
 # ---------------------------------------------------------------------------
@@ -253,13 +349,16 @@ def test_panel_nodes_match_per_panel_linspace(grid):
 
 
 def test_kernel_table_blocks_match_whole_array_bitwise():
-    # 3.5 node blocks on gold, whose nodes take both E1 branches
-    gt = 0.003
+    # 3.5 node blocks, whose nodes take both E1 branches and, from the
+    # far threshold on, which falls inside a block, the 1/t^2 series
     grid = np.linspace(0.0, 200.0, 7 * _KERNEL_BLOCK // 8 + 1)
-    table = make_kernel_table(gt, grid)
-    assert table.nodes.size > 3 * _KERNEL_BLOCK
-    assert np.array_equal(table.kc, omega_kernel_cos(table.nodes, gt))
-    assert np.array_equal(table.ks, omega_kernel_sin(table.nodes, gt))
+    for gt in (0.003, 1.0, 2.5):
+        table = make_kernel_table(gt, grid)
+        assert table.nodes.size > 3 * _KERNEL_BLOCK
+        first_far = np.searchsorted(nearest_pole_distance(gt) * table.nodes, _FAR_PT)
+        assert 0 < first_far % _KERNEL_BLOCK and first_far < table.nodes.size
+        assert np.array_equal(table.kc, omega_kernel_cos(table.nodes, gt))
+        assert np.array_equal(table.ks, omega_kernel_sin(table.nodes, gt))
 
 
 # ---------------------------------------------------------------------------
