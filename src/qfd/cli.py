@@ -34,6 +34,7 @@ from itertools import groupby
 import numpy as np
 
 from qfd.coefficients import (
+    DEFAULT_PTS_PER_CYCLE,
     coefficients_analytic_small_u,
     coefficients_brute,
     coefficients_e1,
@@ -80,7 +81,7 @@ class NumericsOptions:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     omega_max: float = 50.0
-    pts_per_cycle: int = 400
+    pts_per_cycle: int = DEFAULT_PTS_PER_CYCLE
     horizon_cycles: float | None = None  # None = automatic window
 
     def __post_init__(self):
@@ -402,7 +403,10 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
     elif args.param == "u":
         if args.points < 4:
             raise ConfigError("u sweeps feeding fits need --points >= 4")
-        rows = sweep_velocity(mat, part, values, a_nm=kin.a_nm, **opts)
+        if np.any(np.abs(values) >= part.delta_tilde / 2.0):
+            raise ConfigError(f"u sweeps feeding fits need |u| < delta_tilde/2 = "
+                              f"{part.delta_tilde / 2.0:.17g}")
+        rows = sweep_velocity(mat, part, values, **opts)
     else:
         rows = sweep_level_spacing(mat, part, kin, values, **opts)
 
@@ -453,7 +457,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--omega-max", dest="omega_max", type=float)
     p.add_argument("--horizon-cycles", dest="horizon_cycles", type=float)
     p.add_argument("--out", help="output path ('-' for stdout)")
-    p.add_argument("--format", choices=("csv", "json"))
+    p.add_argument("--format", choices=("csv", "json"), help="sweep only: csv or json rows")
     p.add_argument(
         "--dump-config",
         metavar="PATH",
@@ -510,6 +514,8 @@ def main(argv: list[str] | None = None) -> int:
             _write_atomic(args.dump_config, cfg.to_ini())
             return 0
         _check_out_path(cfg.out_path, "--out")
+        if cfg.out_format != "csv" and args.command in ("coeffs", "evolve"):
+            raise ConfigError(f"format {cfg.out_format!r}: {args.command} writes CSV only")
         return args.func(args, cfg)
     except ConfigError as exc:
         print(f"qfd: config error: {exc}", file=sys.stderr)

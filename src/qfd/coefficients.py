@@ -321,11 +321,15 @@ def kernel_decay_time(gamma_tilde: float) -> float:
     return _KERNEL_DECAY_EFOLDS * pole_omega_r(gamma_tilde).omega_r.imag
 
 
+# grid points per natural cycle of every grid that is not given one
+DEFAULT_PTS_PER_CYCLE = 400
+
+
 def time_grid(
     delta_tilde: float,
     gamma_tilde: float,
     n_cycles: float,
-    pts_per_cycle: int = 400,
+    pts_per_cycle: int = DEFAULT_PTS_PER_CYCLE,
 ) -> np.ndarray:
     """Hybrid simulation grid over n_cycles natural cycles.
 
@@ -406,7 +410,6 @@ class KernelTable:
     depend only on the damping)."""
 
     grid: np.ndarray
-    gamma_tilde: float
     nodes: np.ndarray
     weights: np.ndarray
     offsets: np.ndarray
@@ -429,9 +432,7 @@ def make_kernel_table(gamma_tilde: float, grid) -> KernelTable:
         block = slice(i, i + _KERNEL_BLOCK)
         kc[block] = omega_kernel_cos(nodes[block], gamma_tilde)
         ks[block] = omega_kernel_sin(nodes[block], gamma_tilde)
-    return KernelTable(
-        grid=g, gamma_tilde=gamma_tilde, nodes=nodes, weights=wts, offsets=offsets, kc=kc, ks=ks
-    )
+    return KernelTable(grid=g, nodes=nodes, weights=wts, offsets=offsets, kc=kc, ks=ks)
 
 
 def coefficients_from_table(
@@ -709,17 +710,11 @@ def markov_limit(
     being a pure pole term.  Exact in the velocity; at u = 0 the
     diffusion constant reduces to r0_tilde d_i J(delta_tilde) / 32.
     """
-    # deferred: qfd.decoherence, which owns the table, imports this module
-    from qfd.decoherence import _tail_slope_correction, decoherence_table
+    # deferred: qfd.decoherence, which owns the read-out, imports this module
+    from qfd.decoherence import _trace_and_tail_slope
 
-    if table is None:
-        table = decoherence_table(mat, part.delta_tilde)
-    trace = coefficients_from_table(table, part, kin)
-    t_end = float(trace.grid[-1])
-    return MarkovCoefficients(
-        D_inf=float(trace.D[-1]) + _tail_slope_correction(mat, part, kin, t_end),
-        zeta_inf=float(trace.zeta[-1]),
-    )
+    trace, d_inf = _trace_and_tail_slope(mat, part, kin, table)
+    return MarkovCoefficients(d_inf, float(trace.zeta[-1]))
 
 
 def markov_diffusion_small_u(

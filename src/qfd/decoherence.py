@@ -8,7 +8,7 @@ time is the root of cumD(tau) = 1 (envelope down to e^-2).  Three routes:
   have died out, with the tail-corrected slope D_inf;
 * analytic - closed small-velocity formula built from the stationary
   response functions h and g below;
-* markov   - plain 1 / D_inf, read off the same trace (markov_limit).
+* markov   - plain 1 / D_inf, the numeric route's read-out (markov_limit).
 
 Sweeps over velocity, dipole angles, material/particle combinations and
 level spacing emit flat result rows ready for CSV export.
@@ -24,6 +24,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from qfd.coefficients import (
+    DEFAULT_PTS_PER_CYCLE,
     CoefficientTrace,
     KernelTable,
     _pole_pair,
@@ -142,7 +143,7 @@ def _graded_start(grid: np.ndarray) -> np.ndarray:
 def decoherence_table(
     mat: MaterialParams,
     delta_tilde: float,
-    pts_per_cycle: int = 400,
+    pts_per_cycle: int = DEFAULT_PTS_PER_CYCLE,
     horizon_cycles: float | None = None,
 ) -> KernelTable:
     """Kernel table on the decoherence-extraction grid, time_grid over
@@ -150,7 +151,8 @@ def decoherence_table(
 
     Building it once and sharing it across velocities, orientations and
     (shorter-window) level spacings avoids recomputing the kernels,
-    which dominate the cost.
+    which dominate the cost.  The grid density and the horizon cap are
+    set here alone; every route reads them off the table it is given.
     """
     cycle = TWO_PI / delta_tilde
     window = decoherence_window(delta_tilde, mat.gamma_tilde)
@@ -162,7 +164,7 @@ def decoherence_table(
 
 def table_for_method(
     mat: MaterialParams, delta_tilde: float, method: str,
-    pts_per_cycle: int = 400, horizon_cycles: float | None = None,
+    pts_per_cycle: int = DEFAULT_PTS_PER_CYCLE, horizon_cycles: float | None = None,
 ) -> KernelTable | None:
     """The decoherence_table a tau_d method reads, or None for analytic.
     Markov ignores a horizon cap, which would leave its constants short
@@ -175,15 +177,16 @@ def table_for_method(
 
 def _trace_and_tail_slope(
     mat: MaterialParams, part: ParticleParams, kin: KinematicsParams,
-    pts_per_cycle: int, horizon_cycles: float | None, table: KernelTable | None,
+    table: KernelTable | None = None,
 ) -> tuple[CoefficientTrace, float]:
-    """Reference trace plus the tail-corrected slope of cumD past its end.
-
-    An explicit horizon_cycles cap that cuts the window short raises
-    once the cap proves insufficient.
+    """Trace on the table (decoherence_table unless given) plus D_inf, the
+    tail-corrected slope of cumD past its end: the one read-out of the
+    trace's end, shared by the numeric and Markov routes.  A table whose
+    horizon cap cuts the window short raises once the cap proves
+    insufficient.
     """
     if table is None:
-        table = decoherence_table(mat, part.delta_tilde, pts_per_cycle, horizon_cycles)
+        table = decoherence_table(mat, part.delta_tilde)
     trace = coefficients_from_table(table, part, kin)
     t_end = float(trace.grid[-1])
     c_end = float(trace.cumD[-1])
@@ -200,18 +203,15 @@ def cumulative_diffusion(
     mat: MaterialParams,
     part: ParticleParams,
     kin: KinematicsParams,
-    pts_per_cycle: int = 400,
-    horizon_cycles: float | None = None,
     table: KernelTable | None = None,
 ) -> tuple[CoefficientTrace, Callable[[float], float]]:
     """Reference trace plus a cumD(t) evaluator valid for all t >= 0.
 
-    The trace spans the kernel-decay window (all coefficients are
-    constant beyond it), and the evaluator continues cumD linearly with
-    the tail-corrected slope.  An explicit horizon_cycles cap that cuts
-    the window short raises once the cap proves insufficient.
+    The trace lies on the table (_trace_and_tail_slope), and the
+    evaluator continues cumD linearly past its end with the
+    tail-corrected slope D_inf.
     """
-    trace, d_end = _trace_and_tail_slope(mat, part, kin, pts_per_cycle, horizon_cycles, table)
+    trace, d_end = _trace_and_tail_slope(mat, part, kin, table)
     t_end = float(trace.grid[-1])
     c_end = float(trace.cumD[-1])
 
@@ -227,17 +227,16 @@ def tau_d_numeric(
     mat: MaterialParams,
     part: ParticleParams,
     kin: KinematicsParams,
-    pts_per_cycle: int = 400,
-    horizon_cycles: float | None = None,
     table: KernelTable | None = None,
 ) -> DecoherenceTimeResult:
     """Decoherence time: the exact root of cumD = 1.
 
-    cumD (as in :func:`cumulative_diffusion`) is linear between grid
-    points and past the trace's end, so the root is closed-form on the
-    segment ``searchsorted`` finds or on the tail-corrected continuation.
+    cumD (as in :func:`cumulative_diffusion`, on the same table) is
+    linear between grid points and past the trace's end, so the root is
+    closed-form on the segment ``searchsorted`` finds or on the
+    tail-corrected continuation.
     """
-    trace, d_end = _trace_and_tail_slope(mat, part, kin, pts_per_cycle, horizon_cycles, table)
+    trace, d_end = _trace_and_tail_slope(mat, part, kin, table)
     g, c = trace.grid, trace.cumD
     if c[-1] >= 1.0:
         i = int(np.searchsorted(c, 1.0))
@@ -250,16 +249,6 @@ def tau_d_numeric(
             f"(D = {d_end:.3e}, cumD = {c[-1]:.6g}); cumD never reaches 1"
         )
     return DecoherenceTimeResult(float(tau), "numeric")
-
-
-def tau_d_markov(
-    mat: MaterialParams,
-    part: ParticleParams,
-    kin: KinematicsParams,
-    table: KernelTable | None = None,
-) -> DecoherenceTimeResult:
-    """Markov estimate tau = 1 / D_inf with the exact stationary constant."""
-    return DecoherenceTimeResult(1.0 / markov_limit(mat, part, kin, table).D_inf, "markov")
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +334,7 @@ def tau_d(
     if method == "analytic":
         return tau_d_analytic(mat, part, kin)
     if method == "markov":
-        return tau_d_markov(mat, part, kin, table=table)
+        return DecoherenceTimeResult(1.0 / markov_limit(mat, part, kin, table).D_inf, "markov")
     raise DomainError(f"unknown decoherence-time method {method!r}")
 
 
@@ -438,16 +427,15 @@ def _sweep(
     def tau(part: ParticleParams, kin: KinematicsParams) -> float:
         return tau_d(mat, part, kin, method=method, table=table).tau_d
 
-    refs: dict[tuple[ParticleParams, KinematicsParams], float] = {}
+    refs: dict[ParticleParams, float] = {}
     rows = []
     for pt in points:
         if pt.excluded:
             td = tau0 = rate = math.nan
         elif rate_mode:
-            rest = KinematicsParams(u=0.0, a_nm=pt.kin.a_nm)
-            if (pt.part, rest) not in refs:
-                refs[pt.part, rest] = tau(pt.part, rest)
-            tau0 = refs[pt.part, rest]
+            if pt.part not in refs:
+                refs[pt.part] = tau(pt.part, KinematicsParams(u=0.0))
+            tau0 = refs[pt.part]
             td = tau(pt.part, pt.kin)
             rate = td / tau0 - 1.0
         else:
@@ -479,13 +467,12 @@ def sweep_velocity(
     part: ParticleParams,
     velocities: Sequence[float],
     method: str = "numeric",
-    a_nm: float | None = None,
-    pts_per_cycle: int = 400, horizon_cycles: float | None = None,
+    pts_per_cycle: int = DEFAULT_PTS_PER_CYCLE, horizon_cycles: float | None = None,
 ) -> list[SweepRow]:
     """tau_D and the normalized rate across a velocity grid."""
     theta, phi = angles_of(part.orientation)
     points = [
-        _SweepPoint("u", u, part, KinematicsParams(u=u, a_nm=a_nm), theta, phi)
+        _SweepPoint("u", u, part, KinematicsParams(u=u), theta, phi)
         for u in velocities
     ]
     return _sweep(mat, points, method, pts_per_cycle, horizon_cycles, rate_mode=True)
@@ -499,7 +486,7 @@ def sweep_polarization(
     phi_grid: Sequence[float],
     method: str = "numeric",
     rate_mode: bool = False,
-    pts_per_cycle: int = 400, horizon_cycles: float | None = None,
+    pts_per_cycle: int = DEFAULT_PTS_PER_CYCLE, horizon_cycles: float | None = None,
 ) -> list[SweepRow]:
     """tau_D (or the velocity rate) over a dipole-direction grid.
 
@@ -534,7 +521,7 @@ def sweep_material_particle(
     theta_grid: Sequence[float],
     phi_grid: Sequence[float],
     method: str = "numeric",
-    pts_per_cycle: int = 400, horizon_cycles: float | None = None,
+    pts_per_cycle: int = DEFAULT_PTS_PER_CYCLE, horizon_cycles: float | None = None,
 ) -> list[SweepRow]:
     """Velocity-rate curves over angles for preset material/particle pairs.
 
@@ -560,7 +547,7 @@ def sweep_level_spacing(
     kin: KinematicsParams,
     delta_grid: Sequence[float],
     method: str = "numeric",
-    pts_per_cycle: int = 400, horizon_cycles: float | None = None,
+    pts_per_cycle: int = DEFAULT_PTS_PER_CYCLE, horizon_cycles: float | None = None,
 ) -> list[SweepRow]:
     """Normalized rate tau(u)/tau(0) across level spacings.
 
@@ -631,7 +618,6 @@ def quadratic_ratio_fit(
     part: ParticleParams,
     velocities: Sequence[float],
     method: str = "numeric",
-    a_nm: float | None = None,
 ) -> tuple[QuadraticFit, np.ndarray]:
     """Fit tau(u) = a - b u^2 over the velocity sample (quadratic_fit_rows).
 
@@ -640,5 +626,5 @@ def quadratic_ratio_fit(
     """
     us = np.asarray(list(velocities), dtype=float)
     _check_fit_velocities(us, part.delta_tilde)
-    rows = sweep_velocity(mat, part, us, method=method, a_nm=a_nm)
+    rows = sweep_velocity(mat, part, us, method=method)
     return quadratic_fit_rows(rows), np.array([r.rate for r in rows])

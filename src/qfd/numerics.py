@@ -27,11 +27,11 @@ EULER_GAMMA = 0.5772156649015328606065120900824024
 _SERIES_RADIUS = 4.0
 _SERIES_MAX_TERMS = 160
 _CF_MAX_ITER = 500
-# Arguments per block of either branch.  Blocks bound the working arrays,
-# and they keep the series below 16,384 arguments (256 KiB), the call size
-# from which it rounded some results differently in the last bit (likely
-# numpy reusing temporaries in place).  2^12 to 2^17 timed the same for
-# the continued fraction.
+# Arguments per block of _e1, which runs every branch on its share of a
+# block.  Blocks bound the working arrays, and they keep the series below
+# 16,384 arguments (256 KiB), the call size from which it rounded some
+# results differently in the last bit (likely numpy reusing temporaries
+# in place).  2^12 to 2^17 timed the same for the continued fraction.
 _E1_BLOCK = 1 << 13
 # Near the branch cut the continued fraction stalls while the power series
 # stays perfectly conditioned (the sum grows like e^{-Re z}), so the series
@@ -42,19 +42,7 @@ _SERIES_CUT_RADIUS = 40.0
 
 
 def _e1_series(z: np.ndarray) -> np.ndarray:
-    """Power series  E1(z) = -gamma - Log z - sum (-z)^k / (k k!)  (_e1_branches).
-
-    z is 1-D and runs in blocks of _E1_BLOCK arguments, so each result
-    is the same whatever the size of the call.
-    """
-    out = np.empty_like(z)
-    for lo in range(0, z.size, _E1_BLOCK):
-        block = slice(lo, lo + _E1_BLOCK)
-        out[block] = _e1_series_block(z[block])
-    return out
-
-
-def _e1_series_block(z: np.ndarray) -> np.ndarray:
+    """Power series  E1(z) = -gamma - Log z - sum (-z)^k / (k k!)  (_e1_branches)."""
     term = np.ones_like(z)
     acc = np.zeros_like(z)
     for k in range(1, _SERIES_MAX_TERMS + 1):
@@ -66,42 +54,22 @@ def _e1_series_block(z: np.ndarray) -> np.ndarray:
     return -EULER_GAMMA - np.log(z) + acc
 
 
-def _e1_cf_scaled(z: np.ndarray) -> np.ndarray:
+def _e1_cf_scaled(z: np.ndarray) -> tuple[np.ndarray, int | None]:
     """Scaled integral e^z E1(z) by the contracted continued fraction.
 
     Modified Lentz iteration on
         e^z E1(z) = 1 / (z + 1 - 1^2/(z + 3 - 2^2/(z + 5 - ...)))
-    Converges off the negative real axis; slowest near the cut.  z is
-    1-D and runs in blocks of _E1_BLOCK arguments.
-    """
-    out = np.empty_like(z)
-    stuck = None
-    for lo in range(0, z.size, _E1_BLOCK):
-        block = slice(lo, lo + _E1_BLOCK)
-        first = _e1_cf_block(z[block], out[block])
-        if stuck is None and first is not None:
-            stuck = z[lo + first]
-    if stuck is not None:
-        raise ConvergenceError(
-            f"continued fraction for E1 did not converge (worst argument {stuck!r})",
-            best_estimate=out,
-        )
-    return out
-
-
-def _e1_cf_block(z: np.ndarray, out: np.ndarray) -> int | None:
-    """Lentz iteration for one block, written into out.
-
-    Each element follows the same recurrence until its own step meets
-    the tolerance; it is then stored and dropped from the active set, so
-    an iteration costs only the elements still running.  Returns the
-    index of the first element left unconverged, whose best estimate is
-    in out, or None.
+    Converges off the negative real axis; slowest near the cut.  Each
+    element follows the same recurrence until its own step meets the
+    tolerance; it is then stored and dropped from the active set, so an
+    iteration costs only the elements still running.  Returns the values
+    and the index of the first element left unconverged (its value the
+    best estimate), or None.
     """
     tiny = 1e-290
     b = z + 1.0
     c = np.full_like(z, 1.0 / tiny)
-    h = np.divide(1.0, b, out=out)
+    h = out = 1.0 / b
     d = h.copy()
     active = np.arange(z.size)
     for i in range(1, _CF_MAX_ITER + 1):
@@ -117,13 +85,13 @@ def _e1_cf_block(z: np.ndarray, out: np.ndarray) -> int | None:
             running = ~done
             active = active[running]
             if active.size == 0:
-                return None
+                return out, None
             b = b[running]
             c = c[running]
             d = d[running]
             h = h[running]
     out[active] = h
-    return int(active[0])
+    return out, int(active[0])
 
 
 def _e1_asymptotic_scaled(z: np.ndarray) -> np.ndarray:
@@ -155,30 +123,40 @@ def _e1_branches(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _e1(z, scaled: bool, check: bool = True):
     """E1(z), or e^z E1(z) if scaled, each argument by its branch; a
-    scalar for a scalar z.  check=False admits the upper lip of the cut."""
+    scalar for a scalar z.  check=False admits the upper lip of the cut.
+    Blocks of _E1_BLOCK arguments make every result the same whatever the
+    size of the call; a stalled continued fraction raises after the last
+    block, with every argument's best value.
+    """
     scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0)
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
     if check:
         _check_e1_domain(zz)
     out = np.empty_like(zz)
-    series, asymptotic = _e1_branches(zz)
-    if np.any(series):
-        zs = zz[series]
-        out[series] = np.exp(zs) * _e1_series(zs) if scaled else _e1_series(zs)
-    failure = None
-    for mask, branch in (
-        (asymptotic, _e1_asymptotic_scaled),
-        (~(series | asymptotic), _e1_cf_scaled),
-    ):
-        if np.any(mask):
-            zm = zz[mask]
-            try:
-                value = branch(zm)
-            except ConvergenceError as exc:  # the continued fraction, last
-                failure, value = exc, exc.best_estimate
-            out[mask] = value if scaled else value * np.exp(-zm)
-    if failure is not None:  # with every argument's best value
-        raise ConvergenceError(str(failure), best_estimate=out) from failure
+    stuck = None
+    for lo in range(0, zz.size, _E1_BLOCK):
+        zb = zz[lo : lo + _E1_BLOCK]
+        ob = out[lo : lo + _E1_BLOCK]
+        series, asymptotic = _e1_branches(zb)
+        if series.any():
+            zm = zb[series]
+            ob[series] = np.exp(zm) * _e1_series(zm) if scaled else _e1_series(zm)
+        if asymptotic.any():
+            zm = zb[asymptotic]
+            value = _e1_asymptotic_scaled(zm)
+            ob[asymptotic] = value if scaled else value * np.exp(-zm)
+        cf = ~(series | asymptotic)
+        if cf.any():
+            zm = zb[cf]
+            value, first = _e1_cf_scaled(zm)
+            ob[cf] = value if scaled else value * np.exp(-zm)
+            if stuck is None and first is not None:
+                stuck = zm[first]
+    if stuck is not None:
+        raise ConvergenceError(
+            f"continued fraction for E1 did not converge (worst argument {stuck!r})",
+            best_estimate=out,
+        )
     return complex(out[0]) if scalar else out
 
 

@@ -344,6 +344,8 @@ def test_sweep_config_error_exit_2(tmp_path, capsys):
     above_critical = ["--preset", "nv-nsi", "--gamma", "2.5"]
     headless = tmp_path / "headless.ini"
     headless.write_text("u = 0.1\n")
+    as_json = tmp_path / "json.ini"
+    as_json.write_text("[output]\nformat = json\n")
     cases = [
         # an INI file that configparser refuses is bad input naming the file
         (["tdec", "--preset", "nv-nsi", "--config", str(headless)], "headless.ini"),
@@ -355,6 +357,12 @@ def test_sweep_config_error_exit_2(tmp_path, capsys):
         (u_sweep + ["--points", "4", *above_critical, "--method", "analytic"], "gamma_tilde"),
         (["coeffs", *above_critical, "--method", "analytic", "--cycles", "0.1"], "gamma_tilde"),
         (["coeffs", *above_critical, "--method", "all", "--cycles", "0.1"], "gamma_tilde"),
+        # a fit sweep past the threshold is refused before any tau_d is computed
+        (["sweep", "--param", "u", "--from", "0.01", "--to", "0.2", "--points", "4",
+          "--preset", "nv-nsi"], "delta_tilde/2"),
+        # coeffs and evolve write CSV only
+        (["evolve", "--preset", "nv-nsi", "--cycles", "1", "--format", "json"], "format"),
+        (["coeffs", "--preset", "nv-nsi", "--cycles", "1", "--config", str(as_json)], "format"),
     ]
     for argv, name in cases:
         assert run(argv + ["--out", str(tmp_path / "x.out")]) == 2, argv

@@ -16,7 +16,6 @@ from qfd.decoherence import (
     sweep_velocity,
     tau_d,
     tau_d_analytic,
-    tau_d_markov,
     tau_d_numeric,
 )
 from qfd.coefficients import markov_limit
@@ -43,6 +42,12 @@ def test_tau_close_to_markov_estimate():
     assert td.tau_d == pytest.approx(1.0 / mk.D_inf, rel=0.05)
     assert td.tau_d == pytest.approx(tau_d_analytic(mat, part, kin).tau_d, rel=1e-7)
     assert td.method == "numeric"
+    # the crossing lies past the table's end, where both routes read the
+    # same D_inf off the trace's end
+    trace, _ = cumulative_diffusion(mat, part, kin)
+    t_end, c_end = trace.grid[-1], trace.cumD[-1]
+    assert t_end < td.tau_d
+    assert td.tau_d == t_end + (1.0 - c_end) / mk.D_inf
 
 
 @pytest.mark.parametrize("name", ["nv-nsi", "rb-nsi", "rb-au", "nv-au"])
@@ -141,7 +146,8 @@ def test_tau_zero_coupling_cannot_bracket():
 def test_tau_horizon_cap_errors():
     mat, part = NV_NSI
     with pytest.raises(PhysicsError):
-        tau_d_numeric(mat, part, REST, horizon_cycles=1.0)
+        tau_d_numeric(mat, part, REST, table=decoherence_table(mat, part.delta_tilde,
+                                                               horizon_cycles=1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +204,7 @@ def test_method_dispatch():
     assert tau_d(mat, part, REST, method="markov").method == "markov"
     with pytest.raises(DomainError):
         tau_d(mat, part, REST, method="magic")
-    mk = tau_d_markov(mat, part, REST)
+    mk = tau_d(mat, part, REST, method="markov")
     assert mk.tau_d == pytest.approx(1.0 / markov_limit(mat, part, REST).D_inf, rel=1e-12)
 
 
