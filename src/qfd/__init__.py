@@ -4,8 +4,8 @@ The package is organised in layers:
 
 ``qfd.numerics``
     Self-contained numerical kernel: exponential integrals E1 and Ei,
-    adaptive Gauss-Kronrod quadrature, cumulative integration, bracketed
-    root solving and quartic root extraction.
+    adaptive Gauss-Kronrod quadrature, cumulative integration and
+    bracketed root solving.
 ``qfd.model``
     Physical data model: material / particle / kinematics parameters,
     surface spectral density, resonance pole and the algebraic envelope

@@ -50,7 +50,6 @@ from qfd.model import (
     orientation_weights,
     pole_omega_r,
     spectral_density,
-    spectral_density_d2,
 )
 from qfd.numerics import (
     cumulative_integral,
@@ -715,19 +714,3 @@ def markov_limit(
 
     trace, d_inf = _trace_and_tail_slope(mat, part, kin, table)
     return MarkovCoefficients(d_inf, float(trace.zeta[-1]))
-
-
-def markov_diffusion_small_u(
-    mat: MaterialParams, part: ParticleParams, kin: KinematicsParams
-) -> float:
-    """Closed-form O(u^2) stationary diffusion constant.
-
-    D_inf = (r0t/32) [d_i J(dt) + (3/8) d_a u^2 J''(dt)]; the curvature
-    term raises the damping below resonance, which is what speeds up
-    decoherence for a moving particle.
-    """
-    wts = orientation_weights(part.orientation)
-    j = spectral_density(part.delta_tilde, mat.gamma_tilde)
-    j2 = spectral_density_d2(part.delta_tilde, mat.gamma_tilde)
-    u2 = kin.u * kin.u
-    return part.r0_tilde / 32.0 * (wts.d_i * j + 0.375 * wts.d_a * u2 * j2)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from qfd.coefficients import (
     markov_limit,
     time_grid,
 )
-from qfd.errors import BracketError, DomainError, PhysicsError
+from qfd.errors import BracketError, ConfigError, DomainError, PhysicsError
 from qfd.model import (
     KinematicsParams,
     MaterialParams,
@@ -93,7 +93,7 @@ class QuadraticFit:
 
 # beyond the pole decay the cosine kernel still carries a -gt/t^2 tail;
 # the window below plus the analytic slope correction in
-# cumulative_diffusion keeps its influence under ~1e-8 on cumD
+# _trace_and_tail_slope keeps its influence under ~1e-8 on cumD
 _TAIL_WINDOW = 1000.0
 
 
@@ -199,30 +199,6 @@ def _trace_and_tail_slope(
     return trace, float(trace.D[-1]) + _tail_slope_correction(mat, part, kin, t_end)
 
 
-def cumulative_diffusion(
-    mat: MaterialParams,
-    part: ParticleParams,
-    kin: KinematicsParams,
-    table: KernelTable | None = None,
-) -> tuple[CoefficientTrace, Callable[[float], float]]:
-    """Reference trace plus a cumD(t) evaluator valid for all t >= 0.
-
-    The trace lies on the table (_trace_and_tail_slope), and the
-    evaluator continues cumD linearly past its end with the
-    tail-corrected slope D_inf.
-    """
-    trace, d_end = _trace_and_tail_slope(mat, part, kin, table)
-    t_end = float(trace.grid[-1])
-    c_end = float(trace.cumD[-1])
-
-    def cum_d(t: float) -> float:
-        if t <= t_end:
-            return float(np.interp(t, trace.grid, trace.cumD))
-        return c_end + d_end * (t - t_end)
-
-    return trace, cum_d
-
-
 def tau_d_numeric(
     mat: MaterialParams,
     part: ParticleParams,
@@ -231,10 +207,10 @@ def tau_d_numeric(
 ) -> DecoherenceTimeResult:
     """Decoherence time: the exact root of cumD = 1.
 
-    cumD (as in :func:`cumulative_diffusion`, on the same table) is
-    linear between grid points and past the trace's end, so the root is
-    closed-form on the segment ``searchsorted`` finds or on the
-    tail-corrected continuation.
+    cumD (the trace of :func:`_trace_and_tail_slope`, on the same
+    table) is linear between grid points and past the trace's end, so
+    the root is closed-form on the segment ``searchsorted`` finds or on
+    the tail-corrected continuation.
     """
     trace, d_end = _trace_and_tail_slope(mat, part, kin, table)
     g, c = trace.grid, trace.cumD
@@ -303,9 +279,10 @@ def tau_d_analytic(
     delta = part.delta_tilde
     gt = mat.gamma_tilde
     if abs(delta - 1.0) < RESONANCE_EXCLUSION_BAND:
-        raise DomainError(
-            f"delta_tilde = {delta} falls in the prohibited near-resonance "
-            f"band |delta - 1| < {RESONANCE_EXCLUSION_BAND}"
+        raise ConfigError(
+            f"the analytic route requires delta_tilde outside the near-resonance "
+            f"band |delta_tilde - 1| < {RESONANCE_EXCLUSION_BAND} (got {delta}); "
+            f"the numeric and markov methods run there"
         )
     _, s4 = _pole_pair(gt)
     wts = orientation_weights(part.orientation)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qfd.coefficients import MARKOV_REL_TOL, CoefficientTrace, MarkovCoefficients, markov_limit
-from qfd.errors import GridError, PhysicsError
+from qfd.errors import PhysicsError
 from qfd.model import KinematicsParams, MaterialParams, ParticleParams
 from qfd.numerics import cumulative_integral
 
@@ -166,19 +166,3 @@ def asymptotic_population(
     rm_inf = -mk.zeta_inf / mk.D_inf
     rho11 = float(np.clip(0.5 * (1.0 + rm_inf), 0.0, 0.5))
     return rho11 if rho11 >= MARKOV_REL_TOL else 0.0
-
-
-def coherence_difference(
-    trace_u: CoefficientTrace,
-    trace_0: CoefficientTrace,
-    initial_rho12: complex = 0.5,
-) -> np.ndarray:
-    """Signed coherence gap |rho12(t; u)| - |rho12(t; 0)| on a shared grid.
-
-    Negative while motion accelerates the coherence decay; the magnitude
-    peaks at a finite time and dies off as both coherences vanish.
-    """
-    if trace_u.grid.shape != trace_0.grid.shape or np.any(trace_u.grid != trace_0.grid):
-        raise GridError("coherence difference requires identical grids")
-    amp = abs(initial_rho12)
-    return amp * (np.exp(-2.0 * trace_u.cumD) - np.exp(-2.0 * trace_0.cumD))

@@ -19,10 +19,8 @@ from typing import Iterable
 import numpy as np
 
 from qfd.errors import ConfigError, DomainError
-from qfd.numerics import quartic_roots
 
 SPEED_OF_LIGHT = 2.99792458e8  # m/s
-HBAR = 1.054571817e-34  # J s
 
 _UNIT_TOL = 1e-12
 
@@ -134,16 +132,6 @@ def orientation_weights(n: Iterable[float]) -> OrientationWeights:
     return OrientationWeights(d_i=1.0 + nz * nz, d_a=3.0 * nx * nx + ny * ny + 4.0 * nz * nz)
 
 
-def r0_tilde_from_dipole(d_cm: float, omega_s: float, a_nm: float) -> float:
-    """Dimensionless coupling from dipole moment (C m), omega_s and distance.
-
-    Uses the Drude relation omega_p^2 = 2 omega_s^2, so
-    r0 = 2 d^2 / (hbar a^3) and r0_tilde = r0 / omega_s.
-    """
-    a = a_nm * 1e-9
-    return 2.0 * d_cm * d_cm / (HBAR * a**3 * omega_s)
-
-
 def validate_dimensional(
     mat: MaterialParams, part: ParticleParams, kin: KinematicsParams
 ) -> list[str]:
@@ -228,20 +216,6 @@ def pole_omega_r(gamma_tilde: float) -> PoleData:
         w = complex(0.0, math.sqrt(-w2))
         sqrt_factor = complex(0.0, s_im)
     return PoleData(omega_r=w, sqrt_factor=sqrt_factor)
-
-
-def pole_from_quartic(gamma_tilde: float) -> complex:
-    """Same pole extracted from the companion-matrix quartic solve."""
-    gt = float(gamma_tilde)
-    roots = quartic_roots(1.0, 0.0, gt * gt - 2.0, 0.0, 1.0)
-    # upper-half-plane roots with Re >= 0; pick the one matching the
-    # closed-form continuation (largest |Im| for gt > 2)
-    cand = [r for r in roots if r.imag > 0 and r.real >= -1e-12]
-    if not cand:
-        raise DomainError(f"no admissible pole at gamma_tilde = {gt}")
-    if gt < 2.0:
-        return max(cand, key=lambda r: r.real)
-    return max(cand, key=lambda r: r.imag)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,14 @@
 """Language-agnostic numerical kernel.
 
 Pure functions only: exponential integrals E1 (complex) and Ei, globally
-adaptive Gauss-Kronrod quadrature, cumulative trapezoid integration,
-bracketed bisection root solving and quartic root extraction with a
-Newton polish.
+adaptive Gauss-Kronrod quadrature, cumulative trapezoid integration
+and bracketed bisection root solving.
 Everything accepts/returns plain floats, complex numbers or numpy arrays
 and holds no shared mutable state, so concurrent use is safe.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -154,7 +152,8 @@ def _e1(z, scaled: bool, check: bool = True):
                 stuck = zm[first]
     if stuck is not None:
         raise ConvergenceError(
-            f"continued fraction for E1 did not converge (worst argument {stuck!r})",
+            f"continued fraction for E1 did not converge "
+            f"(first unconverged argument {stuck!r})",
             best_estimate=out,
         )
     return complex(out[0]) if scalar else out
@@ -409,62 +408,3 @@ def find_root_bracketed(
         else:
             a, fa = m, fm
     return 0.5 * (a + b)
-
-
-# ---------------------------------------------------------------------------
-# Quartic roots
-# ---------------------------------------------------------------------------
-
-
-def quartic_roots(c4: float, c3: float, c2: float, c1: float, c0: float) -> np.ndarray:
-    """All four roots of c4 x^4 + c3 x^3 + c2 x^2 + c1 x + c0.
-
-    Companion-matrix eigenvalues followed by one Newton polish step; for
-    real coefficients the returned set is symmetrized to be exactly
-    closed under conjugation.  Roots are sorted by (real, imag).
-    """
-    if c4 == 0:
-        raise DomainError("leading coefficient must be nonzero")
-    coeffs = np.array([c4, c3, c2, c1, c0], dtype=float)
-    roots = np.roots(coeffs).astype(complex)
-
-    dcoeffs = np.array([4 * c4, 3 * c3, 2 * c2, c1], dtype=float)
-    pv = np.polyval(coeffs, roots)
-    dv = np.polyval(dcoeffs, roots)
-    safe = np.abs(dv) > 1e-30
-    step = np.zeros_like(roots)
-    step[safe] = pv[safe] / dv[safe]
-    polished = roots - step
-    # keep the polish only where it actually reduced the residual
-    better = np.abs(np.polyval(coeffs, polished)) <= np.abs(pv)
-    roots = np.where(better, polished, roots)
-
-    roots = _conjugate_symmetrize(roots)
-    order = np.lexsort((roots.imag, roots.real))
-    return roots[order]
-
-
-def _conjugate_symmetrize(roots: np.ndarray) -> np.ndarray:
-    """Pair roots of a real polynomial into exact conjugate pairs."""
-    scale = max(np.max(np.abs(roots)), 1.0)
-    remaining = list(range(len(roots)))
-    out = roots.copy()
-    while remaining:
-        i = remaining.pop(0)
-        if abs(roots[i].imag) <= 1e-12 * scale:
-            out[i] = complex(roots[i].real, 0.0)
-            continue
-        # nearest conjugate partner among the rest
-        best_j, best_d = None, math.inf
-        for j in remaining:
-            d = abs(np.conj(roots[i]) - roots[j])
-            if d < best_d:
-                best_j, best_d = j, d
-        if best_j is None or best_d > 1e-6 * scale:
-            out[i] = roots[i]
-            continue
-        remaining.remove(best_j)
-        z = 0.5 * (roots[i] + np.conj(roots[best_j]))
-        out[i] = z
-        out[best_j] = np.conj(z)
-    return out

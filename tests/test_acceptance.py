@@ -44,7 +44,6 @@ from qfd.coefficients import (
     time_grid,
 )
 from qfd.decoherence import (
-    cumulative_diffusion,
     decoherence_table,
     quadratic_ratio_fit,
     sweep_level_spacing,
@@ -52,7 +51,7 @@ from qfd.decoherence import (
     sweep_velocity,
     tau_d_numeric,
 )
-from qfd.dynamics import QubitState, asymptotic_population, coherence_difference, evolve
+from qfd.dynamics import QubitState, asymptotic_population, evolve
 from qfd.model import (
     KinematicsParams,
     MaterialParams,
@@ -64,7 +63,7 @@ from qfd.model import (
     spectral_density_d2,
     unit_orientation,
 )
-from qfd.numerics import exp_integral_e1, quartic_roots
+from qfd.numerics import exp_integral_e1
 
 _SUITE_T0 = time.time()
 
@@ -199,8 +198,8 @@ def test_criterion_3_coherence_velocity_ordering(long_runs):
         np.all(mags[0.0][mask] >= mags[0.15][mask] - 1e-15)
         and np.all(mags[0.15][mask] >= mags[0.3][mask] - 1e-15)
     )
-    d15 = coherence_difference(traces[0.15], traces[0.0])
-    d30 = coherence_difference(traces[0.3], traces[0.0])
+    d15 = mags[0.15] - mags[0.0]
+    d30 = mags[0.3] - mags[0.0]
     i15, i30 = int(np.argmax(np.abs(d15))), int(np.argmax(np.abs(d30)))
     interior = 0 < i15 < d15.size - 1 and 0 < i30 < d30.size - 1
     decays = abs(d15[-1]) < 0.01 * abs(d15[i15]) and abs(d30[-1]) < 0.01 * abs(d30[i30])
@@ -352,16 +351,6 @@ def test_criterion_9_property_suite(long_runs):
     if refl > 1e-12:
         failures.append(f"E1 reflection {refl:.1e}")
 
-    # quartic conjugate closure
-    for seed in range(50):
-        c = np.random.default_rng(seed).uniform(-3, 3, 5)
-        c[0] = c[0] if abs(c[0]) > 0.1 else 1.0
-        roots = quartic_roots(*c)
-        scale = max(np.max(np.abs(roots)), 1.0)
-        for r in roots:
-            if np.min(np.abs(roots - np.conj(r))) > 1e-10 * scale:
-                failures.append("quartic closure")
-
     # static envelope identity on a sphere grid
     rng = np.random.default_rng(23)
     for _ in range(100):
@@ -402,9 +391,13 @@ def test_criterion_9_property_suite(long_runs):
 
     # decoherence-time definition consistency
     kin = KinematicsParams(u=0.15)
-    _, cum_d = cumulative_diffusion(mat, part, kin)
-    tau = tau_d_numeric(mat, part, kin).tau_d
-    if abs(cum_d(tau) - 1.0) > 1e-6:
+    table = decoherence_table(mat, part.delta_tilde)
+    trace = coefficients_from_table(table, part, kin)
+    t_end = trace.grid[-1]
+    tau = tau_d_numeric(mat, part, kin, table=table).tau_d
+    # the crossing lies past the trace, where cumD continues with slope D_inf
+    cum_tau = trace.cumD[-1] + markov_limit(mat, part, kin, table=table).D_inf * (tau - t_end)
+    if not (tau > t_end and abs(cum_tau - 1.0) <= 1e-6):
         failures.append("cumD(tau)=1")
 
     # coupling invariance of the normalized rate

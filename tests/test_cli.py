@@ -176,12 +176,13 @@ def test_tdec_markov_on_gold(tmp_path):
     assert json.loads(out.read_text())["tau_d"] > 0
 
 
-def test_tdec_near_resonance_exit_3(tmp_path):
+def test_tdec_near_resonance_exit_2(tmp_path, capsys):
     code = run(
         ["tdec", "--preset", "nv-nsi", "--delta", "0.97", "--method", "analytic",
          "--out", str(tmp_path / "x.json")]
     )
-    assert code == 3
+    assert code == 2
+    assert "delta_tilde" in capsys.readouterr().err
 
 
 def test_tdec_zero_coupling_exit_3(tmp_path):

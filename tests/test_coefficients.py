@@ -21,7 +21,6 @@ from qfd.coefficients import (
     coefficients_brute,
     coefficients_e1,
     make_kernel_table,
-    markov_diffusion_small_u,
     markov_limit,
     omega_kernel_cos,
     omega_kernel_sin,
@@ -37,6 +36,7 @@ from qfd.model import (
     pole_omega_r,
     preset,
     spectral_density,
+    spectral_density_d2,
     unit_orientation,
 )
 
@@ -572,12 +572,22 @@ def test_markov_route_runs_no_adaptive_quadrature(monkeypatch, gamma_tilde):
     assert np.all(np.isfinite(coefficients_e1(mat, part, kin, grid).D))
 
 
+def _markov_diffusion_small_u(mat, part, kin):
+    """Closed-form O(u^2) stationary diffusion constant,
+    D_inf = (r0t/32) [d_i J(dt) + (3/8) d_a u^2 J''(dt)]."""
+    wts = orientation_weights(part.orientation)
+    j = spectral_density(part.delta_tilde, mat.gamma_tilde)
+    j2 = spectral_density_d2(part.delta_tilde, mat.gamma_tilde)
+    u2 = kin.u * kin.u
+    return part.r0_tilde / 32.0 * (wts.d_i * j + 0.375 * wts.d_a * u2 * j2)
+
+
 def test_markov_closed_form_agreement():
     mat, part = NV_NSI
     for u in (0.0, 0.003, 0.01):
         kin = KinematicsParams(u=u)
         mk = markov_limit(mat, part, kin)
-        assert mk.D_inf == pytest.approx(markov_diffusion_small_u(mat, part, kin), rel=1e-6)
+        assert mk.D_inf == pytest.approx(_markov_diffusion_small_u(mat, part, kin), rel=1e-6)
 
 
 def test_markov_ground_state_ratio():

@@ -7,7 +7,6 @@ import pytest
 
 from qfd.decoherence import (
     DecoherenceTimeResult,
-    cumulative_diffusion,
     decoherence_table,
     quadratic_ratio_fit,
     sweep_level_spacing,
@@ -18,8 +17,8 @@ from qfd.decoherence import (
     tau_d_analytic,
     tau_d_numeric,
 )
-from qfd.coefficients import markov_limit
-from qfd.errors import BracketError, DomainError, PhysicsError
+from qfd.coefficients import coefficients_from_table, markov_limit
+from qfd.errors import BracketError, ConfigError, DomainError, PhysicsError
 from qfd.model import KinematicsParams, preset
 from dataclasses import replace
 
@@ -44,7 +43,7 @@ def test_tau_close_to_markov_estimate():
     assert td.method == "numeric"
     # the crossing lies past the table's end, where both routes read the
     # same D_inf off the trace's end
-    trace, _ = cumulative_diffusion(mat, part, kin)
+    trace = coefficients_from_table(decoherence_table(mat, part.delta_tilde), part, kin)
     t_end, c_end = trace.grid[-1], trace.cumD[-1]
     assert t_end < td.tau_d
     assert td.tau_d == t_end + (1.0 - c_end) / mk.D_inf
@@ -64,13 +63,18 @@ def test_tau_continuous_across_critical_damping(name):
 
 
 def test_tau_definition_consistency():
-    # the envelope really is at e^-2: tau is the exact crossing cumD = 1
+    # the envelope really is at e^-2: tau is the exact crossing cumD = 1.
+    # At r0_tilde = 1 it lies inside the trace (the continuation past its
+    # end is checked in test_tau_close_to_markov_estimate)
     mat, part = NV_NSI
+    part = replace(part, r0_tilde=1.0)
+    table = decoherence_table(mat, part.delta_tilde)
     for u in (0.0, 0.15):
         kin = KinematicsParams(u=u)
-        _, cum_d = cumulative_diffusion(mat, part, kin)
-        tau = tau_d_numeric(mat, part, kin).tau_d
-        assert cum_d(tau) == pytest.approx(1.0, abs=1e-12)
+        trace = coefficients_from_table(table, part, kin)
+        tau = tau_d_numeric(mat, part, kin, table=table).tau_d
+        assert tau < trace.grid[-1]
+        assert np.interp(tau, trace.grid, trace.cumD) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_small_velocity_rate_over_u2_is_smooth():
@@ -175,7 +179,7 @@ def test_analytic_velocity_term_is_quadratic():
 def test_analytic_near_resonance_refused():
     mat, part = NV_NSI
     close = replace(part, delta_tilde=0.95)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match="delta_tilde"):
         tau_d_analytic(mat, close, REST)
 
 

@@ -11,10 +11,9 @@ from qfd.coefficients import coefficients_e1, time_grid
 from qfd.dynamics import (
     QubitState,
     asymptotic_population,
-    coherence_difference,
     evolve,
 )
-from qfd.errors import GridError, PhysicsError
+from qfd.errors import PhysicsError
 from qfd.model import KinematicsParams, ParticleParams, preset
 
 NV_NSI = preset("nv-nsi")
@@ -239,24 +238,26 @@ def test_asymptote_below_resolution_reads_zero():
 
 
 # ---------------------------------------------------------------------------
-# coherence difference
+# coherence difference |rho12(t; u)| - |rho12(t; 0)| on one grid
 # ---------------------------------------------------------------------------
 
 
 def test_coherence_difference_zero_for_identical():
-    trace, _ = make_run(u=0.0, cycles=2.0, pts=64)
-    assert np.all(coherence_difference(trace, trace) == 0.0)
+    _, run_a = make_run(u=0.0, cycles=2.0, pts=64)
+    _, run_b = make_run(u=0.0, cycles=2.0, pts=64)
+    assert np.all(np.abs(run_a.rho12) - np.abs(run_b.rho12) == 0.0)
 
 
 def test_coherence_difference_peak_and_decay():
     mat, part = NV_NSI
     grid = time_grid(part.delta_tilde, mat.gamma_tilde, 2000.0, 400)
-    tr = {
+    traces = {
         u: coefficients_e1(mat, part, KinematicsParams(u=u), grid)
         for u in (0.0, 0.15, 0.3)
     }
-    d15 = coherence_difference(tr[0.15], tr[0.0])
-    d30 = coherence_difference(tr[0.3], tr[0.0])
+    mags = {u: np.abs(evolve(PLUS_STATE, tr).rho12) for u, tr in traces.items()}
+    d15 = mags[0.15] - mags[0.0]
+    d30 = mags[0.3] - mags[0.0]
     cyc = grid * part.delta_tilde / (2 * math.pi)
     for d in (d15, d30):
         i = int(np.argmax(np.abs(d)))
@@ -267,10 +268,3 @@ def test_coherence_difference_peak_and_decay():
     assert np.max(np.abs(d30)) > np.max(np.abs(d15))
     mask = cyc >= 1.0
     assert np.all(d15[mask] <= 1e-15) and np.all(d30[mask] <= 1e-15)
-
-
-def test_coherence_difference_grid_mismatch():
-    trace_a, _ = make_run(u=0.0, cycles=2.0, pts=64)
-    trace_b, _ = make_run(u=0.0, cycles=3.0, pts=64)
-    with pytest.raises(GridError):
-        coherence_difference(trace_a, trace_b)

@@ -1,6 +1,7 @@
 """Numerical kernel tests: E1, quadrature, cumulative integrals, roots."""
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -16,7 +17,6 @@ from qfd.numerics import (
     exp_integral_ei_scaled,
     find_root_bracketed,
     integrate_adaptive,
-    quartic_roots,
 )
 
 
@@ -366,16 +366,20 @@ def test_root_no_bracket():
 
 def test_root_decoherence_crossing_vs_scan_oracle():
     # envelope crossing e^-2 <=> cumD = 1, against a dense-scan bisection
-    from qfd.decoherence import cumulative_diffusion
+    # on the r0_tilde = 1 trace, which the crossing falls inside
+    from qfd.coefficients import coefficients_from_table
+    from qfd.decoherence import decoherence_table
     from qfd.model import KinematicsParams, preset
 
     mat, part = preset("nv-nsi")
-    _, cum_d = cumulative_diffusion(mat, part, KinematicsParams(u=0.15))
+    part = replace(part, r0_tilde=1.0)
+    table = decoherence_table(mat, part.delta_tilde)
+    trace = coefficients_from_table(table, part, KinematicsParams(u=0.15))
 
     def f(t):
-        return math.exp(-2.0 * cum_d(t)) - math.exp(-2.0)
+        return math.exp(-2.0 * float(np.interp(t, trace.grid, trace.cumD))) - math.exp(-2.0)
 
-    lo, hi = 1.0, 4.0e4
+    lo, hi = 1.0, float(trace.grid[-1])
     tol = 1e-6
     root = find_root_bracketed(f, lo, hi, tol)
     # oracle: coarse scan for the sign change, then plain halving
@@ -390,64 +394,3 @@ def test_root_decoherence_crossing_vs_scan_oracle():
         else:
             a = m
     assert root == pytest.approx(0.5 * (a + b), abs=2 * tol)
-
-
-# ---------------------------------------------------------------------------
-# quartic roots
-# ---------------------------------------------------------------------------
-
-
-def _response_quartic(gt: float) -> tuple[float, float, float, float, float]:
-    # (w^2 - 1)^2 + gt^2 w^2 as a quartic in w
-    return (1.0, 0.0, gt * gt - 2.0, 0.0, 1.0)
-
-
-def test_quartic_unit_damping():
-    # factorizing x^2 - x + 1 = 0 in x = w^2 gives w = +-exp(+-i pi/6)
-    roots = quartic_roots(*_response_quartic(1.0))
-    expected = np.array(
-        sorted(
-            [
-                math.sqrt(3) / 2 + 0.5j,
-                math.sqrt(3) / 2 - 0.5j,
-                -math.sqrt(3) / 2 + 0.5j,
-                -math.sqrt(3) / 2 - 0.5j,
-            ],
-            key=lambda z: (z.real, z.imag),
-        )
-    )
-    assert np.allclose(roots, expected, atol=1e-10)
-
-
-def test_quartic_undamped_double_roots():
-    roots = quartic_roots(*_response_quartic(0.0))
-    assert np.allclose(np.sort(roots.real), [-1, -1, 1, 1], atol=1e-7)
-    assert np.allclose(roots.imag, 0.0, atol=1e-7)
-
-
-def test_quartic_overdamped_imaginary():
-    # beyond critical damping every pole sits on the imaginary axis
-    roots = quartic_roots(*_response_quartic(3.0))
-    assert np.allclose(roots.real, 0.0, atol=1e-10)
-    assert np.all(np.abs(roots.imag) > 0.1)
-
-
-def test_quartic_conjugate_closure_and_residual():
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        c = rng.uniform(-5, 5, 5)
-        if abs(c[0]) < 0.1:
-            c[0] = 1.0
-        roots = quartic_roots(*c)
-        scale = max(np.max(np.abs(roots)), 1.0)
-        # conjugate-closed set
-        for r in roots:
-            assert np.min(np.abs(roots - np.conj(r))) <= 1e-10 * scale
-        # residual after the polish step
-        res = np.abs(np.polyval(c, roots))
-        assert np.all(res <= 1e-10 * np.max(np.abs(c)) * scale**4)
-
-
-def test_quartic_leading_zero():
-    with pytest.raises(DomainError):
-        quartic_roots(0.0, 1.0, 1.0, 1.0, 1.0)

@@ -1,4 +1,4 @@
-"""The README's command-line examples run as written."""
+"""The README's command-line and library examples run as written."""
 
 import configparser
 import re
@@ -49,6 +49,18 @@ def test_readme_command_runs(argv, tmp_path):
         argv += ["--dump-config", str(written)]
     assert main(argv) == 0
     assert written.exists()
+
+
+PYTHON_BLOCKS = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+
+
+@pytest.mark.parametrize("n", range(1, len(PYTHON_BLOCKS) + 1))
+def test_readme_python_block_runs(n):
+    """Python block n runs after the blocks before it, whose names the
+    README's "Library use" section carries on with."""
+    namespace: dict = {}
+    for block in PYTHON_BLOCKS[:n]:
+        exec(block, namespace)
 
 
 def test_readme_config_block_round_trips(tmp_path):
