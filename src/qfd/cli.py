@@ -10,8 +10,9 @@ Subcommands map one-to-one onto the package's figure-level experiments:
 Configuration is a flat INI file whose keys are declared once, in
 ``_KEYS``, with CLI flags as overrides (resolve_config gives the order);
 ``--dump-config`` emits the fully resolved file, which re-ingests to the
-byte-identical result.  Floats are always printed with 17 significant
-digits and files are written atomically.
+byte-identical result; a section or key it does not declare is refused.
+Tables are written by ``qfd.coefficients.csv_table``, floats always with
+17 significant digits, and files are written atomically.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 physics-invariant breach.
@@ -21,13 +22,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import io
 import json
 import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from functools import reduce
 from itertools import groupby
 
@@ -38,6 +38,7 @@ from qfd.coefficients import (
     coefficients_analytic_small_u,
     coefficients_brute,
     coefficients_e1,
+    csv_table,
     markov_limit,
     time_grid,
 )
@@ -194,6 +195,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config file not found: {args.config}")
     except configparser.Error as exc:
         raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+    keys = {(section, key) for section, key, *_ in _KEYS} | {("material", "preset")}
+    for section in cp:  # DEFAULT first, whose keys would reach every section
+        if section != cp.default_section and section not in {s for s, _ in keys}:
+            raise ConfigError(f"unknown config section [{section}] in {args.config}")
+        for key in cp[section]:
+            if (section, key) not in keys:
+                raise ConfigError(f"unknown config key [{section}] {key} in {args.config}")
     values = dict.fromkeys(row[2] for row in _KEYS) | _DEFAULTS
 
     def take(group: str, params) -> None:
@@ -291,6 +299,14 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _grid(args: argparse.Namespace, cfg: RunConfig, pts_per_cycle: int) -> np.ndarray:
+    """Time grid over --cycles natural cycles, for coeffs and evolve."""
+    if not 0 < args.cycles < math.inf:
+        raise ConfigError(f"--cycles must be finite and > 0, got {args.cycles}")
+    return time_grid(cfg.particle.delta_tilde, cfg.material.gamma_tilde, args.cycles,
+                     pts_per_cycle)
+
+
 def cmd_coeffs(args: argparse.Namespace, cfg: RunConfig) -> int:
     mat, part, kin, num = cfg.material, cfg.particle, cfg.kinematics, cfg.numerics
     method = args.method
@@ -299,7 +315,7 @@ def cmd_coeffs(args: argparse.Namespace, cfg: RunConfig) -> int:
         pts = max(8, num.pts_per_cycle // 100)
     else:
         pts = num.pts_per_cycle
-    grid = time_grid(part.delta_tilde, mat.gamma_tilde, args.cycles, pts)
+    grid = _grid(args, cfg, pts)
 
     routes = {
         "e1": lambda: coefficients_e1(mat, part, kin, grid),
@@ -312,37 +328,28 @@ def cmd_coeffs(args: argparse.Namespace, cfg: RunConfig) -> int:
     if method != "all":
         text = routes[method]().to_csv()
     else:  # all methods side by side plus the Markov constant
-        tr_e1, tr_an, tr_br = (routes[m]() for m in ("e1", "analytic", "brute"))
-        mk = markov_limit(mat, part, kin)
-        buf = io.StringIO()
-        buf.write(
-            "t,N_cycles,"
-            "D_e1,f_e1,zeta_e1,cumD_e1,cumF_e1,"
-            "D_analytic,f_analytic,zeta_analytic,"
-            "D_brute,f_brute,zeta_brute,D_markov\n"
-        )
-        cyc = tr_e1.cycles
-        for i in range(grid.size):
-            row = [
-                grid[i], cyc[i],
-                tr_e1.D[i], tr_e1.f[i], tr_e1.zeta[i], tr_e1.cumD[i], tr_e1.cumF[i],
-                tr_an.D[i], tr_an.f[i], tr_an.zeta[i],
-                tr_br.D[i], tr_br.f[i], tr_br.zeta[i],
-                mk.D_inf,
-            ]
-            buf.write(",".join(_fmt(v) for v in row) + "\n")
-        text = buf.getvalue()
+        traces = {route: trace() for route, trace in routes.items()}
+        columns = {"t": grid, "N_cycles": traces["e1"].cycles}
+        for route, trace in traces.items():
+            names = ("D", "f", "zeta", "cumD", "cumF") if route == "e1" else ("D", "f", "zeta")
+            columns |= {f"{name}_{route}": getattr(trace, name) for name in names}
+        columns["D_markov"] = np.full(grid.shape, markov_limit(mat, part, kin).D_inf)
+        text = csv_table(columns)
     _write_atomic(cfg.out_path, text)
     return 0
 
 
 def cmd_evolve(args: argparse.Namespace, cfg: RunConfig) -> int:
-    mat, part, kin, num = cfg.material, cfg.particle, cfg.kinematics, cfg.numerics
-    initial = QubitState(rho11=args.rho11, rho12=complex(args.re_rho12, args.im_rho12))
-    grid = time_grid(part.delta_tilde, mat.gamma_tilde, args.cycles, num.pts_per_cycle)
-    trace = coefficients_e1(mat, part, kin, grid)
-    result = evolve(initial, trace)
-    _write_atomic(cfg.out_path, result.to_csv())
+    try:
+        initial = QubitState(rho11=args.rho11, rho12=complex(args.re_rho12, args.im_rho12))
+    except PhysicsError as exc:
+        raise ConfigError(
+            f"--rho11 {args.rho11}, --re-rho12 {args.re_rho12}, --im-rho12 {args.im_rho12}"
+            f" is no initial state: {exc}"
+        ) from exc
+    trace = coefficients_e1(cfg.material, cfg.particle, cfg.kinematics,
+                            _grid(args, cfg, cfg.numerics.pts_per_cycle))
+    _write_atomic(cfg.out_path, evolve(initial, trace).to_csv())
     return 0
 
 
@@ -411,10 +418,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
         rows = sweep_level_spacing(mat, part, kin, values, **opts)
 
     if cfg.out_format == "json":
-        payload = [
-            {f.name: getattr(r, f.name) for f in fields(r)} for r in rows
-        ]
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json.dumps([asdict(r) for r in rows], indent=2, sort_keys=True) + "\n"
     else:
         text = sweep_rows_to_csv(rows)
     _write_atomic(cfg.out_path, text)

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -272,8 +273,32 @@ def _frequency_kernels(
 
 
 # ---------------------------------------------------------------------------
-# Trace container and time grids
+# Trace container, CSV tables and time grids
 # ---------------------------------------------------------------------------
+
+
+# rows per formatting block of csv_table: only one block of columns is
+# held as Python objects at a time, so the formatting adds no memory that
+# grows with the table beyond the text itself
+_CSV_BLOCK = 4096
+
+
+def csv_table(columns: dict[str, Sequence]) -> str:
+    """CSV text of equal-length named columns, in the dict's order.
+
+    The names form the header.  Numeric columns print with 17 significant
+    digits (NaN as nan), every other column verbatim with %s.
+    """
+    arrays = [np.asarray(c) for c in columns.values()]
+    n = len(arrays[0])
+    if any(len(a) != n for a in arrays):
+        raise GridError("all CSV columns must have the same length")
+    line = ",".join("%.17g" if a.dtype.kind in "fiu" else "%s" for a in arrays) + "\n"
+    blocks = [",".join(columns) + "\n"]
+    for i in range(0, n, _CSV_BLOCK):
+        rows = zip(*(a[i:i + _CSV_BLOCK].tolist() for a in arrays))
+        blocks.append("".join([line % row for row in rows]))
+    return "".join(blocks)
 
 
 @dataclass(frozen=True)
@@ -306,10 +331,11 @@ class CoefficientTrace:
 
     def to_csv(self) -> str:
         """CSV export: columns t, N_cycles, D, f, zeta, cumD, cumF, method."""
-        line = ",".join(["%.17g"] * 7) + ",%s\n"
-        columns = (self.grid, self.cycles, self.D, self.f, self.zeta, self.cumD, self.cumF)
-        rows = [line % (*row, self.method) for row in zip(*(x.tolist() for x in columns))]
-        return "t,N_cycles,D,f,zeta,cumD,cumF,method\n" + "".join(rows)
+        return csv_table({
+            "t": self.grid, "N_cycles": self.cycles, "D": self.D, "f": self.f,
+            "zeta": self.zeta, "cumD": self.cumD, "cumF": self.cumF,
+            "method": np.full(self.grid.shape, self.method),
+        })
 
 
 def kernel_decay_time(gamma_tilde: float) -> float:
@@ -337,8 +363,8 @@ def time_grid(
     alive, then sparse sampling where every coefficient has become
     constant and only slow exponentials remain.
     """
-    if n_cycles <= 0 or pts_per_cycle < 8:
-        raise GridError("need n_cycles > 0 and pts_per_cycle >= 8")
+    if not 0 < n_cycles < math.inf or pts_per_cycle < 8:
+        raise GridError("need finite n_cycles > 0 and pts_per_cycle >= 8")
     cycle = TWO_PI / delta_tilde
     t_end = n_cycles * cycle
     h_dense = min(cycle / pts_per_cycle, 0.1)

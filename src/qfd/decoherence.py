@@ -16,10 +16,9 @@ level spacing emit flat result rows ready for CSV export.
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from qfd.coefficients import (
     KernelTable,
     _pole_pair,
     coefficients_from_table,
+    csv_table,
     kernel_decay_time,
     make_kernel_table,
     markov_limit,
@@ -340,23 +340,9 @@ class SweepRow:
     flag: str = ""
 
 
-SWEEP_CSV_HEADER = (
-    "sweep_param,value,tau_d,tau_d_u0,rate,method,material,particle,"
-    "theta,phi,u,delta_tilde,gamma_tilde,flag"
-)
-
-
-def sweep_rows_to_csv(rows: Iterable[SweepRow]) -> str:
-    buf = io.StringIO()
-    buf.write(SWEEP_CSV_HEADER + "\n")
-    for r in rows:
-        buf.write(
-            f"{r.sweep_param},{r.value:.17g},{r.tau_d:.17g},{r.tau_d_u0:.17g},"
-            f"{r.rate:.17g},{r.method},{r.material},{r.particle},"
-            f"{r.theta:.17g},{r.phi:.17g},{r.u:.17g},{r.delta_tilde:.17g},"
-            f"{r.gamma_tilde:.17g},{r.flag}\n"
-        )
-    return buf.getvalue()
+def sweep_rows_to_csv(rows: Sequence[SweepRow]) -> str:
+    """Sweep rows as CSV, one column per SweepRow field in field order."""
+    return csv_table({f.name: [getattr(r, f.name) for r in rows] for f in fields(SweepRow)})
 
 
 def angles_of(orientation: tuple[float, float, float]) -> tuple[float, float]:
@@ -474,9 +460,9 @@ def sweep_polarization(
     thetas = list(theta_grid)
     phis = list(phi_grid)
     if any(not 0.0 <= th <= math.pi for th in thetas):
-        raise DomainError("theta grid must lie in [0, pi]")
+        raise ConfigError("theta grid must lie in [0, pi]")
     if any(not 0.0 <= ph < TWO_PI for ph in phis):
-        raise DomainError("phi grid must lie in [0, 2 pi)")
+        raise ConfigError("phi grid must lie in [0, 2 pi)")
     by_theta = len(thetas) > 1 and len(phis) == 1
     points = [
         _SweepPoint(

@@ -24,7 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qfd.coefficients import MARKOV_REL_TOL, CoefficientTrace, MarkovCoefficients, markov_limit
+from qfd.coefficients import (
+    MARKOV_REL_TOL,
+    CoefficientTrace,
+    MarkovCoefficients,
+    csv_table,
+    markov_limit,
+)
 from qfd.errors import PhysicsError
 from qfd.model import KinematicsParams, MaterialParams, ParticleParams
 from qfd.numerics import cumulative_integral
@@ -44,7 +50,7 @@ class QubitState:
         if not -POSITIVITY_SLACK <= self.rho11 <= 1.0 + POSITIVITY_SLACK:
             raise PhysicsError(f"population out of [0, 1]: rho11 = {self.rho11}")
         bound = self.rho11 * (1.0 - self.rho11) + POSITIVITY_SLACK
-        if abs(self.rho12) ** 2 > bound:
+        if not abs(self.rho12) ** 2 <= bound:  # NaN fails too
             raise PhysicsError(
                 f"coherence violates positivity: |rho12|^2 = {abs(self.rho12) ** 2}"
                 f" > rho11 rho22 + slack = {bound}"
@@ -75,16 +81,14 @@ class EvolutionResult:
     def to_csv(self) -> str:
         """CSV export: t, N_cycles, rho11, re_rho12, im_rho12, abs_rho12,
         purity, decoherence_factor, xi."""
-        line = ",".join(["%.17g"] * 9) + "\n"
-        columns = (self.t, self.cycles, self.rho11, self.rho12, self.purity,
-                   self.decoherence_factor, self.xi)
-        # abs of a Python complex: np.abs differs in the last bit on some rows
-        rows = [
-            line % (t, n, r11, c.real, c.imag, abs(c), p, df, xi)
-            for t, n, r11, c, p, df, xi in zip(*(x.tolist() for x in columns))
-        ]
-        header = "t,N_cycles,rho11,re_rho12,im_rho12,abs_rho12,purity,decoherence_factor,xi\n"
-        return header + "".join(rows)
+        return csv_table({
+            "t": self.t, "N_cycles": self.cycles, "rho11": self.rho11,
+            "re_rho12": self.rho12.real, "im_rho12": self.rho12.imag,
+            # hypot is abs of a Python complex to the bit; np.abs is not
+            "abs_rho12": np.hypot(self.rho12.real, self.rho12.imag),
+            "purity": self.purity, "decoherence_factor": self.decoherence_factor,
+            "xi": self.xi,
+        })
 
 
 def evolve(initial: QubitState, trace: CoefficientTrace) -> EvolutionResult:

@@ -104,6 +104,19 @@ def test_coeffs_all_methods(tmp_path):
         assert float(row[i_e1]) == pytest.approx(float(row[i_br]), abs=1e-8)
     markov = {row[-1] for row in rows}
     assert len(markov) == 1
+    # the e1 columns are, as text, the e1 trace on the same coarse grid
+    # (max(8, 400 // 100) = 8 points per cycle)
+    e1 = tmp_path / "e1.csv"
+    assert run(
+        ["coeffs", "--preset", "nv-nsi", "--u", "0.003", "--cycles", "0.5",
+         "--method", "e1", "--pts-per-cycle", "8", "--out", str(e1)]
+    ) == 0
+    e1_header, e1_rows = read_csv(e1)
+    assert len(e1_rows) == len(rows)
+    for name in e1_header[:-1]:
+        i = header.index(name if name in ("t", "N_cycles") else f"{name}_e1")
+        j = e1_header.index(name)
+        assert [row[i] for row in rows] == [row[j] for row in e1_rows], name
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +140,22 @@ def test_evolve_csv(tmp_path):
     assert float(rows[0][7]) == 1.0
 
 
-def test_evolve_invalid_initial_state_exit_4(tmp_path):
-    code = run(
-        ["evolve", "--preset", "nv-nsi", "--rho11", "1.5", "--cycles", "1",
-         "--pts-per-cycle", "64", "--out", str(tmp_path / "x.csv")]
-    )
-    assert code == 4
+def test_evolve_invalid_initial_state_exit_2(tmp_path, capsys):
+    # a state that is no density matrix is bad input naming its flags
+    out = tmp_path / "x.csv"
+    for state, name in [
+        (["--rho11", "1.5"], "--rho11"),
+        (["--rho11", "nan"], "--rho11"),
+        (["--rho11", "0.5", "--re-rho12", "0.9"], "--re-rho12"),
+        (["--im-rho12", "nan"], "--im-rho12"),
+    ]:
+        code = run(
+            ["evolve", "--preset", "nv-nsi", *state, "--cycles", "1",
+             "--pts-per-cycle", "64", "--out", str(out)]
+        )
+        assert code == 2, state
+        assert name in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evolve_free_columns_constant(tmp_path):
@@ -347,6 +370,11 @@ def test_sweep_config_error_exit_2(tmp_path, capsys):
     headless.write_text("u = 0.1\n")
     as_json = tmp_path / "json.ini"
     as_json.write_text("[output]\nformat = json\n")
+    misspelt = tmp_path / "misspelt.ini"
+    misspelt.write_text("[numerics]\npts_per_cylce = 800\n")
+    bogus = tmp_path / "bogus.ini"
+    bogus.write_text("[material]\npreset = nv-nsi\n\n[bogus]\n")
+    angle_sweep = ["--points", "3", "--preset", "nv-nsi"]
     cases = [
         # an INI file that configparser refuses is bad input naming the file
         (["tdec", "--preset", "nv-nsi", "--config", str(headless)], "headless.ini"),
@@ -364,6 +392,15 @@ def test_sweep_config_error_exit_2(tmp_path, capsys):
         # coeffs and evolve write CSV only
         (["evolve", "--preset", "nv-nsi", "--cycles", "1", "--format", "json"], "format"),
         (["coeffs", "--preset", "nv-nsi", "--cycles", "1", "--config", str(as_json)], "format"),
+        # a horizon of no positive, finite number of cycles
+        *[([command, "--preset", "nv-nsi", "--cycles", cycles], "--cycles")
+          for command in ("coeffs", "evolve") for cycles in ("nan", "inf", "0", "-1")],
+        # dipole angles outside [0, pi] and [0, 2 pi)
+        (["sweep", "--param", "theta", "--from", "-1", "--to", "1", *angle_sweep], "theta"),
+        (["sweep", "--param", "phi", "--from", "0", "--to", "7", *angle_sweep], "phi"),
+        # an INI key or section the schema does not declare is refused, not ignored
+        (["tdec", "--preset", "nv-nsi", "--config", str(misspelt)], "[numerics] pts_per_cylce"),
+        (["tdec", "--config", str(bogus)], "[bogus]"),
     ]
     for argv, name in cases:
         assert run(argv + ["--out", str(tmp_path / "x.out")]) == 2, argv

@@ -10,6 +10,7 @@ import pytest
 from scipy import integrate as sp_integrate
 
 from qfd.coefficients import (
+    _CSV_BLOCK,
     _FAR_PT,
     _GL4_W,
     _GL4_X,
@@ -20,6 +21,7 @@ from qfd.coefficients import (
     coefficients_analytic_small_u,
     coefficients_brute,
     coefficients_e1,
+    csv_table,
     make_kernel_table,
     markov_limit,
     omega_kernel_cos,
@@ -302,8 +304,9 @@ def test_time_grid_shapes():
     assert np.all(np.diff(g) > 0)
     # six cycles at delta = 0.2
     assert g[-1] == pytest.approx(6 * 2 * math.pi / 0.2, rel=1e-12)
-    with pytest.raises(GridError):
-        time_grid(0.2, 1.0, 0.0)
+    for cycles in (0.0, math.nan, math.inf):
+        with pytest.raises(GridError):
+            time_grid(0.2, 1.0, cycles)
 
 
 def test_trace_csv_layout():
@@ -313,6 +316,23 @@ def test_trace_csv_layout():
     assert lines[0] == "t,N_cycles,D,f,zeta,cumD,cumF,method"
     assert lines[1].endswith(",e1")
     assert len(lines) == 7
+
+
+def test_csv_table_blocks_nan_and_strings():
+    # one row past a block: the second block carries the NaN and the last row
+    n = _CSV_BLOCK + 1
+    x = np.arange(n) / 3.0
+    x[-1] = math.nan
+    labels = [f"row {i}" if i else "" for i in range(n)]
+    lines = csv_table({"x": x, "i": np.arange(n), "label": labels}).splitlines()
+    assert lines[0] == "x,i,label"
+    assert len(lines) == n + 1
+    assert lines[2] == f"{1 / 3:.17g},1,row 1"
+    assert lines[1] == "0,0,"
+    assert lines[-1] == f"nan,{n - 1},row {n - 1}"
+    assert [float(line.split(",")[0]) for line in lines[1:-1]] == x[:-1].tolist()
+    with pytest.raises(GridError):
+        csv_table({"x": x, "short": x[:-1]})
 
 
 def panel_nodes_reference(grid):

@@ -305,9 +305,9 @@ def test_polarization_phi_periodicity_and_polar_degeneracy():
 
 def test_polarization_grid_validation():
     mat, part = NV_NSI
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match="theta"):
         sweep_polarization(mat, part, REST, [4.0], [0.0])
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match="phi"):
         sweep_polarization(mat, part, REST, [0.0], [7.0])
 
 

@@ -38,6 +38,8 @@ def test_state_invariants():
         QubitState(rho11=1.5, rho12=0.0)
     with pytest.raises(PhysicsError):
         QubitState(rho11=0.0, rho12=0.5)  # coherence exceeds positivity bound
+    with pytest.raises(PhysicsError):
+        QubitState(rho11=0.5, rho12=complex(0.0, math.nan))
     assert QubitState(rho11=0.5, rho12=0.5).purity == pytest.approx(1.0)
     assert QubitState(rho11=0.5, rho12=0.0).purity == pytest.approx(0.5)
 
