@@ -43,6 +43,7 @@ from qfd.coefficients import (
     time_grid,
 )
 from qfd.decoherence import (
+    _check_fit_velocities,
     angles_of,
     quadratic_fit_rows,
     sweep_level_spacing,
@@ -408,11 +409,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
     elif args.combos:
         raise ConfigError("--combos applies to theta/phi sweeps only")
     elif args.param == "u":
-        if args.points < 4:
-            raise ConfigError("u sweeps feeding fits need --points >= 4")
-        if np.any(np.abs(values) >= part.delta_tilde / 2.0):
-            raise ConfigError(f"u sweeps feeding fits need |u| < delta_tilde/2 = "
-                              f"{part.delta_tilde / 2.0:.17g}")
+        _check_fit_velocities(values, part.delta_tilde)
         rows = sweep_velocity(mat, part, values, **opts)
     else:
         rows = sweep_level_spacing(mat, part, kin, values, **opts)

@@ -582,25 +582,15 @@ def coefficients_brute(
 SMALL_U_LIMIT = 0.05
 
 
-def _ibp_terms(kappa: complex, t: np.ndarray, part, u: float):
-    """Endpoint expansion of int_0^t exp(i kappa t') P(u t') dt' to O(u^2).
+def _by_parts(kappa: complex, t, derivs) -> np.ndarray:
+    """Endpoint terms sum_k (-1)^k h^(k)(t) e^{i kappa t} / (i kappa)^{k+1}
+    of int e^{i kappa s} h(s) ds, from derivs = [h, h', h'', ...] at t.
 
-    Uses the exact envelope identities dP/dx = -3 x Q and d2P/dx2 = -12 R,
-    so the truncation error is O(u^4).
+    Their difference between two endpoints is the integral up to the
+    first omitted order, (-1)^K int e^{i kappa s} h^(K)(s) ds / (i kappa)^K.
     """
-    n = part.orientation
-    wts = orientation_weights(n)
-    x = u * t
-    E = np.exp(1j * kappa * t)
-    p = kernel_P(x, n)
-    q = kernel_Q(x, n)
-    r = kernel_R(x, n)
-    u2 = u * u
-    return (
-        -1j * (E * p - wts.d_i / 8.0) / kappa
-        - 3.0 * u2 * t * E * q / kappa**2
-        - 12j * u2 * (E * r - wts.d_a / 128.0) / kappa**3
-    )
+    terms = sum((-1) ** k * d / (1j * kappa) ** (k + 1) for k, d in enumerate(derivs))
+    return np.exp(1j * kappa * t) * terms
 
 
 def _exp_e1_antiderivative(a: complex, b: complex, t: np.ndarray) -> np.ndarray:
@@ -663,8 +653,14 @@ def coefficients_analytic_small_u(
     wts = orientation_weights(part.orientation)
 
     tpos = g[1:]  # every term vanishes identically at t = 0
-    i_plus = _ibp_terms(w + dt, tpos, part, u)
-    i_minus = _ibp_terms(w - dt, tpos, part, u)
+    # int_0^t e^{i kappa s} P(u s) ds by parts, with dP/dx = -3 x Q and
+    # d2P/dx2 = -12 R exact, so the truncation error is O(u^4)
+    u2, n, x = u * u, part.orientation, u * tpos
+    at_t = [kernel_P(x, n), -3.0 * u2 * tpos * kernel_Q(x, n), -12.0 * u2 * kernel_R(x, n)]
+    at_0 = [wts.d_i / 8.0, 0.0, -12.0 * u2 * wts.d_a / 128.0]
+    i_plus, i_minus = [
+        _by_parts(kappa, tpos, at_t) - _by_parts(kappa, 0.0, at_0) for kappa in (w + dt, w - dt)
+    ]
 
     res_pref = r0t / (4.0 * s4)
     d_res = res_pref * (i_plus.real + i_minus.real)
@@ -680,7 +676,6 @@ def coefficients_analytic_small_u(
     cdd = (cp - 2.0 * c0 + cm) / (h * h)
     sdd = (sp - 2.0 * s0 + sm) / (h * h)
     corr_pref = r0t / (TWO_PI * s4)
-    u2 = u * u
     d_corr = corr_pref * (wts.d_i / 8.0 * c0 + 3.0 / 64.0 * wts.d_a * u2 * cdd)
     f_corr = corr_pref * (wts.d_i / 8.0 * s0 + 3.0 / 64.0 * wts.d_a * u2 * sdd)
 

@@ -26,6 +26,8 @@ from qfd.coefficients import (
     DEFAULT_PTS_PER_CYCLE,
     CoefficientTrace,
     KernelTable,
+    _by_parts,
+    _cos_tail_coefficients,
     _pole_pair,
     coefficients_from_table,
     csv_table,
@@ -91,9 +93,9 @@ class QuadraticFit:
 # ---------------------------------------------------------------------------
 
 
-# beyond the pole decay the cosine kernel still carries a -gt/t^2 tail;
-# the window below plus the analytic slope correction in
-# _trace_and_tail_slope keeps its influence under ~1e-8 on cumD
+# past this window the cosine kernel is its algebraic tail alone, whose
+# remainder (_tail_slope_correction) leaves D_inf at rest within 4e-11 of
+# its closed form up to gamma_tilde = 4 (6.3e-10 at 10) on the presets
 _TAIL_WINDOW = 1000.0
 
 
@@ -108,25 +110,21 @@ def decoherence_window(delta_tilde: float, gamma_tilde: float) -> float:
 def _tail_slope_correction(
     mat: MaterialParams, part: ParticleParams, kin: KinematicsParams, t_end: float
 ) -> float:
-    """Analytic remainder D_inf - D(t_end) of the kernel's 1/t^2 tail.
-
-    Three integration-by-parts orders of
-        int_T^inf cos(dt s) g(s) ds * r0t/(2 pi),  g = -gt P(u s)/s^2;
-    the residual scales like 1/(dt^4 T^5) and is negligible past the
-    decoherence window.
+    """Analytic remainder D_inf - D(t_end) of the cosine kernel's tail,
+        (r0t / 2 pi) int_T^inf cos(dt s) g(s) ds,  g = (C_0/s^2 + C_1/s^4) P(u s),
+    C_n from _cos_tail_coefficients, by parts (_by_parts) with every term
+    kept to O(T^-4); the residual scales like 1/(dt^4 T^5) and is
+    negligible past the decoherence window.
     """
-    gt = mat.gamma_tilde
-    dt = part.delta_tilde
-    u = abs(kin.u)
-    x = u * t_end
-    p = kernel_P(x, part.orientation)
-    dp = -3.0 * x * kernel_Q(x, part.orientation)  # dP/dx
-    d2p = -12.0 * kernel_R(x, part.orientation)  # d2P/dx2
-    term1 = p * math.sin(dt * t_end) / (dt * t_end * t_end)
-    term2 = (u * dp * t_end - 2.0 * p) * math.cos(dt * t_end) / (dt * dt * t_end**3)
-    d2g = u * u * d2p * t_end**2 - 4.0 * u * dp * t_end + 6.0 * p  # -(s^4/gt) g''
-    term3 = -d2g * math.sin(dt * t_end) / (dt**3 * t_end**4)
-    return part.r0_tilde * gt / TWO_PI * (term1 + term2 + term3)
+    c0, c1 = _cos_tail_coefficients(mat.gamma_tilde)[:2]
+    t, u, n = t_end, abs(kin.u), part.orientation
+    p = kernel_P(u * t, n)
+    dp = -3.0 * u * u * t * kernel_Q(u * t, n)  # d/ds P(u s) = u dP/dx
+    d2p = -12.0 * u * u * kernel_R(u * t, n)
+    # the tail and its derivatives; those of C_1/s^4 are O(T^-5)
+    k, dk, d2k = c0 / t**2 + c1 / t**4, -2.0 * c0 / t**3, 6.0 * c0 / t**4
+    g = [k * p, dk * p + k * dp, d2k * p + 2.0 * dk * dp + k * d2p]
+    return -part.r0_tilde / TWO_PI * float(_by_parts(part.delta_tilde, t, g).real)
 
 
 def _graded_start(grid: np.ndarray) -> np.ndarray:
@@ -272,9 +270,9 @@ def tau_d_analytic(
 
     Markov term (32 / r0t d_i)(1/h - (3/8)(d_a/d_i) u^2 h''/h^2) plus the
     velocity-independent finite-time correction -g/(s4 h) + 2/(pi delta)
-    and the corresponding u^2 bracket.  Level spacings inside the
-    resonance exclusion band are refused (the expansion blows up there),
-    and so is gamma_tilde >= 2 (_pole_pair).
+    and the corresponding u^2 bracket.  Level spacings inside the resonance
+    exclusion band (where the expansion blows up) and gamma_tilde >= 2
+    (_pole_pair) are refused; zero coupling raises a DomainError.
     """
     delta = part.delta_tilde
     gt = mat.gamma_tilde
@@ -284,6 +282,8 @@ def tau_d_analytic(
             f"band |delta_tilde - 1| < {RESONANCE_EXCLUSION_BAND} (got {delta}); "
             f"the numeric and markov methods run there"
         )
+    if part.r0_tilde == 0.0:
+        raise DomainError("no decoherence at zero coupling r0_tilde = 0: tau_D is infinite")
     _, s4 = _pole_pair(gt)
     wts = orientation_weights(part.orientation)
     di, da = wts.d_i, wts.d_a
@@ -376,9 +376,9 @@ def _sweep(
 
     A numeric or Markov sweep evaluates every point on one kernel
     table (table_for_method), built for the smallest level spacing,
-    whose window is the longest.  In rate mode a row carries the u = 0
-    reference of its particle (evaluated once per distinct particle)
-    and the rate tau_d / tau_d_u0 - 1;
+    whose window is the longest.  In rate mode a row carries the rate
+    tau_d / tau_d_u0 - 1 and the u = 0 reference, one per (delta_tilde,
+    r0_tilde, d_i) as P = d_i / 8 at rest;
     otherwise tau_d_u0 repeats tau_d and the rate is 0.  Excluded points
     get NaN entries and the flag 'excluded'.
     """
@@ -390,15 +390,17 @@ def _sweep(
     def tau(part: ParticleParams, kin: KinematicsParams) -> float:
         return tau_d(mat, part, kin, method=method, table=table).tau_d
 
-    refs: dict[ParticleParams, float] = {}
+    refs: dict[tuple[float, float, float], float] = {}
     rows = []
     for pt in points:
         if pt.excluded:
             td = tau0 = rate = math.nan
         elif rate_mode:
-            if pt.part not in refs:
-                refs[pt.part] = tau(pt.part, KinematicsParams(u=0.0))
-            tau0 = refs[pt.part]
+            key = (pt.part.delta_tilde, pt.part.r0_tilde,
+                   orientation_weights(pt.part.orientation).d_i)
+            if key not in refs:
+                refs[key] = tau(pt.part, KinematicsParams(u=0.0))
+            tau0 = refs[key]
             td = tau(pt.part, pt.kin)
             rate = td / tau0 - 1.0
         else:
@@ -544,11 +546,13 @@ def sweep_level_spacing(
     return flagged
 
 
-def _check_fit_velocities(us: np.ndarray, delta_tilde: float) -> None:
-    if us.size < 4:
-        raise DomainError("need at least 4 velocities for the quadratic fit")
+def _check_fit_velocities(us: Sequence[float], delta_tilde: float) -> None:
+    """Refuse velocities a quadratic fit cannot use (quadratic_fit_rows)."""
+    if len(us) < 4:
+        raise ConfigError("u sweeps feeding fits need --points >= 4")
     if np.any(np.abs(us) >= delta_tilde / 2.0):
-        raise DomainError("fit velocities must stay below the threshold delta/2")
+        raise ConfigError(f"u sweeps feeding fits need |u| < delta_tilde/2 = "
+                          f"{delta_tilde / 2.0:.17g}")
 
 
 def quadratic_fit_rows(rows: Sequence[SweepRow]) -> QuadraticFit:
@@ -557,10 +561,10 @@ def quadratic_fit_rows(rows: Sequence[SweepRow]) -> QuadraticFit:
     Requires >= 4 rows, all below u = delta_tilde / 2, where the
     stationary excited population (activation law
     exp(-2 delta_tilde / u), see asymptotic_population) is still under
-    its ~2 % crossover.
+    its ~2 % crossover; callers check the velocities before the sweep
+    (_check_fit_velocities).
     """
     us = np.array([r.u for r in rows], dtype=float)
-    _check_fit_velocities(us, rows[0].delta_tilde if rows else math.inf)
     taus = np.array([r.tau_d for r in rows])
     design = np.vstack([np.ones_like(us), -(us**2)]).T
     coef, *_ = np.linalg.lstsq(design, taus, rcond=None)

@@ -208,11 +208,14 @@ def test_tdec_near_resonance_exit_2(tmp_path, capsys):
     assert "delta_tilde" in capsys.readouterr().err
 
 
-def test_tdec_zero_coupling_exit_3(tmp_path):
+@pytest.mark.parametrize("method", ["numeric", "markov", "analytic"])
+def test_tdec_zero_coupling_exit_3(tmp_path, capsys, method):
     code = run(
-        ["tdec", "--preset", "nv-nsi", "--r0", "0", "--out", str(tmp_path / "x.json")]
+        ["tdec", "--preset", "nv-nsi", "--r0", "0", "--method", method,
+         "--out", str(tmp_path / "x.json")]
     )
     assert code == 3
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -546,7 +546,7 @@ def test_markov_static_value(name):
     mk = markov_limit(mat, part, rest)
     d_i = orientation_weights(part.orientation).d_i
     exact = part.r0_tilde * d_i * spectral_density(part.delta_tilde, mat.gamma_tilde) / 32.0
-    assert mk.D_inf == pytest.approx(exact, rel=1e-9, abs=0.0)
+    assert mk.D_inf == pytest.approx(exact, rel=1e-10, abs=0.0)
     assert mk.zeta_inf == pytest.approx(exact, rel=1e-9, abs=0.0)
     assert asymptotic_population(mat, part, rest, mk) == 0.0
     if name == "nv-nsi":
@@ -554,18 +554,19 @@ def test_markov_static_value(name):
         assert mk.D_inf == pytest.approx(6.4997e-5, abs=2e-9)
 
 
-@pytest.mark.parametrize("gt", [2.0, 2.5, 4.0])
+@pytest.mark.parametrize("gt", [2.0, 2.5, 4.0, 10.0])
 @pytest.mark.parametrize("name", ["nv-nsi", "rb-nsi", "rb-au", "nv-au"])
 def test_markov_static_value_overdamped(name, gt):
-    # the same limit at and above critical damping, to 1e-8: the tail
-    # correction omits the -6 gt (gt^2 - 2)/t^4 order of the cosine
-    # kernel, 4.2e-9 of D_inf on rb-nsi at gt = 4
+    # the same limit at and above critical damping: the tail correction
+    # takes the kernel's -gt/t^2 and -6 gt (gt^2 - 2)/t^4 orders and
+    # leaves an O(T^-5) residual that grows with the damping, 3.9e-11 of
+    # D_inf at worst up to gt = 4 and 6.3e-10 at gt = 10 (rb-au)
     mat, part = preset(name)
     mat = dataclasses.replace(mat, gamma_tilde=gt)
     mk = markov_limit(mat, part, KinematicsParams(u=0.0))
     d_i = orientation_weights(part.orientation).d_i
     exact = part.r0_tilde * d_i * spectral_density(part.delta_tilde, gt) / 32.0
-    assert mk.D_inf == pytest.approx(exact, rel=1e-8, abs=0.0)
+    assert mk.D_inf == pytest.approx(exact, rel=1e-9 if gt == 10.0 else 1e-10, abs=0.0)
     assert mk.zeta_inf == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 

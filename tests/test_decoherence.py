@@ -260,9 +260,9 @@ def test_fit_loglog_slope():
 
 def test_fit_preconditions():
     mat, part = NV_NSI
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match="--points >= 4"):
         quadratic_ratio_fit(mat, part, [0.001, 0.002, 0.004])  # too few
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match="delta_tilde/2"):
         quadratic_ratio_fit(mat, part, [0.001, 0.002, 0.004, 0.15])  # beyond threshold
 
 
@@ -301,6 +301,27 @@ def test_polarization_phi_periodicity_and_polar_degeneracy():
     assert by[(half, 0.0)] == pytest.approx(by[(half, round(math.pi, 6))], rel=1e-12)
     # the polar axis does not know phi at all
     assert by[(0.0, 0.0)] == pytest.approx(by[(0.0, round(math.pi, 6))], rel=1e-12)
+
+
+def test_phi_sweep_shares_one_rest_reference(monkeypatch):
+    # at theta = pi/2 every phi has d_i = 1, and at rest P = d_i / 8, so
+    # one u = 0 trace serves all N angles: N + 1 traces in all
+    import qfd.decoherence
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return coefficients_from_table(*args)
+
+    monkeypatch.setattr(qfd.decoherence, "coefficients_from_table", counted)
+    mat, part = NV_NSI
+    phis = [0.0, 0.5, 1.0, 2.0]
+    rows = sweep_polarization(
+        mat, part, KinematicsParams(u=0.003), [math.pi / 2], phis, rate_mode=True
+    )
+    assert len(calls) == len(phis) + 1
+    assert len({r.tau_d_u0 for r in rows}) == 1
 
 
 def test_polarization_grid_validation():
