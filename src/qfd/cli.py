@@ -305,7 +305,7 @@ def _grid(args: argparse.Namespace, cfg: RunConfig, pts_per_cycle: int) -> np.nd
     if not 0 < args.cycles < math.inf:
         raise ConfigError(f"--cycles must be finite and > 0, got {args.cycles}")
     return time_grid(cfg.particle.delta_tilde, cfg.material.gamma_tilde, args.cycles,
-                     pts_per_cycle)
+                     pts_per_cycle, cycles_name="--cycles")
 
 
 def cmd_coeffs(args: argparse.Namespace, cfg: RunConfig) -> int:

@@ -129,11 +129,12 @@ def _cos_tail_coefficients(gamma_tilde: float, scale: float = 1.0) -> np.ndarray
     return _FAR_FACTORS * (gamma_tilde * scale * scale) * np.array(e)
 
 
-def omega_kernel_cos(t_prime, gamma_tilde: float):
-    """Cosine transform of the spectral density, Kc(t'), even in t'.
+def omega_kernels(t_prime, gamma_tilde: float) -> tuple[np.ndarray, np.ndarray]:
+    """Both frequency kernels (Kc, Ks) at delays t' >= 0, in one pass.
 
-    Closed form for every damping, with G(z) = e^z E1(z).  Below
-    gamma_tilde = 2, with the pole w_r and s4 = sqrt(4 - gamma_tilde^2),
+    Kc(t') = int_0^inf J(w) cos(w t') dw is closed-form for every
+    damping, with G(z) = e^z E1(z).  Below gamma_tilde = 2, with the pole
+    w_r and s4 = sqrt(4 - gamma_tilde^2),
         Kc(t) = [pi Re e^{i w_r t} + Im G(i w_r t) + Im G(-i w_r t)] / s4,
     Kc(0) = (pi - 2 arg w_r) / s4.  Above it, J = [w/(w^2 + a^2) -
     w/(w^2 + b^2)] / s (_overdamped_rates) and, by G&R 3.723,
@@ -152,78 +153,81 @@ def omega_kernel_cos(t_prime, gamma_tilde: float):
     The series stops at _FAR_TERMS terms, near its smallest term, where
     its error is of that same order, so the far branch is exact to
     rounding.
+
+    Ks(t') = int_0^inf J(w) sin(w t') dw: the odd extension of J is
+    analytic, so it is a pure residue term with no exponential-integral
+    remainder,
+        pi Im e^{i w_r t} / s4,  pi (t/2) e^{-t}  and  pi (e^{-a t} - e^{-b t}) / (2 s)
+    below, at and above gamma_tilde = 2.  Below 2, e^{i w_r t} is
+    computed once per delay for both kernels.
     """
-    scalar = np.isscalar(t_prime)
-    t = np.abs(np.atleast_1d(np.asarray(t_prime, dtype=float)))
+    t = np.atleast_1d(np.asarray(t_prime, dtype=float))
     gt = gamma_tilde
     if gt < 2.0:
         w, s4 = _pole_pair(gt)
         p, k0 = 1.0, (math.pi - 2.0 * math.atan2(w.imag, w.real)) / s4
+        pole = np.exp(1j * w * t)
+        residue = math.pi * pole.real
+        ks = math.pi * pole.imag / s4
 
-        def closed(x):
-            z = 1j * w * x
+        def closed(sel):
+            z = 1j * w * t[sel]
             g_plus = exp_integral_e1_scaled(z)
             g_minus = exp_integral_e1_scaled(-z)
-            return (math.pi * np.exp(1j * w * x).real + g_plus.imag + g_minus.imag) / s4
+            return (residue[sel] + g_plus.imag + g_minus.imag) / s4
 
     elif gt == 2.0:
         p, k0 = 1.0, 1.0
+        ks = 0.5 * math.pi * t * np.exp(-t)
 
-        def closed(x):
+        def closed(sel):
+            x = t[sel]
             return 1.0 - 0.5 * x * (exp_integral_ei_scaled(x) + exp_integral_e1_scaled(x).real)
 
     else:
         a, b, s = _overdamped_rates(gt)
         p, k0 = a, 2.0 * math.log(b) / s
+        ks = -math.pi * np.exp(-a * t) * np.expm1(-s * t) / (2.0 * s)
 
         def h(x):
             return exp_integral_e1_scaled(x).real - exp_integral_ei_scaled(x)
 
-        def closed(x):
+        def closed(sel):
+            x = t[sel]
             return (h(a * x) - h(b * x)) / (2.0 * s)
 
-    out = np.empty_like(t)
+    kc = np.empty_like(t)
     zero = t == 0.0
     far = p * t >= _FAR_PT
     near = ~(zero | far)
-    out[zero] = k0
+    kc[zero] = k0
     # a block past the threshold skips the E1 calls' fixed cost
     if near.any():
-        out[near] = closed(t[near])
-    tf = t[far]
-    y = (p * tf) ** -2.0
-    series = np.zeros_like(tf)
+        kc[near] = closed(near)
+    y = (p * t[far]) ** -2.0
+    series = np.zeros_like(y)
     for c in _cos_tail_coefficients(gt, p)[::-1]:
         series += c
         series *= y
-    out[far] = series
     if gt < 2.0:
-        out[far] += math.pi * np.exp(1j * w * tf).real / s4
-    return float(out[0]) if scalar else out
+        series += residue[far] / s4
+    kc[far] = series
+    return kc, ks
+
+
+def omega_kernel_cos(t_prime, gamma_tilde: float):
+    """Cosine transform of the spectral density, Kc(t'), even in t'
+    (omega_kernels)."""
+    kc, _ = omega_kernels(np.abs(t_prime), gamma_tilde)
+    return float(kc[0]) if np.isscalar(t_prime) else kc
 
 
 def omega_kernel_sin(t_prime, gamma_tilde: float):
-    """Sine transform of the spectral density, Ks(t'), odd in t'.
-
-    The odd extension of J is analytic, so the transform is a pure
-    residue term with no exponential-integral remainder, for t >= 0
-        pi Im e^{i w_r t} / s4,  pi (t/2) e^{-t}  and  pi (e^{-a t} - e^{-b t}) / (2 s)
-    below, at and above gamma_tilde = 2 (as in omega_kernel_cos).
-    """
-    scalar = np.isscalar(t_prime)
-    t = np.atleast_1d(np.asarray(t_prime, dtype=float))
-    sign = np.sign(t)
-    ta = np.abs(t)
-    gt = gamma_tilde
-    if gt < 2.0:
-        w, s4 = _pole_pair(gt)
-        out = sign * math.pi * np.exp(1j * w * ta).imag / s4
-    elif gt == 2.0:
-        out = sign * 0.5 * math.pi * ta * np.exp(-ta)
-    else:
-        a, b, s = _overdamped_rates(gt)
-        out = sign * -math.pi * np.exp(-a * ta) * np.expm1(-s * ta) / (2.0 * s)
-    return float(out[0]) if scalar else out
+    """Sine transform of the spectral density, Ks(t'), odd in t'
+    (omega_kernels)."""
+    _, ks = omega_kernels(np.abs(t_prime), gamma_tilde)
+    out = np.sign(t_prime) * ks
+    return float(out[0]) if np.isscalar(t_prime) else out
 
 
 def _frequency_tail(omega_max: float, t: np.ndarray, gamma_tilde: float) -> np.ndarray:
@@ -349,12 +353,30 @@ def kernel_decay_time(gamma_tilde: float) -> float:
 # grid points per natural cycle of every grid that is not given one
 DEFAULT_PTS_PER_CYCLE = 400
 
+# most panel nodes a kernel table may hold: at 32 B per node (node,
+# weight, Kc and Ks) 2^26 nodes take 2.1 GB, while the largest default
+# plan, nv-au tdec, builds 8.4 M
+_MAX_TABLE_NODES = 2**26
+
+
+def _check_table_nodes(nodes: float, knob: str) -> None:
+    """Refuse a plan of more than _MAX_TABLE_NODES panel nodes, counted
+    before any array is built, naming the parameter to lower."""
+    if not nodes <= _MAX_TABLE_NODES:
+        raise ConfigError(
+            f"the plan needs {nodes:.3g} panel nodes ({32e-9 * nodes:.3g} GB of kernel "
+            f"table), over the budget of {_MAX_TABLE_NODES} "
+            f"({32e-9 * _MAX_TABLE_NODES:.2g} GB): lower {knob}"
+        )
+
 
 def time_grid(
     delta_tilde: float,
     gamma_tilde: float,
     n_cycles: float,
     pts_per_cycle: int = DEFAULT_PTS_PER_CYCLE,
+    *,
+    cycles_name: str = "n_cycles",
 ) -> np.ndarray:
     """Hybrid simulation grid over n_cycles natural cycles.
 
@@ -362,6 +384,11 @@ def time_grid(
     order-one kernel oscillations stay resolved) while the kernels are
     alive, then sparse sampling where every coefficient has become
     constant and only slow exponentials remain.
+
+    A grid whose kernel table would pass _MAX_TABLE_NODES panel nodes is
+    refused before it is built (ConfigError), naming pts_per_cycle when
+    the dense part at pts_per_cycle spacing holds most of them, and
+    cycles_name, the caller's name for the horizon, otherwise.
     """
     if not 0 < n_cycles < math.inf or pts_per_cycle < 8:
         raise GridError("need finite n_cycles > 0 and pts_per_cycle >= 8")
@@ -369,13 +396,21 @@ def time_grid(
     t_end = n_cycles * cycle
     h_dense = min(cycle / pts_per_cycle, 0.1)
     t_dense_end = min(t_end, kernel_decay_time(gamma_tilde) + 2.0 * cycle)
-    n_dense = int(math.ceil(t_dense_end / h_dense))
-    dense = np.linspace(0.0, t_dense_end, n_dense + 1)
+    h_sparse = cycle / 16.0
+    # panel counts as floats: a horizon past the float range counts inf
+    # panels and is refused, where math.ceil would raise OverflowError
+    n_dense = np.ceil(t_dense_end / h_dense)
+    n_sparse = np.ceil((t_end - t_dense_end) / h_sparse)
+    # the table's panel nodes (_panel_nodes): 4 per dense panel, 4 per
+    # sub-panel of each sparse one
+    dense_nodes = 4.0 * n_dense
+    sparse_nodes = 4.0 * n_sparse * np.ceil(h_sparse / _MAX_SUBPANEL_WIDTH)
+    by_density = cycle / pts_per_cycle < 0.1 and dense_nodes > sparse_nodes
+    _check_table_nodes(dense_nodes + sparse_nodes, "pts_per_cycle" if by_density else cycles_name)
+    dense = np.linspace(0.0, t_dense_end, int(n_dense) + 1)
     if t_dense_end >= t_end:
         return dense
-    h_sparse = cycle / 16.0
-    n_sparse = int(math.ceil((t_end - t_dense_end) / h_sparse))
-    sparse = np.linspace(t_dense_end, t_end, n_sparse + 1)[1:]
+    sparse = np.linspace(t_dense_end, t_end, int(n_sparse) + 1)[1:]
     return np.concatenate([dense, sparse])
 
 
@@ -397,9 +432,10 @@ def _check_grid(grid: np.ndarray) -> np.ndarray:
 
 _MAX_SUBPANEL_WIDTH = 0.5
 
-# node block of make_kernel_table, whose complex temporaries then take
-# 64 KiB: blocks of 8192 raised the peak RSS of `coeffs --method all` by
-# a further 0.7 MB, and each block adds a fixed E1 loop overhead
+# node block of make_kernel_table and coefficients_from_table, whose
+# complex temporaries then take 64 KiB: blocks of 8192 raised the peak
+# RSS of `coeffs --method all` by a further 0.7 MB, and each block adds
+# a fixed E1 loop overhead
 _KERNEL_BLOCK = 4096
 
 
@@ -409,11 +445,14 @@ def _panel_nodes(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Panels wider than _MAX_SUBPANEL_WIDTH are split so the degree-7 rule
     stays far beyond any caller tolerance even on coarse oracle grids.
     Returns (nodes, weights, reduce_offsets) where reduce_offsets maps
-    flattened node blocks back onto grid panels.
+    flattened node blocks back onto grid panels.  A grid of more than
+    _MAX_TABLE_NODES nodes is refused before any node is built.
     """
     a = grid[:-1]
     b = grid[1:]
-    counts = np.maximum(1, np.ceil((b - a) / _MAX_SUBPANEL_WIDTH).astype(int))
+    counts = np.ceil((b - a) / _MAX_SUBPANEL_WIDTH)
+    _check_table_nodes(4.0 * counts.sum(), "the number or the span of the grid's points")
+    counts = np.maximum(1, counts.astype(int))
     first = np.concatenate([[0], np.cumsum(counts)[:-1]])
     j = np.arange(first[-1] + counts[-1]) - np.repeat(first, counts)
     # np.linspace(a, b, k + 1) arithmetic, edge j = j * ((b - a) / k) + a,
@@ -432,7 +471,13 @@ def _panel_nodes(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class KernelTable:
     """Kernel samples on a grid's quadrature nodes, reusable across
     velocities, level spacings and dipole orientations (the kernels
-    depend only on the damping)."""
+    depend only on the damping).
+
+    The table is the one array set that grows with the plan: 32 B per
+    node (nodes, weights, kc, ks), 4 nodes per sub-panel; offsets[i] is
+    the first node of grid panel i.  Traces read it in blocks and add
+    only block-sized temporaries.
+    """
 
     grid: np.ndarray
     nodes: np.ndarray
@@ -445,8 +490,8 @@ class KernelTable:
 def make_kernel_table(gamma_tilde: float, grid) -> KernelTable:
     """Evaluate both closed-form kernels on the panel nodes of a grid.
 
-    The kernels run over blocks of _KERNEL_BLOCK nodes, which bounds
-    their complex temporaries; every value is bit-identical to one
+    One omega_kernels pass per block of _KERNEL_BLOCK nodes, which bounds
+    its complex temporaries; every value is bit-identical to one
     whole-array call.
     """
     g = _check_grid(grid)
@@ -455,33 +500,56 @@ def make_kernel_table(gamma_tilde: float, grid) -> KernelTable:
     ks = np.empty_like(nodes)
     for i in range(0, nodes.size, _KERNEL_BLOCK):
         block = slice(i, i + _KERNEL_BLOCK)
-        kc[block] = omega_kernel_cos(nodes[block], gamma_tilde)
-        ks[block] = omega_kernel_sin(nodes[block], gamma_tilde)
+        kc[block], ks[block] = omega_kernels(nodes[block], gamma_tilde)
     return KernelTable(grid=g, nodes=nodes, weights=wts, offsets=offsets, kc=kc, ks=ks)
+
+
+def _panel_blocks(offsets: np.ndarray, n_nodes: int):
+    """Runs (p0, p1, n0, n1) of whole grid panels p0..p1-1, nodes
+    n0..n1-1, of at most _KERNEL_BLOCK nodes each; a wider panel is a
+    run of its own."""
+    starts = np.append(offsets, n_nodes)
+    p0 = 0
+    while p0 < offsets.size:
+        n0 = starts[p0]
+        p1 = max(int(np.searchsorted(starts, n0 + _KERNEL_BLOCK, side="right")) - 1, p0 + 1)
+        yield p0, p1, n0, starts[p1]
+        p0 = p1
 
 
 def coefficients_from_table(
     table: KernelTable, part: ParticleParams, kin: KinematicsParams
 ) -> CoefficientTrace:
-    """Coefficient trace from precomputed kernel samples."""
+    """Coefficient trace from precomputed kernel samples.
+
+    The table is read in blocks of whole grid panels holding at most
+    _KERNEL_BLOCK nodes (a wider panel alone), so the envelope, the
+    phase factors and the three integrands exist one block at a time.
+    Each block's panel sums land in one (3, grid.size) array whose
+    cumulative sum gives D, f and zeta: the same elementwise products
+    and per-panel sums as one whole-table pass, so bit-identical to it.
+    """
     g = table.grid
     dt = part.delta_tilde
-    pref = part.r0_tilde / TWO_PI
-    nodes = table.nodes
-    pv = kernel_P(abs(kin.u) * nodes, part.orientation)
-    cosn = np.cos(dt * nodes)
-    sinn = np.sin(dt * nodes)
-
-    def prefix(values: np.ndarray) -> np.ndarray:
-        panel = np.add.reduceat(values * table.weights, table.offsets)
-        out = np.empty(g.size)
-        out[0] = 0.0
-        np.cumsum(panel, out=out[1:])
-        return pref * out
-
-    D = prefix(cosn * table.kc * pv)
-    f = prefix(sinn * table.kc * pv)
-    zeta = prefix(sinn * table.ks * pv)
+    u = abs(kin.u)
+    sums = np.empty((3, g.size))
+    sums[:, 0] = 0.0
+    for p0, p1, n0, n1 in _panel_blocks(table.offsets, table.nodes.size):
+        x = table.nodes[n0:n1]
+        w = table.weights[n0:n1]
+        kc = table.kc[n0:n1]
+        ks = table.ks[n0:n1]
+        pv = kernel_P(u * x, part.orientation)
+        cosn = np.cos(dt * x)
+        sinn = np.sin(dt * x)
+        panels = table.offsets[p0:p1] - n0
+        out = sums[:, 1 + p0 : 1 + p1]
+        np.add.reduceat(cosn * kc * pv * w, panels, out=out[0])
+        np.add.reduceat(sinn * kc * pv * w, panels, out=out[1])
+        np.add.reduceat(sinn * ks * pv * w, panels, out=out[2])
+    np.cumsum(sums[:, 1:], axis=1, out=sums[:, 1:])
+    sums *= part.r0_tilde / TWO_PI
+    D, f, zeta = sums
     return CoefficientTrace(
         grid=g,
         D=D,

@@ -156,7 +156,8 @@ def decoherence_table(
     window = decoherence_window(delta_tilde, mat.gamma_tilde)
     if horizon_cycles is not None:
         window = min(window, horizon_cycles * cycle)
-    grid = time_grid(delta_tilde, mat.gamma_tilde, window / cycle, pts_per_cycle)
+    grid = time_grid(delta_tilde, mat.gamma_tilde, window / cycle, pts_per_cycle,
+                     cycles_name="horizon_cycles")
     return make_kernel_table(mat.gamma_tilde, _graded_start(grid))
 
 

@@ -3,6 +3,7 @@
 import configparser
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -409,6 +410,35 @@ def test_sweep_config_error_exit_2(tmp_path, capsys):
         assert run(argv + ["--out", str(tmp_path / "x.out")]) == 2, argv
         assert name in capsys.readouterr().err
     assert not (tmp_path / "x.out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["evolve", "--preset", "nv-nsi", "--u", "0.3", "--cycles", "1e12"], "--cycles"),
+        # a horizon past the float range, inf panels
+        (["coeffs", "--preset", "nv-nsi", "--cycles", "1e308"], "--cycles"),
+        (["tdec", "--preset", "nv-au", "--pts-per-cycle", "10000000"], "pts_per_cycle"),
+        # a window of 3 cycles of 6e7 at the spacing cap 0.1
+        (["tdec", "--preset", "nv-nsi", "--delta", "1e-7"], "horizon_cycles"),
+    ],
+    ids=["evolve-cycles", "coeffs-cycles-inf", "tdec-pts-per-cycle", "tdec-window"],
+)
+def test_oversized_plan_exit_2_before_allocating(tmp_path, capsys, argv, name):
+    # a kernel table of terabytes is refused from its node count, before
+    # any grid, node or kernel array is built
+    out = tmp_path / "x.out"
+    tracemalloc.start()
+    try:
+        code = run(argv + ["--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"lower {name}" in err and "budget" in err
+    assert peak < 1e6
+    assert not out.exists()
 
 
 def test_sweep_json_format(tmp_path):

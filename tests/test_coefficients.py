@@ -3,6 +3,7 @@ Markov limits, symmetry and linearity properties."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -21,6 +22,7 @@ from qfd.coefficients import (
     coefficients_analytic_small_u,
     coefficients_brute,
     coefficients_e1,
+    coefficients_from_table,
     csv_table,
     make_kernel_table,
     markov_limit,
@@ -29,11 +31,12 @@ from qfd.coefficients import (
     time_grid,
 )
 from qfd.dynamics import asymptotic_population
-from qfd.errors import GridError
+from qfd.errors import ConfigError, GridError
 from qfd.model import (
     KinematicsParams,
     MaterialParams,
     ParticleParams,
+    kernel_P,
     orientation_weights,
     pole_omega_r,
     preset,
@@ -41,6 +44,7 @@ from qfd.model import (
     spectral_density_d2,
     unit_orientation,
 )
+from qfd.numerics import cumulative_integral
 
 NV_NSI = preset("nv-nsi")
 
@@ -372,13 +376,96 @@ def test_kernel_table_blocks_match_whole_array_bitwise():
     # 3.5 node blocks, whose nodes take both E1 branches and, from the
     # far threshold on, which falls inside a block, the 1/t^2 series
     grid = np.linspace(0.0, 200.0, 7 * _KERNEL_BLOCK // 8 + 1)
-    for gt in (0.003, 1.0, 2.5):
+    # 2.0 is the double-pole form, dispatched beside the other two
+    for gt in (0.003, 1.0, 2.0, 2.5):
         table = make_kernel_table(gt, grid)
         assert table.nodes.size > 3 * _KERNEL_BLOCK
         first_far = np.searchsorted(nearest_pole_distance(gt) * table.nodes, _FAR_PT)
         assert 0 < first_far % _KERNEL_BLOCK and first_far < table.nodes.size
         assert np.array_equal(table.kc, omega_kernel_cos(table.nodes, gt))
         assert np.array_equal(table.ks, omega_kernel_sin(table.nodes, gt))
+
+
+def trace_reference(table, part, kin):
+    """(D, f, zeta, cumD, cumF) from one whole-table pass: every node's
+    integrand at once, summed per panel by one reduceat."""
+    pref = part.r0_tilde / (2.0 * math.pi)
+    nodes = table.nodes
+    pv = kernel_P(abs(kin.u) * nodes, part.orientation)
+    cosn = np.cos(part.delta_tilde * nodes)
+    sinn = np.sin(part.delta_tilde * nodes)
+
+    def prefix(values):
+        panel = np.add.reduceat(values * table.weights, table.offsets)
+        out = np.empty(table.grid.size)
+        out[0] = 0.0
+        np.cumsum(panel, out=out[1:])
+        return pref * out
+
+    D = prefix(cosn * table.kc * pv)
+    f = prefix(sinn * table.kc * pv)
+    zeta = prefix(sinn * table.ks * pv)
+    return D, f, zeta, cumulative_integral(table.grid, D), cumulative_integral(table.grid, f)
+
+
+# 1,000 panels of 4 nodes, then 500 of 5 sub-panels (20 nodes), so that
+# no multiple of _KERNEL_BLOCK is a panel edge
+BLOCKED_GRID = np.concatenate([np.linspace(0.0, 100.0, 1001), 100.0 + 2.3 * np.arange(1, 501)])
+
+
+@pytest.mark.parametrize("gt", [0.003, 1.0, 2.5])
+@pytest.mark.parametrize(
+    "grid", [BLOCKED_GRID, np.array([0.0, 5000.0])], ids=["panel-blocks", "one-wide-panel"]
+)
+def test_blocked_trace_matches_whole_table_bitwise(gt, grid):
+    table = make_kernel_table(gt, grid)
+    if grid.size == 2:
+        # a single panel of 40,000 nodes, one block of its own
+        assert table.nodes.size > _KERNEL_BLOCK
+    else:
+        assert table.nodes.size > 3 * _KERNEL_BLOCK
+        multiples = set(range(_KERNEL_BLOCK, table.nodes.size, _KERNEL_BLOCK))
+        assert not multiples & set(table.offsets)
+    oblique = unit_orientation((0.3, 0.5, 0.8))
+    for u in (0.0, 0.3):
+        for n in ((1.0, 0.0, 0.0), oblique):
+            part = ParticleParams(delta_tilde=0.9, r0_tilde=1e-2, orientation=n)
+            kin = KinematicsParams(u=u)
+            trace = coefficients_from_table(table, part, kin)
+            got = (trace.D, trace.f, trace.zeta, trace.cumD, trace.cumF)
+            for name, a, b in zip(("D", "f", "zeta", "cumD", "cumF"), got,
+                                  trace_reference(table, part, kin)):
+                assert np.array_equal(a, b), (name, u, n)
+
+
+def test_trace_temporaries_stay_block_sized():
+    # 130 k panels, 520 k nodes, most on the cheap far branch of Kc; the
+    # trace holds its 3 coefficient and 2 cumulative arrays plus the
+    # trapezoid's grid-sized temporaries, about 8 grid.nbytes, where a
+    # whole-table pass holds several node-sized arrays on top
+    table = make_kernel_table(1.0, np.linspace(0.0, 13000.0, 130001))
+    assert table.nodes.size >= 500_000
+    part = ParticleParams(delta_tilde=0.9, r0_tilde=1e-2, orientation=unit_orientation((1, 1, 1)))
+    tracemalloc.start()
+    try:
+        coefficients_from_table(table, part, KinematicsParams(u=0.3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * table.grid.nbytes
+
+
+def test_oversized_grid_is_refused_before_allocating():
+    # one panel of 8e12 nodes, refused from the sub-panel counts (the CLI
+    # plans are refused earlier, by time_grid)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="panel nodes"):
+            _panel_nodes(np.array([0.0, 1e12]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 # ---------------------------------------------------------------------------
