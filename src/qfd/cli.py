@@ -11,8 +11,9 @@ Configuration is a flat INI file whose keys are declared once, in
 ``_KEYS``, with CLI flags as overrides (resolve_config gives the order);
 ``--dump-config`` emits the fully resolved file, which re-ingests to the
 byte-identical result; a section or key it does not declare is refused.
-Tables are written by ``qfd.coefficients.csv_table``, floats always with
-17 significant digits, and files are written atomically.
+Tables are written by ``qfd.coefficients.csv_table``, every number byte
+for byte as Python's ``'%.17g' % float(v)``, and files are written
+atomically.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 physics-invariant breach.

@@ -281,27 +281,59 @@ def _frequency_kernels(
 # ---------------------------------------------------------------------------
 
 
-# rows per formatting block of csv_table: only one block of columns is
-# held as Python objects at a time, so the formatting adds no memory that
-# grows with the table beyond the text itself
+# rows per formatting block of csv_table: one block's cells are laid out
+# as fixed-width bytes, one column at a time, and compacted into text, so
+# the formatting adds no memory that grows with the table beyond the text
 _CSV_BLOCK = 4096
+
+
+def _text_cells(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The UTF-8 bytes of '%s' % v for every v of a, as cells and lengths."""
+    text = [str(v).encode() for v in a.tolist()]
+    length = np.array([len(t) for t in text], np.int64)
+    width = max(1, int(length.max()))
+    return np.array(text, f"S{width}").view(np.uint8).reshape(len(text), width), length
+
+
+def _join_cells(cells: list[tuple[np.ndarray, np.ndarray]]) -> str:
+    """Rows of equal-height cell blocks as CSV lines: every cell cut to
+    its length and followed by a comma, the last by a newline."""
+    rows = len(cells[0][1])
+    width = sum(c.shape[1] + 1 for c, _ in cells)
+    buf = np.empty((rows, width), np.uint8)
+    keep = np.empty((rows, width), bool)
+    at = 0
+    for c, length in cells:
+        w = c.shape[1]
+        buf[:, at:at + w] = c
+        keep[:, at:at + w] = (np.arange(w) < np.arange(w + 1)[:, None])[length]
+        buf[:, at + w] = ord(",")
+        keep[:, at + w] = True
+        at += w + 1
+    buf[:, -1] = ord("\n")
+    return buf[keep].tobytes().decode()
 
 
 def csv_table(columns: dict[str, Sequence]) -> str:
     """CSV text of equal-length named columns, in the dict's order.
 
-    The names form the header.  Numeric columns print with 17 significant
-    digits (NaN as nan), every other column verbatim with %s.
+    The names form the header.  Numeric columns print byte for byte as
+    Python's '%.17g' % float(v) (NaN as nan), every other column verbatim
+    with %s.
     """
     arrays = [np.asarray(c) for c in columns.values()]
     n = len(arrays[0])
     if any(len(a) != n for a in arrays):
         raise GridError("all CSV columns must have the same length")
-    line = ",".join("%.17g" if a.dtype.kind in "fiu" else "%s" for a in arrays) + "\n"
+    # imported on first use, so that runs writing no table (tdec) never
+    # load it: compiled at import, with no bytecode cache, it raised gold
+    # tdec's peak RSS by 0.4 MB
+    from qfd.g17 import g17_cells
+
+    formats = [g17_cells if a.dtype.kind in "fiu" else _text_cells for a in arrays]
     blocks = [",".join(columns) + "\n"]
     for i in range(0, n, _CSV_BLOCK):
-        rows = zip(*(a[i:i + _CSV_BLOCK].tolist() for a in arrays))
-        blocks.append("".join([line % row for row in rows]))
+        blocks.append(_join_cells([f(a[i:i + _CSV_BLOCK]) for f, a in zip(formats, arrays)]))
     return "".join(blocks)
 
 
@@ -359,14 +391,14 @@ DEFAULT_PTS_PER_CYCLE = 400
 _MAX_TABLE_NODES = 2**26
 
 
-def _check_table_nodes(nodes: float, knob: str) -> None:
+def _check_table_nodes(nodes: float, remedy: str) -> None:
     """Refuse a plan of more than _MAX_TABLE_NODES panel nodes, counted
-    before any array is built, naming the parameter to lower."""
+    before any array is built, with the remedy naming the parameter."""
     if not nodes <= _MAX_TABLE_NODES:
         raise ConfigError(
             f"the plan needs {nodes:.3g} panel nodes ({32e-9 * nodes:.3g} GB of kernel "
             f"table), over the budget of {_MAX_TABLE_NODES} "
-            f"({32e-9 * _MAX_TABLE_NODES:.2g} GB): lower {knob}"
+            f"({32e-9 * _MAX_TABLE_NODES:.2g} GB): {remedy}"
         )
 
 
@@ -386,16 +418,19 @@ def time_grid(
     constant and only slow exponentials remain.
 
     A grid whose kernel table would pass _MAX_TABLE_NODES panel nodes is
-    refused before it is built (ConfigError), naming pts_per_cycle when
-    the dense part at pts_per_cycle spacing holds most of them, and
-    cycles_name, the caller's name for the horizon, otherwise.
+    refused before it is built (ConfigError).  The message names
+    pts_per_cycle when its least value, 8, would fit the budget; else
+    gamma_tilde when the kernels' decay time, reached by the horizon,
+    spans a dense part that holds most nodes; else cycles_name, the
+    caller's name for the horizon.
     """
     if not 0 < n_cycles < math.inf or pts_per_cycle < 8:
         raise GridError("need finite n_cycles > 0 and pts_per_cycle >= 8")
     cycle = TWO_PI / delta_tilde
     t_end = n_cycles * cycle
     h_dense = min(cycle / pts_per_cycle, 0.1)
-    t_dense_end = min(t_end, kernel_decay_time(gamma_tilde) + 2.0 * cycle)
+    decay = kernel_decay_time(gamma_tilde)
+    t_dense_end = min(t_end, decay + 2.0 * cycle)
     h_sparse = cycle / 16.0
     # panel counts as floats: a horizon past the float range counts inf
     # panels and is refused, where math.ceil would raise OverflowError
@@ -405,8 +440,15 @@ def time_grid(
     # sub-panel of each sparse one
     dense_nodes = 4.0 * n_dense
     sparse_nodes = 4.0 * n_sparse * np.ceil(h_sparse / _MAX_SUBPANEL_WIDTH)
-    by_density = cycle / pts_per_cycle < 0.1 and dense_nodes > sparse_nodes
-    _check_table_nodes(dense_nodes + sparse_nodes, "pts_per_cycle" if by_density else cycles_name)
+    dense_at_8 = 4.0 * np.ceil(t_dense_end / min(cycle / 8.0, 0.1))
+    if dense_at_8 + sparse_nodes <= _MAX_TABLE_NODES:
+        remedy = "lower pts_per_cycle"
+    elif dense_at_8 > sparse_nodes and t_end >= decay >= 2.0 * cycle:
+        # the decay time is shortest at gamma_tilde = 2
+        remedy = ("raise" if gamma_tilde < 2.0 else "lower") + " gamma_tilde"
+    else:
+        remedy = f"lower {cycles_name}"
+    _check_table_nodes(dense_nodes + sparse_nodes, remedy)
     dense = np.linspace(0.0, t_dense_end, int(n_dense) + 1)
     if t_dense_end >= t_end:
         return dense
@@ -451,7 +493,7 @@ def _panel_nodes(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a = grid[:-1]
     b = grid[1:]
     counts = np.ceil((b - a) / _MAX_SUBPANEL_WIDTH)
-    _check_table_nodes(4.0 * counts.sum(), "the number or the span of the grid's points")
+    _check_table_nodes(4.0 * counts.sum(), "lower the number or the span of the grid's points")
     counts = np.maximum(1, counts.astype(int))
     first = np.concatenate([[0], np.cumsum(counts)[:-1]])
     j = np.arange(first[-1] + counts[-1]) - np.repeat(first, counts)
@@ -661,37 +703,47 @@ def _by_parts(kappa: complex, t, derivs) -> np.ndarray:
     return np.exp(1j * kappa * t) * terms
 
 
-def _exp_e1_antiderivative(a: complex, b: complex, t: np.ndarray) -> np.ndarray:
-    """int_0^t exp(a s) E1(b s) ds for rays Re(b s) along fixed directions.
+def _exp_e1_antiderivative(a: complex, b: complex, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F(a) = int_0^t exp(a s) E1(b s) ds for rays Re(b s) along fixed
+    directions, and its second derivative in a.
 
-    Equals [e^{at} E1(bt) - E1((b-a)t) - Log(b-a) + Log(b)] / a with both
-    logarithms on their principal branches; every factor is evaluated in
+    F = N / a with N = e^{at} E1(bt) - E1(dt) - Log(d) + Log(b), d = b - a,
+    both logarithms on their principal branches.  Only e^{at}, E1(dt) and
+    Log(d) depend on a, with elementary derivatives:
+        N'  = t e^{at} E1(bt) + (1 - e^{-dt}) / d,
+        N'' = t^2 e^{at} E1(bt) + (1 - (1 + dt) e^{-dt}) / d^2,
+    and F'' = (N'' - 2 N'/a + 2 N/a^2) / a.  Every factor is evaluated in
     the overflow-free scaled form e^z E1(z).
     """
     d = b - a
-    val = (
-        np.exp((a - b) * t) * exp_integral_e1_scaled(b * t)
-        - np.exp(-d * t) * exp_integral_e1_scaled(d * t)
-        - np.log(d)
-        + np.log(b)
-    )
-    return val / a
+    decay = np.exp(-d * t)
+    head = decay * exp_integral_e1_scaled(b * t)  # e^{at} E1(bt)
+    n0 = head - decay * exp_integral_e1_scaled(d * t) - np.log(d) + np.log(b)
+    rise = -np.expm1(-d * t)
+    n1 = t * head + rise / d
+    n2 = t * t * head + (rise - d * t * decay) / (d * d)
+    return n0 / a, (n2 - 2.0 * n1 / a + 2.0 * n0 / (a * a)) / a
 
 
 def _e1_correction_sums(w: complex, dt: float, t: np.ndarray):
     """Time integrals of the kernel's exponential-integral remainder.
 
-    Returns (C, S): the cosine- and sine-weighted integrals
+    Returns (C, S, C'', S''): the cosine- and sine-weighted integrals
         C(t) = int_0^t cos(dt s) Im[G(i w s) + G(-i w s)] ds
-        S(t) = int_0^t sin(dt s) Im[G(i w s) + G(-i w s)] ds.
+        S(t) = int_0^t sin(dt s) Im[G(i w s) + G(-i w s)] ds
+    and their second derivatives in dt, in closed form.
     """
-    t1 = _exp_e1_antiderivative(1j * (w + dt), 1j * w, t)
-    t2 = _exp_e1_antiderivative(1j * (dt - w), -1j * w, t)
-    t3 = _exp_e1_antiderivative(1j * (w - dt), 1j * w, t)
-    t4 = _exp_e1_antiderivative(-1j * (w + dt), -1j * w, t)
+    (t1, q1), (t2, q2), (t3, q3), (t4, q4) = [
+        _exp_e1_antiderivative(a, b, t)
+        for a, b in ((1j * (w + dt), 1j * w), (1j * (dt - w), -1j * w),
+                     (1j * (w - dt), 1j * w), (-1j * (w + dt), -1j * w))
+    ]
+    # every a is +-i (w +- dt), so d2/d dt2 = (+-i)^2 d2/da2 = -d2/da2
     c = 0.5 * (t1 + t2 + t3 + t4).imag
     s = -0.5 * (t1 + t2 - t3 - t4).real
-    return c, s
+    cdd = -0.5 * (q1 + q2 + q3 + q4).imag
+    sdd = 0.5 * (q1 + q2 - q3 - q4).real
+    return c, s, cdd, sdd
 
 
 def coefficients_analytic_small_u(
@@ -735,14 +787,8 @@ def coefficients_analytic_small_u(
     f_res = res_pref * (i_plus.imag - i_minus.imag)
     z_res = -res_pref * (i_plus.real - i_minus.real)
 
-    # exponential-integral correction with the envelope expanded to u^2;
-    # the second delta-derivative is taken by central differences
-    h = 1e-3
-    c0, s0 = _e1_correction_sums(w, dt, tpos)
-    cp, sp = _e1_correction_sums(w, dt + h, tpos)
-    cm, sm = _e1_correction_sums(w, dt - h, tpos)
-    cdd = (cp - 2.0 * c0 + cm) / (h * h)
-    sdd = (sp - 2.0 * s0 + sm) / (h * h)
+    # exponential-integral correction with the envelope expanded to u^2
+    c0, s0, cdd, sdd = _e1_correction_sums(w, dt, tpos)
     corr_pref = r0t / (TWO_PI * s4)
     d_corr = corr_pref * (wts.d_i / 8.0 * c0 + 3.0 / 64.0 * wts.d_a * u2 * cdd)
     f_corr = corr_pref * (wts.d_i / 8.0 * s0 + 3.0 / 64.0 * wts.d_a * u2 * sdd)

@@ -413,18 +413,23 @@ def test_sweep_config_error_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, name",
+    "argv, remedy",
     [
-        (["evolve", "--preset", "nv-nsi", "--u", "0.3", "--cycles", "1e12"], "--cycles"),
+        (["evolve", "--preset", "nv-nsi", "--u", "0.3", "--cycles", "1e12"], "lower --cycles"),
         # a horizon past the float range, inf panels
-        (["coeffs", "--preset", "nv-nsi", "--cycles", "1e308"], "--cycles"),
-        (["tdec", "--preset", "nv-au", "--pts-per-cycle", "10000000"], "pts_per_cycle"),
+        (["coeffs", "--preset", "nv-nsi", "--cycles", "1e308"], "lower --cycles"),
+        (["tdec", "--preset", "nv-au", "--pts-per-cycle", "10000000"], "lower pts_per_cycle"),
         # a window of 3 cycles of 6e7 at the spacing cap 0.1
-        (["tdec", "--preset", "nv-nsi", "--delta", "1e-7"], "horizon_cycles"),
+        (["tdec", "--preset", "nv-nsi", "--delta", "1e-7"], "lower horizon_cycles"),
+        # kernels alive for 1.1e8 and 5.5e6 at the spacing cap 0.1, which no
+        # pts_per_cycle lifts; the decay time is shortest at gamma_tilde = 2
+        (["tdec", "--preset", "nv-nsi", "--gamma", "1e-6"], "raise gamma_tilde"),
+        (["tdec", "--preset", "nv-nsi", "--gamma", "1e5"], "lower gamma_tilde"),
     ],
-    ids=["evolve-cycles", "coeffs-cycles-inf", "tdec-pts-per-cycle", "tdec-window"],
+    ids=["evolve-cycles", "coeffs-cycles-inf", "tdec-pts-per-cycle", "tdec-window",
+         "tdec-gamma-low", "tdec-gamma-high"],
 )
-def test_oversized_plan_exit_2_before_allocating(tmp_path, capsys, argv, name):
+def test_oversized_plan_exit_2_before_allocating(tmp_path, capsys, argv, remedy):
     # a kernel table of terabytes is refused from its node count, before
     # any grid, node or kernel array is built
     out = tmp_path / "x.out"
@@ -436,7 +441,7 @@ def test_oversized_plan_exit_2_before_allocating(tmp_path, capsys, argv, name):
         tracemalloc.stop()
     assert code == 2
     err = capsys.readouterr().err
-    assert f"lower {name}" in err and "budget" in err
+    assert err.rstrip().endswith(f"budget of {2**26} (2.1 GB): {remedy}")
     assert peak < 1e6
     assert not out.exists()
 

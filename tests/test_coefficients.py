@@ -18,7 +18,9 @@ from qfd.coefficients import (
     _KERNEL_BLOCK,
     _MAX_SUBPANEL_WIDTH,
     _cos_tail_coefficients,
+    _e1_correction_sums,
     _panel_nodes,
+    _pole_pair,
     coefficients_analytic_small_u,
     coefficients_brute,
     coefficients_e1,
@@ -30,7 +32,8 @@ from qfd.coefficients import (
     omega_kernel_sin,
     time_grid,
 )
-from qfd.dynamics import asymptotic_population
+from qfd.decoherence import sweep_level_spacing, sweep_rows_to_csv
+from qfd.dynamics import QubitState, asymptotic_population, evolve
 from qfd.errors import ConfigError, GridError
 from qfd.model import (
     KinematicsParams,
@@ -339,6 +342,77 @@ def test_csv_table_blocks_nan_and_strings():
         csv_table({"x": x, "short": x[:-1]})
 
 
+def csv_table_reference(columns):
+    """The per-row '%' formatting loop that csv_table replaces."""
+    arrays = [np.asarray(c) for c in columns.values()]
+    line = ",".join("%.17g" if a.dtype.kind in "fiu" else "%s" for a in arrays) + "\n"
+    rows = zip(*(a.tolist() for a in arrays))
+    return ",".join(columns) + "\n" + "".join([line % row for row in rows])
+
+
+def test_csv_table_matches_reference_on_evolve_and_sweep_tables():
+    # the README evolve table, 34 k rows in fixed notation and with
+    # two-digit negative exponents, and a sweep with excluded NaN rows and
+    # text columns
+    mat, part = NV_NSI
+    grid = time_grid(part.delta_tilde, mat.gamma_tilde, 2000.0)
+    trace = coefficients_e1(mat, part, KinematicsParams(u=0.3), grid)
+    run = evolve(QubitState(rho11=0.5, rho12=0.5), trace)
+    columns = {
+        "t": run.t, "N_cycles": run.cycles, "rho11": run.rho11,
+        "re_rho12": run.rho12.real, "im_rho12": run.rho12.imag,
+        "abs_rho12": np.hypot(run.rho12.real, run.rho12.imag), "purity": run.purity,
+        "decoherence_factor": run.decoherence_factor, "xi": run.xi,
+    }
+    assert run.to_csv() == csv_table(columns) == csv_table_reference(columns)
+    assert trace.to_csv() == csv_table_reference({
+        "t": trace.grid, "N_cycles": trace.cycles, "D": trace.D, "f": trace.f,
+        "zeta": trace.zeta, "cumD": trace.cumD, "cumF": trace.cumF,
+        "method": np.full(grid.shape, "e1"),
+    })
+    rows = sweep_level_spacing(mat, part, KinematicsParams(u=0.003), [0.5, 0.95, 1.05],
+                               method="markov")
+    assert [r.flag for r in rows] == ["", "excluded", "excluded"]
+    sweep = {f.name: [getattr(r, f.name) for r in rows] for f in dataclasses.fields(rows[0])}
+    assert sweep_rows_to_csv(rows) == csv_table_reference(sweep)
+
+
+def test_csv_table_prints_every_double_as_percent_17g():
+    rng = np.random.default_rng(20261019)
+    edges = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
+             1.7976931348623157e308, 9.9999999999999999e16]
+    # doubles just below a power of ten whose 17 digits round up to it
+    edges += [1e-14, 1e-70, 1e98, 1e220]
+    for k in range(-5, 18):
+        p = 10.0**k
+        edges += [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
+    x = np.concatenate([
+        rng.integers(0, 2**64, 10**5, dtype=np.uint64).view(np.float64),
+        # fixed notation, and ties of the 17th digit (k/4 near 1e15)
+        rng.choice([-1.0, 1.0], 10**5) * rng.random(10**5) * 10.0 ** rng.integers(-6, 19, 10**5),
+        1e15 + np.arange(-50, 50) / 4.0,
+        np.array(edges + [-v for v in edges]),
+    ])
+    expected = "x\n" + "".join(["%.17g\n" % v for v in x.tolist()])
+    assert csv_table({"x": x}) == expected
+
+
+def test_csv_table_integer_bool_text_and_empty_columns():
+    # doubles nearest to integers past 2^53, ties to even among them
+    big = [0, 1, 2**53 + 1, 2**53 + 3, 2**63 - 1, 2**63 + 1024, 2**63 + 3072, 2**64 - 1]
+    columns = {
+        "i": np.array([-(2**63), -1, 0, 7, 2**53 + 1, 2**53 + 3, 2**62 + 123, 2**63 - 1]),
+        "u": np.array(big, np.uint64),
+        "f32": np.linspace(-1.0, 1.0, 8, dtype=np.float32) / 3,
+        "b": np.array([True, False] * 4),
+        "s": ["a", "", "ü", "x y", "nan", "1e5", "-", "last"],
+        "o": [None, 1.5, "z", 2, frozenset(), b"b", 0.1, 3j],
+    }
+    assert csv_table(columns) == csv_table_reference(columns)
+    empty = {name: np.asarray(c)[:0] for name, c in columns.items()}
+    assert csv_table(empty) == csv_table_reference(empty) == "i,u,f32,b,s,o\n"
+
+
 def panel_nodes_reference(grid):
     """Per-panel np.linspace sub-panel edges, the loop _panel_nodes replaces."""
     counts = np.maximum(1, np.ceil(np.diff(grid) / _MAX_SUBPANEL_WIDTH).astype(int))
@@ -569,6 +643,43 @@ def test_analytic_matches_e1_reference_point():
         dev = np.max(np.abs(getattr(ana, name)[mask] - getattr(ref, name)[mask]))
         scale = np.max(np.abs(getattr(ref, name)[mask]))
         assert dev <= 0.02 * scale
+
+
+def mpmath_e1_correction_sums(w: complex, dt, t: float):
+    """(C, S) of _e1_correction_sums at 30 digits, from the same closed
+    form int_0^t e^{as} E1(bs) ds = [e^{at} E1(bt) - E1((b-a)t) - Log(b-a)
+    + Log(b)] / a."""
+    w, t, i = mpmath.mpc(w), mpmath.mpf(t), mpmath.mpc(0, 1)
+
+    def f(a, b):
+        return (mpmath.exp(a * t) * mpmath.e1(b * t) - mpmath.e1((b - a) * t)
+                - mpmath.log(b - a) + mpmath.log(b)) / a
+
+    t1, t2 = f(i * (w + dt), i * w), f(i * (dt - w), -i * w)
+    t3, t4 = f(i * (w - dt), i * w), f(-i * (w + dt), -i * w)
+    return 0.5 * mpmath.im(t1 + t2 + t3 + t4), -0.5 * mpmath.re(t1 + t2 - t3 - t4)
+
+
+def test_e1_correction_second_delta_derivative_is_exact():
+    # central differences at h = 1e-3 were 5.4 % and 19 % off at t = 1000
+    # and 2000 on nv-nsi; the closed form holds to rounding at any t
+    w, _ = _pole_pair(NV_NSI[0].gamma_tilde)
+    dt = NV_NSI[1].delta_tilde
+    ts = [1.0, 100.0, 1000.0, 2000.0]
+    _, _, cdd, sdd = _e1_correction_sums(w, dt, np.array(ts))
+    with mpmath.workdps(30):
+        for t, c, s in zip(ts, cdd, sdd):
+            ref_c = mpmath.diff(lambda d: mpmath_e1_correction_sums(w, d, t)[0], dt, 2)
+            ref_s = mpmath.diff(lambda d: mpmath_e1_correction_sums(w, d, t)[1], dt, 2)
+            assert c == pytest.approx(float(ref_c), rel=1e-8)
+            assert s == pytest.approx(float(ref_s), rel=1e-8)
+        # and the closed form is the integral it stands for
+        g = lambda z: mpmath.exp(z) * mpmath.e1(z)  # noqa: E731
+        iw = mpmath.mpc(0, 1) * mpmath.mpc(w)
+        direct = mpmath.quad(
+            lambda s: -s * s * mpmath.cos(dt * s) * mpmath.im(g(iw * s) + g(-iw * s)), [0, 0.5, 1]
+        )
+    assert cdd[0] == pytest.approx(float(direct), rel=1e-10)
 
 
 def test_analytic_exact_at_rest():
