@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -283,8 +283,10 @@ def _frequency_kernels(
 
 # rows per formatting block of csv_table: one block's cells are laid out
 # as fixed-width bytes, one column at a time, and compacted into text, so
-# the formatting adds no memory that grows with the table beyond the text
-_CSV_BLOCK = 4096
+# the formatting adds no memory that grows with the table beyond the text;
+# on the README evolve (34 k rows of 7 columns) 2048 formats as fast as
+# 3072, 15 % faster than 1024 and 5 % slower than 4096, peaking 1.7 MB lower
+_CSV_BLOCK = 2048
 
 
 def _text_cells(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -339,26 +341,29 @@ def csv_table(columns: dict[str, Sequence]) -> str:
 
 @dataclass(frozen=True)
 class CoefficientTrace:
-    """Sampled coefficients with their cumulative integrals on one grid."""
+    """Sampled coefficients on one grid, with cumD and cumF, the
+    trapezoid cumulative integrals of D and f, formed on construction."""
 
     grid: np.ndarray
     D: np.ndarray
     f: np.ndarray
     zeta: np.ndarray
-    cumD: np.ndarray
-    cumF: np.ndarray
     method: str
     delta_tilde: float
+    cumD: np.ndarray = field(init=False)
+    cumF: np.ndarray = field(init=False)
 
     def __post_init__(self):
         n = self.grid.shape
-        for arr in (self.D, self.f, self.zeta, self.cumD, self.cumF):
+        for arr in (self.D, self.f, self.zeta):
             if arr.shape != n:
                 raise GridError("all trace arrays must share the grid length")
         if self.grid[0] != 0.0:
             raise GridError("trace grid must start at t = 0")
         if self.D[0] != 0.0 or self.f[0] != 0.0 or self.zeta[0] != 0.0:
             raise GridError("coefficients must vanish at t = 0")
+        object.__setattr__(self, "cumD", cumulative_integral(self.grid, self.D))
+        object.__setattr__(self, "cumF", cumulative_integral(self.grid, self.f))
 
     @property
     def cycles(self) -> np.ndarray:
@@ -385,9 +390,9 @@ def kernel_decay_time(gamma_tilde: float) -> float:
 # grid points per natural cycle of every grid that is not given one
 DEFAULT_PTS_PER_CYCLE = 400
 
-# most panel nodes a kernel table may hold: at 32 B per node (node,
-# weight, Kc and Ks) 2^26 nodes take 2.1 GB, while the largest default
-# plan, nv-au tdec, builds 8.4 M
+# most panel nodes a kernel table may hold: at 16 B per node (Kc and
+# Ks) 2^26 nodes take 1.1 GB, while the largest default plan, nv-au
+# tdec, builds 8.4 M
 _MAX_TABLE_NODES = 2**26
 
 
@@ -396,9 +401,9 @@ def _check_table_nodes(nodes: float, remedy: str) -> None:
     before any array is built, with the remedy naming the parameter."""
     if not nodes <= _MAX_TABLE_NODES:
         raise ConfigError(
-            f"the plan needs {nodes:.3g} panel nodes ({32e-9 * nodes:.3g} GB of kernel "
+            f"the plan needs {nodes:.3g} panel nodes ({16e-9 * nodes:.3g} GB of kernel "
             f"table), over the budget of {_MAX_TABLE_NODES} "
-            f"({32e-9 * _MAX_TABLE_NODES:.2g} GB): {remedy}"
+            f"({16e-9 * _MAX_TABLE_NODES:.2g} GB): {remedy}"
         )
 
 
@@ -436,7 +441,7 @@ def time_grid(
     # panels and is refused, where math.ceil would raise OverflowError
     n_dense = np.ceil(t_dense_end / h_dense)
     n_sparse = np.ceil((t_end - t_dense_end) / h_sparse)
-    # the table's panel nodes (_panel_nodes): 4 per dense panel, 4 per
+    # the table's panel nodes (_subpanel_edges): 4 per dense panel, 4 per
     # sub-panel of each sparse one
     dense_nodes = 4.0 * n_dense
     sparse_nodes = 4.0 * n_sparse * np.ceil(h_sparse / _MAX_SUBPANEL_WIDTH)
@@ -481,14 +486,15 @@ _MAX_SUBPANEL_WIDTH = 0.5
 _KERNEL_BLOCK = 4096
 
 
-def _panel_nodes(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """GL4 nodes/weights for every grid panel, internally refined.
+def _subpanel_edges(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sub-panel edges of every grid panel, internally refined.
 
     Panels wider than _MAX_SUBPANEL_WIDTH are split so the degree-7 rule
     stays far beyond any caller tolerance even on coarse oracle grids.
-    Returns (nodes, weights, reduce_offsets) where reduce_offsets maps
-    flattened node blocks back onto grid panels.  A grid of more than
-    _MAX_TABLE_NODES nodes is refused before any node is built.
+    Returns (edges, offsets): edges[k], edges[k + 1] bound sub-panel k,
+    whose GL4 nodes are 4 k .. 4 k + 3 (_gl4), and offsets[i] is the
+    first node of grid panel i.  A grid of more than _MAX_TABLE_NODES
+    nodes is refused before any array is built.
     """
     a = grid[:-1]
     b = grid[1:]
@@ -500,13 +506,23 @@ def _panel_nodes(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # np.linspace(a, b, k + 1) arithmetic, edge j = j * ((b - a) / k) + a,
     # so the edges are bit-identical to a per-panel linspace; a panel's
     # last edge is the next panel's first, a exactly, and the grid's end
-    sa = j * np.repeat((b - a) / counts, counts) + np.repeat(a, counts)
-    sb = np.concatenate([sa[1:], grid[-1:]])
-    mid = 0.5 * (sa + sb)
-    half = 0.5 * (sb - sa)
-    nodes = (mid[:, None] + half[:, None] * _GL4_X[None, :]).ravel()
-    wts = (half[:, None] * _GL4_W[None, :]).ravel()
-    return nodes, wts, first * 4
+    edges = np.append(j * np.repeat((b - a) / counts, counts) + np.repeat(a, counts), grid[-1])
+    return edges, first * 4
+
+
+def _gl4(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GL4 nodes mid + half x_j and weights half w_j of the sub-panels
+    between consecutive edges, 4 per sub-panel, in node order."""
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = np.empty((half.size, 4))
+    weights = np.empty((half.size, 4))
+    # a column at a time: broadcasting rows of 4 runs numpy's inner loop 4 long
+    for j in range(4):
+        np.multiply(half, _GL4_X[j], out=nodes[:, j])
+        nodes[:, j] += mid
+        np.multiply(half, _GL4_W[j], out=weights[:, j])
+    return nodes.ravel(), weights.ravel()
 
 
 @dataclass(frozen=True)
@@ -515,35 +531,41 @@ class KernelTable:
     velocities, level spacings and dipole orientations (the kernels
     depend only on the damping).
 
-    The table is the one array set that grows with the plan: 32 B per
-    node (nodes, weights, kc, ks), 4 nodes per sub-panel; offsets[i] is
+    The table is the one array set that grows with the plan: 16 B per
+    node (kc, ks) plus one sub-panel edge per 4 nodes, from which each
+    reader forms a block's GL4 nodes and weights (_gl4); offsets[i] is
     the first node of grid panel i.  Traces read it in blocks and add
     only block-sized temporaries.
     """
 
     grid: np.ndarray
-    nodes: np.ndarray
-    weights: np.ndarray
+    edges: np.ndarray
     offsets: np.ndarray
     kc: np.ndarray
     ks: np.ndarray
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """Every GL4 node, built on each call."""
+        return _gl4(self.edges)[0]
 
 
 def make_kernel_table(gamma_tilde: float, grid) -> KernelTable:
     """Evaluate both closed-form kernels on the panel nodes of a grid.
 
-    One omega_kernels pass per block of _KERNEL_BLOCK nodes, which bounds
-    its complex temporaries; every value is bit-identical to one
-    whole-array call.
+    One omega_kernels pass per block of _KERNEL_BLOCK nodes, whose nodes
+    are formed from the block's edges, which bounds every temporary;
+    every value is bit-identical to one whole-array call.
     """
     g = _check_grid(grid)
-    nodes, wts, offsets = _panel_nodes(g)
-    kc = np.empty_like(nodes)
-    ks = np.empty_like(nodes)
-    for i in range(0, nodes.size, _KERNEL_BLOCK):
+    edges, offsets = _subpanel_edges(g)
+    kc = np.empty(4 * (edges.size - 1))
+    ks = np.empty_like(kc)
+    for i in range(0, kc.size, _KERNEL_BLOCK):
         block = slice(i, i + _KERNEL_BLOCK)
-        kc[block], ks[block] = omega_kernels(nodes[block], gamma_tilde)
-    return KernelTable(grid=g, nodes=nodes, weights=wts, offsets=offsets, kc=kc, ks=ks)
+        x, _ = _gl4(edges[i // 4 : (i + _KERNEL_BLOCK) // 4 + 1])
+        kc[block], ks[block] = omega_kernels(x, gamma_tilde)
+    return KernelTable(grid=g, edges=edges, offsets=offsets, kc=kc, ks=ks)
 
 
 def _panel_blocks(offsets: np.ndarray, n_nodes: int):
@@ -576,32 +598,23 @@ def coefficients_from_table(
     u = abs(kin.u)
     sums = np.empty((3, g.size))
     sums[:, 0] = 0.0
-    for p0, p1, n0, n1 in _panel_blocks(table.offsets, table.nodes.size):
-        x = table.nodes[n0:n1]
-        w = table.weights[n0:n1]
+    for p0, p1, n0, n1 in _panel_blocks(table.offsets, table.kc.size):
+        x, w = _gl4(table.edges[n0 // 4 : n1 // 4 + 1])
         kc = table.kc[n0:n1]
-        ks = table.ks[n0:n1]
         pv = kernel_P(u * x, part.orientation)
-        cosn = np.cos(dt * x)
-        sinn = np.sin(dt * x)
+        phase = dt * x
+        cosn = np.cos(phase)
+        sinn = np.sin(phase)
         panels = table.offsets[p0:p1] - n0
         out = sums[:, 1 + p0 : 1 + p1]
-        np.add.reduceat(cosn * kc * pv * w, panels, out=out[0])
-        np.add.reduceat(sinn * kc * pv * w, panels, out=out[1])
-        np.add.reduceat(sinn * ks * pv * w, panels, out=out[2])
+        for row, term in zip(out, (cosn * kc, sinn * kc, sinn * table.ks[n0:n1])):
+            term *= pv  # trig * kernel * P * w, multiplied in that order
+            term *= w
+            np.add.reduceat(term, panels, out=row)
     np.cumsum(sums[:, 1:], axis=1, out=sums[:, 1:])
     sums *= part.r0_tilde / TWO_PI
     D, f, zeta = sums
-    return CoefficientTrace(
-        grid=g,
-        D=D,
-        f=f,
-        zeta=zeta,
-        cumD=cumulative_integral(g, D),
-        cumF=cumulative_integral(g, f),
-        method="e1",
-        delta_tilde=dt,
-    )
+    return CoefficientTrace(g, D, f, zeta, "e1", dt)
 
 
 def coefficients_e1(
@@ -673,16 +686,7 @@ def coefficients_brute(
             integrand, g[i - 1], g[i], rel_tol=rel_tol, abs_tol=abs_tol, max_subdivisions=16384
         ).value
     D, f, zeta = part.r0_tilde / TWO_PI * vals.T
-    return CoefficientTrace(
-        grid=g,
-        D=D,
-        f=f,
-        zeta=zeta,
-        cumD=cumulative_integral(g, D),
-        cumF=cumulative_integral(g, f),
-        method="brute",
-        delta_tilde=dt,
-    )
+    return CoefficientTrace(g, D, f, zeta, "brute", dt)
 
 
 # ---------------------------------------------------------------------------
@@ -796,16 +800,7 @@ def coefficients_analytic_small_u(
     D = np.concatenate([[0.0], d_res + d_corr])
     f = np.concatenate([[0.0], f_res + f_corr])
     zeta = np.concatenate([[0.0], z_res])
-    return CoefficientTrace(
-        grid=g,
-        D=D,
-        f=f,
-        zeta=zeta,
-        cumD=cumulative_integral(g, D),
-        cumF=cumulative_integral(g, f),
-        method="analytic",
-        delta_tilde=dt,
-    )
+    return CoefficientTrace(g, D, f, zeta, "analytic", dt)
 
 
 # ---------------------------------------------------------------------------

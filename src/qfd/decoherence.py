@@ -262,6 +262,19 @@ def _g_funcs(delta: float, gt: float) -> tuple[float, float]:
     return g, d2g
 
 
+def _finite_time_terms(delta: float, gt: float) -> tuple[float, float]:
+    """Rest constant c = -g/(s4 h) + 2/(pi delta) of the analytic
+    finite-time correction and its u^2 bracket c'' + 2 c' h'/h (delta
+    derivatives): D is linear in P(x) = d_i/8 - (3/64) d_a x^2 + O(x^4), so
+    the u^2 part of tau = (1 + int (D_inf - D))/D_inf is (3/8)(d_a/d_i) u^2
+    times the bracket."""
+    _, s4 = _pole_pair(gt)
+    h, h2, hod2 = _h_funcs(delta, gt)
+    g, g2 = _g_funcs(delta, gt)
+    return (-g / (s4 * h) + 2.0 / (math.pi * delta),
+            (g * h2 / h**2 - g2 / h) / s4 + (2.0 / (math.pi * h)) * (hod2 - h2 / delta))
+
+
 def tau_d_analytic(
     mat: MaterialParams,
     part: ParticleParams,
@@ -270,10 +283,10 @@ def tau_d_analytic(
     """Closed low-velocity decoherence time.
 
     Markov term (32 / r0t d_i)(1/h - (3/8)(d_a/d_i) u^2 h''/h^2) plus the
-    velocity-independent finite-time correction -g/(s4 h) + 2/(pi delta)
-    and the corresponding u^2 bracket.  Level spacings inside the resonance
-    exclusion band (where the expansion blows up) and gamma_tilde >= 2
-    (_pole_pair) are refused; zero coupling raises a DomainError.
+    finite-time correction of _finite_time_terms.  Level spacings inside
+    the resonance exclusion band (where the expansion blows up) and
+    gamma_tilde >= 2 (_pole_pair) are refused; zero coupling raises a
+    DomainError.
     """
     delta = part.delta_tilde
     gt = mat.gamma_tilde
@@ -285,16 +298,13 @@ def tau_d_analytic(
         )
     if part.r0_tilde == 0.0:
         raise DomainError("no decoherence at zero coupling r0_tilde = 0: tau_D is infinite")
-    _, s4 = _pole_pair(gt)
+    const, bracket = _finite_time_terms(delta, gt)
     wts = orientation_weights(part.orientation)
     di, da = wts.d_i, wts.d_a
     u2 = kin.u * kin.u
-    h, h2, hod2 = _h_funcs(delta, gt)
-    g, g2 = _g_funcs(delta, gt)
+    h, h2, _ = _h_funcs(delta, gt)
 
     tau_mark = 32.0 / (part.r0_tilde * di) * (1.0 / h - 0.375 * (da / di) * u2 * h2 / h**2)
-    const = -g / (s4 * h) + 2.0 / (math.pi * delta)
-    bracket = (g * h2 / h**2 - g2 / h) + (2.0 / (math.pi * h)) * (hod2 - h2 / delta)
     tau = tau_mark + const + 0.375 * (da / di) * u2 * bracket
     return DecoherenceTimeResult(tau, "analytic")
 

@@ -230,12 +230,10 @@ def kernel_P(x, orientation) -> np.ndarray | float:
     """
     nx, ny, nz = orientation
     xx = np.asarray(x, dtype=float)
-    q = 4.0 + xx * xx
-    val = (
-        2.0 * nx * nx * (2.0 - xx * xx) / q**2.5
-        + ny * ny / q**1.5
-        + nz * nz * (8.0 - xx * xx) / q**2.5
-    )
+    x2 = xx * xx
+    q = 4.0 + x2
+    q25 = q**2.5
+    val = 2.0 * nx * nx * (2.0 - x2) / q25 + ny * ny / q**1.5 + nz * nz * (8.0 - x2) / q25
     return float(val) if np.isscalar(x) else val
 
 

@@ -362,9 +362,13 @@ def cumulative_integral(t: Sequence[float], y: Sequence[float]) -> np.ndarray:
     dt = np.diff(tt)
     if np.any(dt <= 0):
         raise GridError("abscissae must be strictly increasing without duplicates")
+    # the trapezoids 0.5 dt (y[1:] + y[:-1]) formed in place
+    dt *= 0.5
+    s = yy[1:] + yy[:-1]
+    s *= dt
     out = np.empty_like(tt)
     out[0] = 0.0
-    np.cumsum(0.5 * dt * (yy[1:] + yy[:-1]), out=out[1:])
+    np.cumsum(s, out=out[1:])
     return out
 
 

@@ -19,8 +19,10 @@ from qfd.coefficients import (
     _MAX_SUBPANEL_WIDTH,
     _cos_tail_coefficients,
     _e1_correction_sums,
-    _panel_nodes,
+    _gl4,
+    _panel_blocks,
     _pole_pair,
+    _subpanel_edges,
     coefficients_analytic_small_u,
     coefficients_brute,
     coefficients_e1,
@@ -414,7 +416,8 @@ def test_csv_table_integer_bool_text_and_empty_columns():
 
 
 def panel_nodes_reference(grid):
-    """Per-panel np.linspace sub-panel edges, the loop _panel_nodes replaces."""
+    """GL4 nodes, weights and panel offsets from per-panel np.linspace
+    sub-panel edges, the loop _subpanel_edges replaces, all at once."""
     counts = np.maximum(1, np.ceil(np.diff(grid) / _MAX_SUBPANEL_WIDTH).astype(int))
     edges = [np.linspace(a, b, k + 1) for a, b, k in zip(grid[:-1], grid[1:], counts)]
     sa = np.concatenate([e[:-1] for e in edges])
@@ -437,13 +440,19 @@ def panel_nodes_reference(grid):
     ],
     ids=["time-grid", "coarse", "mixed"],
 )
-def test_panel_nodes_match_per_panel_linspace(grid):
-    got = _panel_nodes(grid)
+def test_block_nodes_match_per_panel_linspace(grid):
+    # the nodes and weights each panel block forms from its edges, as
+    # coefficients_from_table forms them, and the table's on-demand nodes
+    edges, offsets = _subpanel_edges(grid)
+    blocks = [_gl4(edges[n0 // 4 : n1 // 4 + 1])
+              for _, _, n0, n1 in _panel_blocks(offsets, 4 * (edges.size - 1))]
+    got = (np.concatenate([x for x, _ in blocks]), np.concatenate([w for _, w in blocks]), offsets)
     ref = panel_nodes_reference(grid)
     assert np.diff(grid).max() > _MAX_SUBPANEL_WIDTH
     for g, r in zip(got, ref):
         assert g.dtype == r.dtype
         assert np.array_equal(g, r)
+    assert np.array_equal(make_kernel_table(1.0, grid).nodes, ref[0])
 
 
 def test_kernel_table_blocks_match_whole_array_bitwise():
@@ -464,13 +473,14 @@ def trace_reference(table, part, kin):
     """(D, f, zeta, cumD, cumF) from one whole-table pass: every node's
     integrand at once, summed per panel by one reduceat."""
     pref = part.r0_tilde / (2.0 * math.pi)
-    nodes = table.nodes
+    nodes, weights, offsets = panel_nodes_reference(table.grid)
+    assert np.array_equal(offsets, table.offsets)
     pv = kernel_P(abs(kin.u) * nodes, part.orientation)
     cosn = np.cos(part.delta_tilde * nodes)
     sinn = np.sin(part.delta_tilde * nodes)
 
     def prefix(values):
-        panel = np.add.reduceat(values * table.weights, table.offsets)
+        panel = np.add.reduceat(values * weights, offsets)
         out = np.empty(table.grid.size)
         out[0] = 0.0
         np.cumsum(panel, out=out[1:])
@@ -529,13 +539,43 @@ def test_trace_temporaries_stay_block_sized():
     assert peak <= 9 * table.grid.nbytes
 
 
+def test_table_holds_16_bytes_per_node_and_trace_adds_no_node_sized_array():
+    # 40 panels of 4,000 nodes, each a block of its own: 160 k nodes, of
+    # 1.25 MB per float array, against a block's 32 KiB
+    grid = np.linspace(0.0, 20000.0, 41)
+    tracemalloc.start()
+    try:
+        table = make_kernel_table(1.0, grid)
+        build_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = table.kc.size
+    assert n == 160_000 and len(list(_panel_blocks(table.offsets, n))) == 40
+    per_node = [getattr(table, f.name) for f in dataclasses.fields(table)]
+    per_node = [a for a in per_node if a.size >= n]
+    assert sum(a.nbytes for a in per_node) == 16 * n
+    assert table.edges.size == n // 4 + 1
+    # the kernels, the edges and block-sized temporaries: no node array
+    block_bound = 24 * 8 * _KERNEL_BLOCK
+    assert build_peak <= 16 * n + table.edges.nbytes + block_bound
+
+    part = ParticleParams(delta_tilde=0.9, r0_tilde=1e-2, orientation=unit_orientation((1, 1, 1)))
+    tracemalloc.start()
+    try:
+        coefficients_from_table(table, part, KinematicsParams(u=0.3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * grid.nbytes + block_bound < 8 * n
+
+
 def test_oversized_grid_is_refused_before_allocating():
     # one panel of 8e12 nodes, refused from the sub-panel counts (the CLI
     # plans are refused earlier, by time_grid)
     tracemalloc.start()
     try:
         with pytest.raises(ConfigError, match="panel nodes"):
-            _panel_nodes(np.array([0.0, 1e12]))
+            _subpanel_edges(np.array([0.0, 1e12]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

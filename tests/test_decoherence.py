@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qfd.decoherence import (
+    RESONANCE_EXCLUSION_BAND,
     DecoherenceTimeResult,
     decoherence_table,
     quadratic_ratio_fit,
@@ -19,7 +20,7 @@ from qfd.decoherence import (
 )
 from qfd.coefficients import coefficients_from_table, markov_limit
 from qfd.errors import BracketError, ConfigError, DomainError, PhysicsError
-from qfd.model import KinematicsParams, preset
+from qfd.model import KinematicsParams, orientation_weights, preset
 from dataclasses import replace
 
 NV_NSI = preset("nv-nsi")
@@ -201,6 +202,35 @@ def test_g_function_second_derivative():
         g0, d2g = _g_funcs(delta, gt)
         gm, _ = _g_funcs(delta - h, gt)
         assert d2g == pytest.approx((gp - 2 * g0 + gm) / (h * h), rel=1e-5, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", ["nv-nsi", "nv-au", "rb-nsi", "rb-au"])
+def test_analytic_u2_bracket_is_derivative_of_rest_constant(name):
+    # D is linear in P(x) = d_i/8 - (3/64) d_a x^2, so the finite-time u^2
+    # term is (3/8)(d_a/d_i) (c'' + 2 c' h'/h) with c the route's own rest
+    # constant; nv-au's delta lies in the resonance band tau_d_analytic
+    # refuses, so the terms are read directly
+    from qfd.decoherence import _finite_time_terms, _h_funcs
+
+    mat, part = preset(name)
+    delta, gt = part.delta_tilde, mat.gamma_tilde
+    step = 1e-4 * delta
+    cm, c0, cp = (_finite_time_terms(delta + k * step, gt)[0] for k in (-1, 0, 1))
+    hm, h0, hp = (_h_funcs(delta + k * step, gt)[0] for k in (-1, 0, 1))
+    c1 = (cp - cm) / (2 * step)
+    c2 = (cp - 2 * c0 + cm) / (step * step)
+    const, bracket = _finite_time_terms(delta, gt)
+    assert bracket == pytest.approx(c2 + 2 * c1 * (hp - hm) / (2 * step) / h0, rel=1e-5)
+    if abs(delta - 1.0) >= RESONANCE_EXCLUSION_BAND:
+        # the route adds exactly these terms
+        u, wts = 0.01, orientation_weights(part.orientation)
+        di, da = wts.d_i, wts.d_a
+        kin = KinematicsParams(u=u)
+        h, h2, _ = _h_funcs(delta, gt)
+        markov = 32.0 / (part.r0_tilde * di) * (1.0 / h - 0.375 * (da / di) * u * u * h2 / h**2)
+        tau = tau_d_analytic(mat, part, kin).tau_d
+        assert tau == pytest.approx(markov + const + 0.375 * (da / di) * u * u * bracket,
+                                    rel=1e-14)
 
 
 def test_method_dispatch():

@@ -179,8 +179,6 @@ def test_positivity_breakdown_aborts():
         D=trace.D,
         f=trace.f,
         zeta=np.where(trace.grid > 0, -1.0, 0.0),
-        cumD=trace.cumD,
-        cumF=trace.cumF,
         method="e1",
         delta_tilde=trace.delta_tilde,
     )
