@@ -85,17 +85,14 @@ class NumericsOptions:
     abs_tol: float = 1e-10
     omega_max: float = 50.0
     pts_per_cycle: int = DEFAULT_PTS_PER_CYCLE
-    horizon_cycles: float | None = None  # None = automatic window
 
     def __post_init__(self):
         # chained comparisons also refuse NaN and infinity
-        horizon = self.horizon_cycles
         for name, ok, need in (
             ("rel_tol", 0 < self.rel_tol < math.inf, "finite and > 0"),
             ("abs_tol", 0 < self.abs_tol < math.inf, "finite and > 0"),
             ("omega_max", 1 < self.omega_max < math.inf, "finite and exceed the resonance at 1"),
             ("pts_per_cycle", self.pts_per_cycle >= 8, ">= 8"),
-            ("horizon_cycles", horizon is None or 0 < horizon < math.inf, "finite and > 0"),
         ):
             if not ok:
                 raise ConfigError(f"{name} must be {need}, got {getattr(self, name)}")
@@ -119,16 +116,11 @@ def _components(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(","))
 
 
-def _horizon(text: str) -> float | None:
-    """Trace horizon in cycles; auto, none or empty select the automatic window."""
-    return None if text.strip().lower() in ("auto", "none", "") else float(text)
-
-
 # Every config key in INI order: section, key, the RunConfig field it
 # fills, the dest of the flag that overrides it (None for INI-only keys)
 # and the parser of its INI text.  An INI value that parses to None (a
-# blank orientation or path, an automatic horizon) leaves the field as
-# the earlier layers set it.
+# blank orientation or path) leaves the field as the earlier layers set
+# it.
 _KEYS = (
     ("material", "omega_s_rad_s", "material.omega_s", "omega_s", float),
     ("material", "gamma_tilde", "material.gamma_tilde", "gamma", float),
@@ -144,7 +136,6 @@ _KEYS = (
     ("numerics", "abs_tol", "numerics.abs_tol", None, float),
     ("numerics", "omega_max", "numerics.omega_max", "omega_max", float),
     ("numerics", "pts_per_cycle", "numerics.pts_per_cycle", "pts_per_cycle", int),
-    ("numerics", "horizon_cycles", "numerics.horizon_cycles", "horizon_cycles", _horizon),
     ("output", "path", "out_path", "out", lambda text: text or None),
     ("output", "format", "out_format", "format", str),
 )
@@ -171,16 +162,16 @@ class RunConfig:
 
     def to_ini(self) -> str:
         """Serialize so that re-ingestion reproduces this config exactly:
-        floats with 17 significant digits, tuples comma-joined, the
-        automatic horizon as auto and an unset a_nm left out."""
+        floats with 17 significant digits, tuples comma-joined and an
+        unset a_nm left out."""
         blocks = []
         for section, keys in groupby(_KEYS, key=lambda row: row[0]):
             lines = [f"[{section}]\n"]
-            for _, key, field, _, parse in keys:
+            for _, key, field, _, _ in keys:
                 v = reduce(getattr, field.split("."), self)
-                if v is None and parse is not _horizon:
+                if v is None:
                     continue
-                text = ("auto" if v is None else ",".join(map(_fmt, v)) if isinstance(v, tuple)
+                text = (",".join(map(_fmt, v)) if isinstance(v, tuple)
                         else _fmt(v) if isinstance(v, float) else v)
                 lines.append(f"{key} = {text}\n")
             blocks.append("".join(lines))
@@ -306,7 +297,7 @@ def _grid(args: argparse.Namespace, cfg: RunConfig, pts_per_cycle: int) -> np.nd
     if not 0 < args.cycles < math.inf:
         raise ConfigError(f"--cycles must be finite and > 0, got {args.cycles}")
     return time_grid(cfg.particle.delta_tilde, cfg.material.gamma_tilde, args.cycles,
-                     pts_per_cycle, cycles_name="--cycles")
+                     pts_per_cycle, remedy="lower --cycles")
 
 
 def cmd_coeffs(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -357,8 +348,7 @@ def cmd_evolve(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_tdec(args: argparse.Namespace, cfg: RunConfig) -> int:
     mat, part, kin, num = cfg.material, cfg.particle, cfg.kinematics, cfg.numerics
-    table = table_for_method(mat, part.delta_tilde, args.method, num.pts_per_cycle,
-                             num.horizon_cycles)
+    table = table_for_method(mat, part.delta_tilde, args.method, num.pts_per_cycle)
     res = tau_d(mat, part, kin, method=args.method, table=table)
     report = {
         "tau_d": res.tau_d,
@@ -390,8 +380,7 @@ def _sweep_values(args: argparse.Namespace) -> np.ndarray:
 def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
     mat, part, kin, num = cfg.material, cfg.particle, cfg.kinematics, cfg.numerics
     values = _sweep_values(args)
-    opts = dict(method=args.method, pts_per_cycle=num.pts_per_cycle,
-                horizon_cycles=num.horizon_cycles)
+    opts = dict(method=args.method, pts_per_cycle=num.pts_per_cycle)
 
     if args.param in ("theta", "phi"):
         # the fixed angle is the resolved orientation's, or the flag as given
@@ -457,7 +446,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a-nm", dest="a_nm", type=float, help="surface distance in nm")
     p.add_argument("--pts-per-cycle", dest="pts_per_cycle", type=int)
     p.add_argument("--omega-max", dest="omega_max", type=float)
-    p.add_argument("--horizon-cycles", dest="horizon_cycles", type=float)
     p.add_argument("--out", help="output path ('-' for stdout)")
     p.add_argument("--format", choices=("csv", "json"), help="sweep only: csv or json rows")
     p.add_argument(

@@ -45,9 +45,8 @@ from qfd.model import (
     KinematicsParams,
     MaterialParams,
     ParticleParams,
+    envelope_derivatives,
     kernel_P,
-    kernel_Q,
-    kernel_R,
     orientation_weights,
     pole_omega_r,
     spectral_density,
@@ -413,7 +412,7 @@ def time_grid(
     n_cycles: float,
     pts_per_cycle: int = DEFAULT_PTS_PER_CYCLE,
     *,
-    cycles_name: str = "n_cycles",
+    remedy: str = "lower n_cycles",
 ) -> np.ndarray:
     """Hybrid simulation grid over n_cycles natural cycles.
 
@@ -426,8 +425,8 @@ def time_grid(
     refused before it is built (ConfigError).  The message names
     pts_per_cycle when its least value, 8, would fit the budget; else
     gamma_tilde when the kernels' decay time, reached by the horizon,
-    spans a dense part that holds most nodes; else cycles_name, the
-    caller's name for the horizon.
+    spans a dense part that holds most nodes; else remedy, the caller's
+    way to shorten the horizon.
     """
     if not 0 < n_cycles < math.inf or pts_per_cycle < 8:
         raise GridError("need finite n_cycles > 0 and pts_per_cycle >= 8")
@@ -451,8 +450,6 @@ def time_grid(
     elif dense_at_8 > sparse_nodes and t_end >= decay >= 2.0 * cycle:
         # the decay time is shortest at gamma_tilde = 2
         remedy = ("raise" if gamma_tilde < 2.0 else "lower") + " gamma_tilde"
-    else:
-        remedy = f"lower {cycles_name}"
     _check_table_nodes(dense_nodes + sparse_nodes, remedy)
     dense = np.linspace(0.0, t_dense_end, int(n_dense) + 1)
     if t_dense_end >= t_end:
@@ -777,10 +774,10 @@ def coefficients_analytic_small_u(
     wts = orientation_weights(part.orientation)
 
     tpos = g[1:]  # every term vanishes identically at t = 0
-    # int_0^t e^{i kappa s} P(u s) ds by parts, with dP/dx = -3 x Q and
-    # d2P/dx2 = -12 R exact, so the truncation error is O(u^4)
-    u2, n, x = u * u, part.orientation, u * tpos
-    at_t = [kernel_P(x, n), -3.0 * u2 * tpos * kernel_Q(x, n), -12.0 * u2 * kernel_R(x, n)]
+    # int_0^t e^{i kappa s} P(u s) ds by parts, with the envelope's
+    # derivatives exact, so the truncation error is O(u^4)
+    u2 = u * u
+    at_t = envelope_derivatives(u, tpos, part.orientation)
     at_0 = [wts.d_i / 8.0, 0.0, -12.0 * u2 * wts.d_a / 128.0]
     i_plus, i_minus = [
         _by_parts(kappa, tpos, at_t) - _by_parts(kappa, 0.0, at_0) for kappa in (w + dt, w - dt)

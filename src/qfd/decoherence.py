@@ -42,9 +42,8 @@ from qfd.model import (
     MaterialParams,
     ParticleParams,
     _density_denominator,
-    kernel_P,
-    kernel_Q,
-    kernel_R,
+    envelope_derivatives,
+    kernel_P,  # noqa: F401  bench/test_bench.py checks that tracing reaches it here
     orientation_from_angles,
     orientation_weights,
     pole_omega_r,
@@ -117,10 +116,8 @@ def _tail_slope_correction(
     negligible past the decoherence window.
     """
     c0, c1 = _cos_tail_coefficients(mat.gamma_tilde)[:2]
-    t, u, n = t_end, abs(kin.u), part.orientation
-    p = kernel_P(u * t, n)
-    dp = -3.0 * u * u * t * kernel_Q(u * t, n)  # d/ds P(u s) = u dP/dx
-    d2p = -12.0 * u * u * kernel_R(u * t, n)
+    t = t_end
+    p, dp, d2p = envelope_derivatives(abs(kin.u), t, part.orientation)
     # the tail and its derivatives; those of C_1/s^4 are O(T^-5)
     k, dk, d2k = c0 / t**2 + c1 / t**4, -2.0 * c0 / t**3, 6.0 * c0 / t**4
     g = [k * p, dk * p + k * dp, d2k * p + 2.0 * dk * dp + k * d2p]
@@ -142,58 +139,57 @@ def decoherence_table(
     mat: MaterialParams,
     delta_tilde: float,
     pts_per_cycle: int = DEFAULT_PTS_PER_CYCLE,
-    horizon_cycles: float | None = None,
 ) -> KernelTable:
     """Kernel table on the decoherence-extraction grid, time_grid over
     the decoherence window graded toward t = 0.
 
     Building it once and sharing it across velocities, orientations and
     (shorter-window) level spacings avoids recomputing the kernels,
-    which dominate the cost.  The grid density and the horizon cap are
-    set here alone; every route reads them off the table it is given.
+    which dominate the cost.  The grid density is set here alone; every
+    route reads it off the table it is given.  A window too long for
+    the node budget is refused with the remedy to raise delta_tilde.
     """
     cycle = TWO_PI / delta_tilde
     window = decoherence_window(delta_tilde, mat.gamma_tilde)
-    if horizon_cycles is not None:
-        window = min(window, horizon_cycles * cycle)
     grid = time_grid(delta_tilde, mat.gamma_tilde, window / cycle, pts_per_cycle,
-                     cycles_name="horizon_cycles")
+                     remedy="raise delta_tilde")
     return make_kernel_table(mat.gamma_tilde, _graded_start(grid))
 
 
 def table_for_method(
     mat: MaterialParams, delta_tilde: float, method: str,
-    pts_per_cycle: int = DEFAULT_PTS_PER_CYCLE, horizon_cycles: float | None = None,
+    pts_per_cycle: int = DEFAULT_PTS_PER_CYCLE,
 ) -> KernelTable | None:
-    """The decoherence_table a tau_d method reads, or None for analytic.
-    Markov ignores a horizon cap, which would leave its constants short
-    of stationary."""
-    if method not in ("numeric", "markov"):
+    """The decoherence_table a tau_d method reads, or None for analytic."""
+    if method == "analytic":
         return None
-    horizon = horizon_cycles if method == "numeric" else None
-    return decoherence_table(mat, delta_tilde, pts_per_cycle, horizon)
+    return decoherence_table(mat, delta_tilde, pts_per_cycle)
 
 
 def _trace_and_tail_slope(
     mat: MaterialParams, part: ParticleParams, kin: KinematicsParams,
-    table: KernelTable | None = None,
+    table: KernelTable | None = None, *, stationary: bool = True,
 ) -> tuple[CoefficientTrace, float]:
     """Trace on the table (decoherence_table unless given) plus D_inf, the
     tail-corrected slope of cumD past its end: the one read-out of the
-    trace's end, shared by the numeric and Markov routes.  A table whose
-    horizon cap cuts the window short raises once the cap proves
-    insufficient.
+    trace's end, shared by the numeric and Markov routes.
+
+    A given table may end before the point's decoherence window, where
+    the coefficients are not yet constant.  It raises when the caller
+    reads stationary constants off the end (Markov), and otherwise when
+    cumD has not reached 1 inside the trace; a crossing inside it is
+    exact (tau_d_numeric).
     """
     if table is None:
         table = decoherence_table(mat, part.delta_tilde)
     trace = coefficients_from_table(table, part, kin)
     t_end = float(trace.grid[-1])
     c_end = float(trace.cumD[-1])
-    capped = t_end < decoherence_window(part.delta_tilde, mat.gamma_tilde) * (1 - 1e-12)
-    if capped and c_end < 1.0:
+    window = decoherence_window(part.delta_tilde, mat.gamma_tilde)
+    if t_end < window * (1 - 1e-12) and (stationary or c_end < 1.0):
         raise PhysicsError(
-            f"trace horizon cap reached before the envelope crossed e^-2 "
-            f"(cumD = {c_end:.6g} at t = {t_end:.6g})"
+            f"the kernel table ends at t = {t_end:.6g}, before the decoherence window "
+            f"{window:.6g}, with cumD = {c_end:.6g}: its end is not stationary"
         )
     return trace, float(trace.D[-1]) + _tail_slope_correction(mat, part, kin, t_end)
 
@@ -211,7 +207,7 @@ def tau_d_numeric(
     the root is closed-form on the segment ``searchsorted`` finds or on
     the tail-corrected continuation.
     """
-    trace, d_end = _trace_and_tail_slope(mat, part, kin, table)
+    trace, d_end = _trace_and_tail_slope(mat, part, kin, table, stationary=False)
     g, c = trace.grid, trace.cumD
     if c[-1] >= 1.0:
         i = int(np.searchsorted(c, 1.0))
@@ -381,7 +377,7 @@ class _SweepPoint(NamedTuple):
 
 def _sweep(
     mat: MaterialParams, points: Sequence[_SweepPoint], method: str,
-    pts_per_cycle: int, horizon_cycles: float | None, rate_mode: bool,
+    pts_per_cycle: int, rate_mode: bool,
 ) -> list[SweepRow]:
     """Rows for sweep points on one material, in point order.
 
@@ -396,7 +392,7 @@ def _sweep(
     deltas = [pt.part.delta_tilde for pt in points if not pt.excluded]
     table = None
     if deltas:
-        table = table_for_method(mat, min(deltas), method, pts_per_cycle, horizon_cycles)
+        table = table_for_method(mat, min(deltas), method, pts_per_cycle)
 
     def tau(part: ParticleParams, kin: KinematicsParams) -> float:
         return tau_d(mat, part, kin, method=method, table=table).tau_d
@@ -443,7 +439,7 @@ def sweep_velocity(
     part: ParticleParams,
     velocities: Sequence[float],
     method: str = "numeric",
-    pts_per_cycle: int = DEFAULT_PTS_PER_CYCLE, horizon_cycles: float | None = None,
+    pts_per_cycle: int = DEFAULT_PTS_PER_CYCLE,
 ) -> list[SweepRow]:
     """tau_D and the normalized rate across a velocity grid."""
     theta, phi = angles_of(part.orientation)
@@ -451,7 +447,7 @@ def sweep_velocity(
         _SweepPoint("u", u, part, KinematicsParams(u=u), theta, phi)
         for u in velocities
     ]
-    return _sweep(mat, points, method, pts_per_cycle, horizon_cycles, rate_mode=True)
+    return _sweep(mat, points, method, pts_per_cycle, rate_mode=True)
 
 
 def sweep_polarization(
@@ -462,7 +458,7 @@ def sweep_polarization(
     phi_grid: Sequence[float],
     method: str = "numeric",
     rate_mode: bool = False,
-    pts_per_cycle: int = DEFAULT_PTS_PER_CYCLE, horizon_cycles: float | None = None,
+    pts_per_cycle: int = DEFAULT_PTS_PER_CYCLE,
 ) -> list[SweepRow]:
     """tau_D (or the velocity rate) over a dipole-direction grid.
 
@@ -489,7 +485,7 @@ def sweep_polarization(
         for th in thetas
         for ph in phis
     ]
-    return _sweep(mat, points, method, pts_per_cycle, horizon_cycles, rate_mode)
+    return _sweep(mat, points, method, pts_per_cycle, rate_mode)
 
 
 def sweep_material_particle(
@@ -497,7 +493,7 @@ def sweep_material_particle(
     theta_grid: Sequence[float],
     phi_grid: Sequence[float],
     method: str = "numeric",
-    pts_per_cycle: int = DEFAULT_PTS_PER_CYCLE, horizon_cycles: float | None = None,
+    pts_per_cycle: int = DEFAULT_PTS_PER_CYCLE,
 ) -> list[SweepRow]:
     """Velocity-rate curves over angles for preset material/particle pairs.
 
@@ -512,7 +508,7 @@ def sweep_material_particle(
         u = DEFAULT_COMBO_VELOCITY[key]
         out += sweep_polarization(
             mat, part, KinematicsParams(u=u), theta_grid, phi_grid, method, rate_mode=True,
-            pts_per_cycle=pts_per_cycle, horizon_cycles=horizon_cycles,
+            pts_per_cycle=pts_per_cycle,
         )
     return out
 
@@ -523,7 +519,7 @@ def sweep_level_spacing(
     kin: KinematicsParams,
     delta_grid: Sequence[float],
     method: str = "numeric",
-    pts_per_cycle: int = DEFAULT_PTS_PER_CYCLE, horizon_cycles: float | None = None,
+    pts_per_cycle: int = DEFAULT_PTS_PER_CYCLE,
 ) -> list[SweepRow]:
     """Normalized rate tau(u)/tau(0) across level spacings.
 
@@ -544,7 +540,7 @@ def sweep_level_spacing(
         )
         for d in delta_grid
     ]
-    rows = _sweep(mat, points, method, pts_per_cycle, horizon_cycles, rate_mode=True)
+    rows = _sweep(mat, points, method, pts_per_cycle, rate_mode=True)
     ratios = [None if r.flag else r.tau_d / r.tau_d_u0 for r in rows]
 
     flagged = []

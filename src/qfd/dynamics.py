@@ -40,11 +40,10 @@ POSITIVITY_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class QubitState:
-    """Two-level reduced state: excited population and coherence at time t."""
+    """Two-level reduced state: excited population and coherence."""
 
     rho11: float
     rho12: complex
-    t: float = 0.0
 
     def __post_init__(self):
         if not -POSITIVITY_SLACK <= self.rho11 <= 1.0 + POSITIVITY_SLACK:

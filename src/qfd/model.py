@@ -264,6 +264,14 @@ def kernel_R(x, orientation) -> np.ndarray | float:
     return float(val) if np.isscalar(x) else val
 
 
+def envelope_derivatives(u: float, s, orientation) -> list:
+    """[P(u s), d/ds P(u s), d2/ds2 P(u s)] from dP/dx = -3 x Q and
+    d2P/dx2 = -12 R, exact in the velocity u and the delay s."""
+    x = u * s
+    return [kernel_P(x, orientation), -3.0 * u * u * s * kernel_Q(x, orientation),
+            -12.0 * u * u * kernel_R(x, orientation)]
+
+
 # ---------------------------------------------------------------------------
 # Presets
 # ---------------------------------------------------------------------------

@@ -339,13 +339,13 @@ def test_sweep_theta_combos_label_the_theta_axis(tmp_path):
         ("--omega-s", "inf", "omega_s"),
         ("--a-nm", "inf", "a_nm"),
         ("--pts-per-cycle", "0", "pts_per_cycle"),
-        ("--horizon-cycles", "0", "horizon_cycles"),
-        ("--horizon-cycles", "nan", "horizon_cycles"),
         ("--omega-max", "nan", "omega_max"),
         ("[numerics] rel_tol", "nan", "rel_tol"),
         ("[numerics] rel_tol", "abc", "[numerics] rel_tol"),
         ("[numerics] pts_per_cycle", "1.5", "[numerics] pts_per_cycle"),
         ("[kinematics] u", "fast", "[kinematics] u"),
+        # a key that no longer exists is refused, not ignored
+        ("[numerics] horizon_cycles", "auto", "[numerics] horizon_cycles"),
         ("--orientation", "1,x,0", "--orientation"),
     ],
 )
@@ -420,7 +420,7 @@ def test_sweep_config_error_exit_2(tmp_path, capsys):
         (["coeffs", "--preset", "nv-nsi", "--cycles", "1e308"], "lower --cycles"),
         (["tdec", "--preset", "nv-au", "--pts-per-cycle", "10000000"], "lower pts_per_cycle"),
         # a window of 3 cycles of 6e7 at the spacing cap 0.1
-        (["tdec", "--preset", "nv-nsi", "--delta", "1e-7"], "lower horizon_cycles"),
+        (["tdec", "--preset", "nv-nsi", "--delta", "1e-7"], "raise delta_tilde"),
         # kernels alive for 1.1e8 and 5.5e6 at the spacing cap 0.1, which no
         # pts_per_cycle lifts; the decay time is shortest at gamma_tilde = 2
         (["tdec", "--preset", "nv-nsi", "--gamma", "1e-6"], "raise gamma_tilde"),
@@ -478,15 +478,6 @@ def test_sweep_honours_pts_per_cycle(tmp_path):
                     "--out", str(report)]) == 0
         assert float(row[tau]) == pytest.approx(json.loads(report.read_text())["tau_d"],
                                                 rel=1e-12)
-
-
-@pytest.mark.parametrize("command", [["tdec", "--preset", "nv-nsi"], U_SWEEP],
-                         ids=["tdec", "sweep"])
-def test_horizon_cap_too_short_exit_4(tmp_path, command):
-    # half a cycle ends the trace before the envelope reaches e^-2
-    out = tmp_path / "x.out"
-    assert run(command + ["--horizon-cycles", "0.5", "--out", str(out)]) == 4
-    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,12 @@ from qfd.decoherence import (
     tau_d_analytic,
     tau_d_numeric,
 )
-from qfd.coefficients import coefficients_from_table, markov_limit
+from qfd.coefficients import (
+    coefficients_from_table,
+    make_kernel_table,
+    markov_limit,
+    time_grid,
+)
 from qfd.errors import BracketError, ConfigError, DomainError, PhysicsError
 from qfd.model import KinematicsParams, orientation_weights, preset
 from dataclasses import replace
@@ -149,10 +154,27 @@ def test_tau_zero_coupling_cannot_bracket():
 
 
 def test_tau_horizon_cap_errors():
+    # one cycle ends the table before the envelope reaches e^-2
     mat, part = NV_NSI
+    short = make_kernel_table(mat.gamma_tilde, time_grid(part.delta_tilde, mat.gamma_tilde, 1.0))
     with pytest.raises(PhysicsError):
-        tau_d_numeric(mat, part, REST, table=decoherence_table(mat, part.delta_tilde,
-                                                               horizon_cycles=1.0))
+        tau_d_numeric(mat, part, REST, table=short)
+
+
+def test_markov_refuses_a_table_short_of_the_window():
+    # cumD passes 1 inside a one-cycle table, so the numeric root is
+    # exact there; Markov's constants at its end are not yet stationary
+    # (D_inf 1e-3 too low), and it raises
+    mat, part = NV_NSI
+    part = replace(part, r0_tilde=10.0)
+    kin = KinematicsParams(u=0.003)
+    short = make_kernel_table(1.0, time_grid(0.2, 1.0, 1.0))
+    assert tau_d_numeric(mat, part, kin, table=short).tau_d == pytest.approx(
+        tau_d_numeric(mat, part, kin).tau_d, rel=1e-3)
+    with pytest.raises(PhysicsError):
+        markov_limit(mat, part, kin, table=short)
+    with pytest.raises(PhysicsError):
+        tau_d(mat, part, kin, method="markov", table=short)
 
 
 # ---------------------------------------------------------------------------

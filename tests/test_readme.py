@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qfd.cli import main
+from qfd.cli import _KEYS, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -64,8 +64,8 @@ def test_readme_python_block_runs(n):
 
 
 def test_readme_config_block_round_trips(tmp_path):
-    """The README's INI block is accepted as written, and its dump
-    re-ingests to a byte-identical dump."""
+    """The README's INI block is accepted as written, shows every key of
+    the schema, and its dump re-ingests to a byte-identical dump."""
     block = re.search(r"```ini\n(.*?)```", README.read_text(), flags=re.S).group(1)
     given, first, second = tmp_path / "readme.ini", tmp_path / "d1.ini", tmp_path / "d2.ini"
     given.write_text(block)
@@ -75,6 +75,8 @@ def test_readme_config_block_round_trips(tmp_path):
     written, dumped = configparser.ConfigParser(), configparser.ConfigParser()
     written.read_string(block)
     dumped.read(first)
+    shown = {(section, key) for section in written.sections() for key in written[section]}
+    assert shown == {(section, key) for section, key, *_ in _KEYS}
     for section in written.sections():
         for key, text in written[section].items():
             try:
