@@ -13,15 +13,21 @@ The package is organised in layers:
 ``qfd.coefficients``
     Time-dependent master-equation coefficients D, f, zeta computed three
     ways (semi-analytic E1 kernel, small-velocity expansion, brute-force
-    double quadrature) plus their Markov limits.
+    double quadrature), the decoherence kernel table with its stationary
+    read-out (trace end plus tail remainder), and the Markov limits read
+    off it.
 ``qfd.dynamics``
     Reduced density-matrix evolution, purity, coherences and asymptotic
     populations.
 ``qfd.decoherence``
-    Decoherence-time extraction (numeric / analytic / Markov), quadratic
-    velocity-ratio fits and parameter sweeps.
+    Decoherence-time extraction (numeric / analytic / Markov) on the
+    table ``qfd.coefficients`` builds, quadratic velocity-ratio fits and
+    parameter sweeps.
 ``qfd.cli``
     Deterministic command-line interface emitting CSV/JSON data files.
+
+Each module imports only the modules listed before it; ``qfd.errors``
+and ``qfd.g17`` are leaves any of them may import.
 """
 
 from qfd.model import (

@@ -28,6 +28,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 from dataclasses import asdict, dataclass, fields
 from functools import reduce
 from itertools import groupby
@@ -40,6 +41,7 @@ from qfd.coefficients import (
     coefficients_brute,
     coefficients_e1,
     csv_table,
+    decoherence_table,
     markov_limit,
     time_grid,
 )
@@ -326,7 +328,8 @@ def cmd_coeffs(args: argparse.Namespace, cfg: RunConfig) -> int:
         for route, trace in traces.items():
             names = ("D", "f", "zeta", "cumD", "cumF") if route == "e1" else ("D", "f", "zeta")
             columns |= {f"{name}_{route}": getattr(trace, name) for name in names}
-        columns["D_markov"] = np.full(grid.shape, markov_limit(mat, part, kin).D_inf)
+        table = decoherence_table(mat, part.delta_tilde, num.pts_per_cycle)
+        columns["D_markov"] = np.full(grid.shape, markov_limit(mat, part, kin, table).D_inf)
         text = csv_table(columns)
     _write_atomic(cfg.out_path, text)
     return 0
@@ -494,31 +497,39 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a library warning as the CLI prints its own."""
+    print(f"qfd: warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    try:
-        cfg = resolve_config(args)
-        if args.dump_config:
-            _check_out_path(args.dump_config, "--dump-config")
-            _write_atomic(args.dump_config, cfg.to_ini())
-            return 0
-        _check_out_path(cfg.out_path, "--out")
-        if cfg.out_format != "csv" and args.command in ("coeffs", "evolve"):
-            raise ConfigError(f"format {cfg.out_format!r}: {args.command} writes CSV only")
-        return args.func(args, cfg)
-    except ConfigError as exc:
-        print(f"qfd: config error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, GridError, BracketError, ConvergenceError) as exc:
-        print(f"qfd: numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except PhysicsError as exc:
-        print(f"qfd: physics invariant breached: {exc}", file=sys.stderr)
-        return 4
-    except QfdError as exc:  # any stragglers
-        print(f"qfd: error: {exc}", file=sys.stderr)
-        return 3
+    # the active filters stay; only the way a shown warning prints changes
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            cfg = resolve_config(args)
+            if args.dump_config:
+                _check_out_path(args.dump_config, "--dump-config")
+                _write_atomic(args.dump_config, cfg.to_ini())
+                return 0
+            _check_out_path(cfg.out_path, "--out")
+            if cfg.out_format != "csv" and args.command in ("coeffs", "evolve"):
+                raise ConfigError(f"format {cfg.out_format!r}: {args.command} writes CSV only")
+            return args.func(args, cfg)
+        except ConfigError as exc:
+            print(f"qfd: config error: {exc}", file=sys.stderr)
+            return 2
+        except (DomainError, GridError, BracketError, ConvergenceError) as exc:
+            print(f"qfd: numerical failure: {exc}", file=sys.stderr)
+            return 3
+        except PhysicsError as exc:
+            print(f"qfd: physics invariant breached: {exc}", file=sys.stderr)
+            return 4
+        except QfdError as exc:  # any stragglers
+            print(f"qfd: error: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

@@ -26,9 +26,11 @@ Three independent evaluation routes are provided:
   exponential-integral correction that keeps it accurate for damping of
   order one.
 
-``markov_limit`` reads the t -> inf constants the same coefficients
-relax to off a trace on the decoherence table (``decoherence_table``),
-the grid on which every coefficient has become constant.
+``decoherence_table`` builds the kernel table over the window on which
+every coefficient has become constant, and ``_trace_and_tail_slope`` is
+its one stationary read-out: the trace's end plus the cosine kernel's
+tail remainder.  ``markov_limit`` and the numeric decoherence time of
+``qfd.decoherence`` read it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from qfd.errors import ConfigError, DomainError, GridError
+from qfd.errors import ConfigError, DomainError, GridError, PhysicsError
 from qfd.model import (
     KinematicsParams,
     MaterialParams,
@@ -801,8 +803,101 @@ def coefficients_analytic_small_u(
 
 
 # ---------------------------------------------------------------------------
-# Markov (stationary) limits
+# Decoherence table and its stationary read-out (Markov limits)
 # ---------------------------------------------------------------------------
+
+
+# past this window the cosine kernel is its algebraic tail alone, whose
+# remainder (_tail_slope_correction) leaves D_inf at rest within 4e-11 of
+# its closed form up to gamma_tilde = 4 (6.3e-10 at 10) on the presets
+_TAIL_WINDOW = 1000.0
+
+
+def decoherence_window(delta_tilde: float, gamma_tilde: float) -> float:
+    """Trace horizon (dimensionless time) after which every coefficient
+    is constant (up to the corrected algebraic tail) and the accumulated
+    diffusion continues linearly."""
+    cycle = TWO_PI / delta_tilde
+    return max(kernel_decay_time(gamma_tilde) + 2.0 * cycle, 3.0 * cycle, _TAIL_WINDOW)
+
+
+def _tail_slope_correction(
+    mat: MaterialParams, part: ParticleParams, kin: KinematicsParams, t_end: float
+) -> float:
+    """Analytic remainder D_inf - D(t_end) of the cosine kernel's tail,
+        (r0t / 2 pi) int_T^inf cos(dt s) g(s) ds,  g = (C_0/s^2 + C_1/s^4) P(u s),
+    C_n from _cos_tail_coefficients, by parts (_by_parts) with every term
+    kept to O(T^-4); the residual scales like 1/(dt^4 T^5) and is
+    negligible past the decoherence window.
+    """
+    c0, c1 = _cos_tail_coefficients(mat.gamma_tilde)[:2]
+    t = t_end
+    p, dp, d2p = envelope_derivatives(abs(kin.u), t, part.orientation)
+    # the tail and its derivatives; those of C_1/s^4 are O(T^-5)
+    k, dk, d2k = c0 / t**2 + c1 / t**4, -2.0 * c0 / t**3, 6.0 * c0 / t**4
+    g = [k * p, dk * p + k * dp, d2k * p + 2.0 * dk * dp + k * d2p]
+    return -part.r0_tilde / TWO_PI * float(_by_parts(part.delta_tilde, t, g).real)
+
+
+def _graded_start(grid: np.ndarray) -> np.ndarray:
+    """The grid graded toward t = 0, where Kc carries a t^2 log t term
+    (Davis & Rabinowitz, Methods of Numerical Integration, 2.12): 4x the
+    density up to t = 1, and 12 geometric points h 0.3^k below its first
+    point h."""
+    k = int(np.searchsorted(grid, 1.0, side="right")) - 1
+    head = np.interp(np.arange(4 * k + 1) / 4, np.arange(k + 1), grid[: k + 1])
+    geometric = head[1] * 0.3 ** np.arange(12, 0, -1)
+    return np.concatenate([[0.0], geometric, head[1:], grid[k + 1 :]])
+
+
+def decoherence_table(
+    mat: MaterialParams,
+    delta_tilde: float,
+    pts_per_cycle: int = DEFAULT_PTS_PER_CYCLE,
+) -> KernelTable:
+    """Kernel table on the decoherence-extraction grid, time_grid over
+    the decoherence window graded toward t = 0.
+
+    Building it once and sharing it across velocities, orientations and
+    (shorter-window) level spacings avoids recomputing the kernels,
+    which dominate the cost.  The grid density is set here alone; every
+    route reads it off the table it is given.  A window too long for
+    the node budget is refused with the remedy to raise delta_tilde.
+    """
+    cycle = TWO_PI / delta_tilde
+    window = decoherence_window(delta_tilde, mat.gamma_tilde)
+    grid = time_grid(delta_tilde, mat.gamma_tilde, window / cycle, pts_per_cycle,
+                     remedy="raise delta_tilde")
+    return make_kernel_table(mat.gamma_tilde, _graded_start(grid))
+
+
+def _trace_and_tail_slope(
+    mat: MaterialParams, part: ParticleParams, kin: KinematicsParams,
+    table: KernelTable | None = None, *, stationary: bool = True,
+) -> tuple[CoefficientTrace, float]:
+    """Trace on the table (decoherence_table unless given) plus D_inf, the
+    tail-corrected slope of cumD past its end: the one read-out of the
+    trace's end, shared by the numeric and Markov routes.
+
+    A given table may end before the point's decoherence window, where
+    the coefficients are not yet constant.  It raises when the caller
+    reads stationary constants off the end (Markov), and otherwise when
+    cumD has not reached 1 inside the trace; a crossing inside it is
+    exact (tau_d_numeric).
+    """
+    if table is None:
+        table = decoherence_table(mat, part.delta_tilde)
+    trace = coefficients_from_table(table, part, kin)
+    t_end = float(trace.grid[-1])
+    c_end = float(trace.cumD[-1])
+    window = decoherence_window(part.delta_tilde, mat.gamma_tilde)
+    if t_end < window * (1 - 1e-12) and (stationary or c_end < 1.0):
+        raise PhysicsError(
+            f"the kernel table ends at t = {t_end:.6g}, before the decoherence window "
+            f"{window:.6g}, with cumD = {c_end:.6g}: its end is not stationary"
+        )
+    return trace, float(trace.D[-1]) + _tail_slope_correction(mat, part, kin, t_end)
+
 
 # smallest resolved stationary population (1 - zeta/D)/2; the worst
 # error of 1 - zeta/D at rest on the presets is 2.4e-10 (rb-nsi)
@@ -836,8 +931,5 @@ def markov_limit(
     being a pure pole term.  Exact in the velocity; at u = 0 the
     diffusion constant reduces to r0_tilde d_i J(delta_tilde) / 32.
     """
-    # deferred: qfd.decoherence, which owns the read-out, imports this module
-    from qfd.decoherence import _trace_and_tail_slope
-
     trace, d_inf = _trace_and_tail_slope(mat, part, kin, table)
     return MarkovCoefficients(d_inf, float(trace.zeta[-1]))

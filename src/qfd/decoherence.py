@@ -10,6 +10,10 @@ time is the root of cumD(tau) = 1 (envelope down to e^-2).  Three routes:
   response functions h and g below;
 * markov   - plain 1 / D_inf, the numeric route's read-out (markov_limit).
 
+The numeric and Markov routes read the decoherence table and its
+stationary read-out from qfd.coefficients (decoherence_table,
+_trace_and_tail_slope).
+
 Sweeps over velocity, dipole angles, material/particle combinations and
 level spacing emit flat result rows ready for CSV export.
 """
@@ -24,17 +28,12 @@ import numpy as np
 
 from qfd.coefficients import (
     DEFAULT_PTS_PER_CYCLE,
-    CoefficientTrace,
     KernelTable,
-    _by_parts,
-    _cos_tail_coefficients,
     _pole_pair,
-    coefficients_from_table,
+    _trace_and_tail_slope,
     csv_table,
-    kernel_decay_time,
-    make_kernel_table,
+    decoherence_table,
     markov_limit,
-    time_grid,
 )
 from qfd.errors import BracketError, ConfigError, DomainError, PhysicsError
 from qfd.model import (
@@ -42,7 +41,6 @@ from qfd.model import (
     MaterialParams,
     ParticleParams,
     _density_denominator,
-    envelope_derivatives,
     kernel_P,  # noqa: F401  bench/test_bench.py checks that tracing reaches it here
     orientation_from_angles,
     orientation_weights,
@@ -92,70 +90,6 @@ class QuadraticFit:
 # ---------------------------------------------------------------------------
 
 
-# past this window the cosine kernel is its algebraic tail alone, whose
-# remainder (_tail_slope_correction) leaves D_inf at rest within 4e-11 of
-# its closed form up to gamma_tilde = 4 (6.3e-10 at 10) on the presets
-_TAIL_WINDOW = 1000.0
-
-
-def decoherence_window(delta_tilde: float, gamma_tilde: float) -> float:
-    """Trace horizon (dimensionless time) after which every coefficient
-    is constant (up to the corrected algebraic tail) and the accumulated
-    diffusion continues linearly."""
-    cycle = TWO_PI / delta_tilde
-    return max(kernel_decay_time(gamma_tilde) + 2.0 * cycle, 3.0 * cycle, _TAIL_WINDOW)
-
-
-def _tail_slope_correction(
-    mat: MaterialParams, part: ParticleParams, kin: KinematicsParams, t_end: float
-) -> float:
-    """Analytic remainder D_inf - D(t_end) of the cosine kernel's tail,
-        (r0t / 2 pi) int_T^inf cos(dt s) g(s) ds,  g = (C_0/s^2 + C_1/s^4) P(u s),
-    C_n from _cos_tail_coefficients, by parts (_by_parts) with every term
-    kept to O(T^-4); the residual scales like 1/(dt^4 T^5) and is
-    negligible past the decoherence window.
-    """
-    c0, c1 = _cos_tail_coefficients(mat.gamma_tilde)[:2]
-    t = t_end
-    p, dp, d2p = envelope_derivatives(abs(kin.u), t, part.orientation)
-    # the tail and its derivatives; those of C_1/s^4 are O(T^-5)
-    k, dk, d2k = c0 / t**2 + c1 / t**4, -2.0 * c0 / t**3, 6.0 * c0 / t**4
-    g = [k * p, dk * p + k * dp, d2k * p + 2.0 * dk * dp + k * d2p]
-    return -part.r0_tilde / TWO_PI * float(_by_parts(part.delta_tilde, t, g).real)
-
-
-def _graded_start(grid: np.ndarray) -> np.ndarray:
-    """The grid graded toward t = 0, where Kc carries a t^2 log t term
-    (Davis & Rabinowitz, Methods of Numerical Integration, 2.12): 4x the
-    density up to t = 1, and 12 geometric points h 0.3^k below its first
-    point h."""
-    k = int(np.searchsorted(grid, 1.0, side="right")) - 1
-    head = np.interp(np.arange(4 * k + 1) / 4, np.arange(k + 1), grid[: k + 1])
-    geometric = head[1] * 0.3 ** np.arange(12, 0, -1)
-    return np.concatenate([[0.0], geometric, head[1:], grid[k + 1 :]])
-
-
-def decoherence_table(
-    mat: MaterialParams,
-    delta_tilde: float,
-    pts_per_cycle: int = DEFAULT_PTS_PER_CYCLE,
-) -> KernelTable:
-    """Kernel table on the decoherence-extraction grid, time_grid over
-    the decoherence window graded toward t = 0.
-
-    Building it once and sharing it across velocities, orientations and
-    (shorter-window) level spacings avoids recomputing the kernels,
-    which dominate the cost.  The grid density is set here alone; every
-    route reads it off the table it is given.  A window too long for
-    the node budget is refused with the remedy to raise delta_tilde.
-    """
-    cycle = TWO_PI / delta_tilde
-    window = decoherence_window(delta_tilde, mat.gamma_tilde)
-    grid = time_grid(delta_tilde, mat.gamma_tilde, window / cycle, pts_per_cycle,
-                     remedy="raise delta_tilde")
-    return make_kernel_table(mat.gamma_tilde, _graded_start(grid))
-
-
 def table_for_method(
     mat: MaterialParams, delta_tilde: float, method: str,
     pts_per_cycle: int = DEFAULT_PTS_PER_CYCLE,
@@ -164,34 +98,6 @@ def table_for_method(
     if method == "analytic":
         return None
     return decoherence_table(mat, delta_tilde, pts_per_cycle)
-
-
-def _trace_and_tail_slope(
-    mat: MaterialParams, part: ParticleParams, kin: KinematicsParams,
-    table: KernelTable | None = None, *, stationary: bool = True,
-) -> tuple[CoefficientTrace, float]:
-    """Trace on the table (decoherence_table unless given) plus D_inf, the
-    tail-corrected slope of cumD past its end: the one read-out of the
-    trace's end, shared by the numeric and Markov routes.
-
-    A given table may end before the point's decoherence window, where
-    the coefficients are not yet constant.  It raises when the caller
-    reads stationary constants off the end (Markov), and otherwise when
-    cumD has not reached 1 inside the trace; a crossing inside it is
-    exact (tau_d_numeric).
-    """
-    if table is None:
-        table = decoherence_table(mat, part.delta_tilde)
-    trace = coefficients_from_table(table, part, kin)
-    t_end = float(trace.grid[-1])
-    c_end = float(trace.cumD[-1])
-    window = decoherence_window(part.delta_tilde, mat.gamma_tilde)
-    if t_end < window * (1 - 1e-12) and (stationary or c_end < 1.0):
-        raise PhysicsError(
-            f"the kernel table ends at t = {t_end:.6g}, before the decoherence window "
-            f"{window:.6g}, with cumD = {c_end:.6g}: its end is not stationary"
-        )
-    return trace, float(trace.D[-1]) + _tail_slope_correction(mat, part, kin, t_end)
 
 
 def tau_d_numeric(
@@ -280,8 +186,9 @@ def tau_d_analytic(
 
     Markov term (32 / r0t d_i)(1/h - (3/8)(d_a/d_i) u^2 h''/h^2) plus the
     finite-time correction of _finite_time_terms.  Level spacings inside
-    the resonance exclusion band (where the expansion blows up) and
-    gamma_tilde >= 2 (_pole_pair) are refused; zero coupling raises a
+    the resonance exclusion band (where the expansion blows up),
+    gamma_tilde >= 2 (_pole_pair) and a velocity at which the expansion
+    gives no positive time are refused; zero coupling raises a
     DomainError.
     """
     delta = part.delta_tilde
@@ -302,6 +209,11 @@ def tau_d_analytic(
 
     tau_mark = 32.0 / (part.r0_tilde * di) * (1.0 / h - 0.375 * (da / di) * u2 * h2 / h**2)
     tau = tau_mark + const + 0.375 * (da / di) * u2 * bracket
+    if not tau > 0.0:
+        raise ConfigError(
+            f"the analytic route gives tau_d = {tau:.6g} at u = {kin.u}, outside the "
+            f"small-velocity expansion; the numeric and markov methods run there"
+        )
     return DecoherenceTimeResult(tau, "analytic")
 
 

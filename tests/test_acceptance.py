@@ -40,11 +40,11 @@ from qfd.coefficients import (
     coefficients_e1,
     make_kernel_table,
     coefficients_from_table,
+    decoherence_table,
     markov_limit,
     time_grid,
 )
 from qfd.decoherence import (
-    decoherence_table,
     quadratic_ratio_fit,
     sweep_level_spacing,
     sweep_material_particle,

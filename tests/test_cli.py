@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from qfd.cli import main, parse_angle
+from qfd.coefficients import decoherence_table, markov_limit
 from qfd.errors import ConfigError
+from qfd.model import KinematicsParams, preset
 
 
 def run(args, tmp_path=None):
@@ -118,6 +120,31 @@ def test_coeffs_all_methods(tmp_path):
         i = header.index(name if name in ("t", "N_cycles") else f"{name}_e1")
         j = e1_header.index(name)
         assert [row[i] for row in rows] == [row[j] for row in e1_rows], name
+
+
+def test_coeffs_all_markov_column_reads_the_run_density(tmp_path):
+    # D_markov comes off a decoherence table at --pts-per-cycle, not the default
+    out = tmp_path / "all.csv"
+    assert run(
+        ["coeffs", "--preset", "nv-nsi", "--u", "0.003", "--cycles", "0.05",
+         "--method", "all", "--pts-per-cycle", "800", "--out", str(out)]
+    ) == 0
+    header, rows = read_csv(out)
+    mat, part = preset("nv-nsi")
+    table = decoherence_table(mat, part.delta_tilde, 800)
+    d_inf = markov_limit(mat, part, KinematicsParams(u=0.003), table).D_inf
+    assert {row[header.index("D_markov")] for row in rows} == {f"{d_inf:.17g}"}
+
+
+def test_library_warning_prints_with_the_cli_prefix(tmp_path, capsys):
+    code = run(
+        ["coeffs", "--preset", "nv-nsi", "--method", "analytic", "--u", "0.1",
+         "--cycles", "1", "--out", str(tmp_path / "x.csv")]
+    )
+    assert code == 0
+    err = capsys.readouterr().err
+    assert err == "qfd: warning: small-velocity expansion called with u = 0.1 > 0.05\n"
+    assert "UserWarning" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +417,8 @@ def test_sweep_config_error_exit_2(tmp_path, capsys):
         (u_sweep + ["--points", "4", *above_critical, "--method", "analytic"], "gamma_tilde"),
         (["coeffs", *above_critical, "--method", "analytic", "--cycles", "0.1"], "gamma_tilde"),
         (["coeffs", *above_critical, "--method", "all", "--cycles", "0.1"], "gamma_tilde"),
+        # the expansion past its range, where it gives no positive tau_d
+        (["tdec", "--preset", "nv-nsi", "--method", "analytic", "--u", "1"], "u = 1"),
         # a fit sweep past the threshold is refused before any tau_d is computed
         (["sweep", "--param", "u", "--from", "0.01", "--to", "0.2", "--points", "4",
           "--preset", "nv-nsi"], "delta_tilde/2"),

@@ -8,7 +8,6 @@ import pytest
 from qfd.decoherence import (
     RESONANCE_EXCLUSION_BAND,
     DecoherenceTimeResult,
-    decoherence_table,
     quadratic_ratio_fit,
     sweep_level_spacing,
     sweep_polarization,
@@ -20,6 +19,7 @@ from qfd.decoherence import (
 )
 from qfd.coefficients import (
     coefficients_from_table,
+    decoherence_table,
     make_kernel_table,
     markov_limit,
     time_grid,
@@ -358,7 +358,7 @@ def test_polarization_phi_periodicity_and_polar_degeneracy():
 def test_phi_sweep_shares_one_rest_reference(monkeypatch):
     # at theta = pi/2 every phi has d_i = 1, and at rest P = d_i / 8, so
     # one u = 0 trace serves all N angles: N + 1 traces in all
-    import qfd.decoherence
+    import qfd.coefficients
 
     calls = []
 
@@ -366,7 +366,7 @@ def test_phi_sweep_shares_one_rest_reference(monkeypatch):
         calls.append(args)
         return coefficients_from_table(*args)
 
-    monkeypatch.setattr(qfd.decoherence, "coefficients_from_table", counted)
+    monkeypatch.setattr(qfd.coefficients, "coefficients_from_table", counted)
     mat, part = NV_NSI
     phis = [0.0, 0.5, 1.0, 2.0]
     rows = sweep_polarization(

@@ -1,0 +1,47 @@
+"""Module layering: each qfd module imports only the layers before it."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+import qfd
+
+SRC = Path(qfd.__file__).parent
+
+# the layer order of the package docstring; the leaves may be imported anywhere
+LAYERS = ["numerics", "model", "coefficients", "dynamics", "decoherence", "cli"]
+LEAVES = ["errors", "g17"]
+
+
+def qfd_imports(path: Path) -> set[str]:
+    """The qfd modules a source file imports, in function bodies too;
+    the package itself counts as ''."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [("qfd." if node.level else "") + (node.module or "")]
+        else:
+            continue
+        for name in names:
+            package, _, module = name.partition(".")
+            if package == "qfd":
+                found.add(module)
+    return found
+
+
+def test_layer_order_is_the_documented_one():
+    assert re.findall(r"^``qfd\.(\w+)``$", qfd.__doc__, re.M) == LAYERS
+    assert {p.stem for p in SRC.glob("*.py")} == {"__init__", *LAYERS, *LEAVES}
+
+
+@pytest.mark.parametrize("module", LAYERS + LEAVES)
+def test_module_imports_only_earlier_layers(module):
+    # a leaf imports no qfd module
+    allowed = set()
+    if module in LAYERS:
+        allowed = {*LAYERS[: LAYERS.index(module)], *LEAVES}
+    assert qfd_imports(SRC / f"{module}.py") <= allowed

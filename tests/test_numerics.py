@@ -367,8 +367,7 @@ def test_root_no_bracket():
 def test_root_decoherence_crossing_vs_scan_oracle():
     # envelope crossing e^-2 <=> cumD = 1, against a dense-scan bisection
     # on the r0_tilde = 1 trace, which the crossing falls inside
-    from qfd.coefficients import coefficients_from_table
-    from qfd.decoherence import decoherence_table
+    from qfd.coefficients import coefficients_from_table, decoherence_table
     from qfd.model import KinematicsParams, preset
 
     mat, part = preset("nv-nsi")
