@@ -11,6 +11,8 @@ Configuration is a flat INI file whose keys are declared once, in
 ``_KEYS``, with CLI flags as overrides (resolve_config gives the order);
 ``--dump-config`` emits the fully resolved file, which re-ingests to the
 byte-identical result; a section or key it does not declare is refused.
+The only numerics key is ``pts_per_cycle``: the brute-force oracle sets
+its own cutoff and tolerances (``qfd.coefficients.coefficients_brute``).
 Tables are written by ``qfd.coefficients.csv_table``, every number byte
 for byte as Python's ``'%.17g' % float(v)``, and files are written
 atomically.
@@ -81,25 +83,6 @@ from qfd.model import (
 )
 
 
-@dataclass(frozen=True)
-class NumericsOptions:
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
-    omega_max: float = 50.0
-    pts_per_cycle: int = DEFAULT_PTS_PER_CYCLE
-
-    def __post_init__(self):
-        # chained comparisons also refuse NaN and infinity
-        for name, ok, need in (
-            ("rel_tol", 0 < self.rel_tol < math.inf, "finite and > 0"),
-            ("abs_tol", 0 < self.abs_tol < math.inf, "finite and > 0"),
-            ("omega_max", 1 < self.omega_max < math.inf, "finite and exceed the resonance at 1"),
-            ("pts_per_cycle", self.pts_per_cycle >= 8, ">= 8"),
-        ):
-            if not ok:
-                raise ConfigError(f"{name} must be {need}, got {getattr(self, name)}")
-
-
 def parse_angle(text: str) -> float:
     """Angles are radians by default; a 'deg' suffix switches to degrees."""
     s = text.strip().lower()
@@ -134,10 +117,7 @@ _KEYS = (
     ("particle", "name", "particle.name", None, str),
     ("kinematics", "u", "kinematics.u", "u", float),
     ("kinematics", "a_nm", "kinematics.a_nm", "a_nm", float),
-    ("numerics", "rel_tol", "numerics.rel_tol", None, float),
-    ("numerics", "abs_tol", "numerics.abs_tol", None, float),
-    ("numerics", "omega_max", "numerics.omega_max", "omega_max", float),
-    ("numerics", "pts_per_cycle", "numerics.pts_per_cycle", "pts_per_cycle", int),
+    ("numerics", "pts_per_cycle", "pts_per_cycle", "pts_per_cycle", int),
     ("output", "path", "out_path", "out", lambda text: text or None),
     ("output", "format", "out_format", "format", str),
 )
@@ -146,8 +126,7 @@ _KEYS = (
 _DEFAULTS = {
     "material.name": "", "particle.name": "", "kinematics.u": 0.0,
     "particle.r0_tilde": DEFAULT_R0_TILDE, "particle.orientation": DEFAULT_ORIENTATION,
-    **{f"numerics.{f.name}": f.default for f in fields(NumericsOptions)},
-    "out_path": "-", "out_format": "csv",
+    "pts_per_cycle": DEFAULT_PTS_PER_CYCLE, "out_path": "-", "out_format": "csv",
 }
 
 
@@ -158,9 +137,13 @@ class RunConfig:
     material: MaterialParams
     particle: ParticleParams
     kinematics: KinematicsParams
-    numerics: NumericsOptions
+    pts_per_cycle: int
     out_path: str
     out_format: str
+
+    def __post_init__(self):
+        if self.pts_per_cycle < 8:
+            raise ConfigError(f"pts_per_cycle must be >= 8, got {self.pts_per_cycle}")
 
     def to_ini(self) -> str:
         """Serialize so that re-ingestion reproduces this config exactly:
@@ -242,7 +225,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     for path, value in values.items():
         group, _, name = path.rpartition(".")
         groups.setdefault(group, {})[name] = value
-    mat, part, out = groups["material"], groups["particle"], groups[""]
+    mat, part, top = groups["material"], groups["particle"], groups[""]
     if None in mat.values():
         raise ConfigError("material underspecified: give --preset, --material or explicit values")
     material = MaterialParams(**mat)
@@ -250,9 +233,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("particle underspecified: need delta_tilde (via --preset or --delta)")
     particle = ParticleParams(**{**part, "orientation": unit_orientation(part["orientation"])})
     kinematics = KinematicsParams(**groups["kinematics"])
-    if out["out_format"] not in ("csv", "json"):
-        raise ConfigError(f"unknown output format {out['out_format']!r}")
-    cfg = RunConfig(material, particle, kinematics, NumericsOptions(**groups["numerics"]), **out)
+    if top["out_format"] not in ("csv", "json"):
+        raise ConfigError(f"unknown output format {top['out_format']!r}")
+    cfg = RunConfig(material, particle, kinematics, **top)
     for warning in validate_dimensional(material, particle, kinematics):
         print(f"qfd: warning: {warning}", file=sys.stderr)
     return cfg
@@ -303,22 +286,19 @@ def _grid(args: argparse.Namespace, cfg: RunConfig, pts_per_cycle: int) -> np.nd
 
 
 def cmd_coeffs(args: argparse.Namespace, cfg: RunConfig) -> int:
-    mat, part, kin, num = cfg.material, cfg.particle, cfg.kinematics, cfg.numerics
+    mat, part, kin = cfg.material, cfg.particle, cfg.kinematics
     method = args.method
     if method in ("brute", "all"):
         # the oracle path is quadratically expensive; sample coarsely
-        pts = max(8, num.pts_per_cycle // 100)
+        pts = max(8, cfg.pts_per_cycle // 100)
     else:
-        pts = num.pts_per_cycle
+        pts = cfg.pts_per_cycle
     grid = _grid(args, cfg, pts)
 
     routes = {
         "e1": lambda: coefficients_e1(mat, part, kin, grid),
         "analytic": lambda: coefficients_analytic_small_u(mat, part, kin, grid),
-        "brute": lambda: coefficients_brute(
-            mat, part, kin, grid,
-            omega_max=num.omega_max, rel_tol=num.rel_tol, abs_tol=num.abs_tol,
-        ),
+        "brute": lambda: coefficients_brute(mat, part, kin, grid),
     }
     if method != "all":
         text = routes[method]().to_csv()
@@ -328,7 +308,7 @@ def cmd_coeffs(args: argparse.Namespace, cfg: RunConfig) -> int:
         for route, trace in traces.items():
             names = ("D", "f", "zeta", "cumD", "cumF") if route == "e1" else ("D", "f", "zeta")
             columns |= {f"{name}_{route}": getattr(trace, name) for name in names}
-        table = decoherence_table(mat, part.delta_tilde, num.pts_per_cycle)
+        table = decoherence_table(mat, part.delta_tilde, cfg.pts_per_cycle)
         columns["D_markov"] = np.full(grid.shape, markov_limit(mat, part, kin, table).D_inf)
         text = csv_table(columns)
     _write_atomic(cfg.out_path, text)
@@ -344,14 +324,14 @@ def cmd_evolve(args: argparse.Namespace, cfg: RunConfig) -> int:
             f" is no initial state: {exc}"
         ) from exc
     trace = coefficients_e1(cfg.material, cfg.particle, cfg.kinematics,
-                            _grid(args, cfg, cfg.numerics.pts_per_cycle))
+                            _grid(args, cfg, cfg.pts_per_cycle))
     _write_atomic(cfg.out_path, evolve(initial, trace).to_csv())
     return 0
 
 
 def cmd_tdec(args: argparse.Namespace, cfg: RunConfig) -> int:
-    mat, part, kin, num = cfg.material, cfg.particle, cfg.kinematics, cfg.numerics
-    table = table_for_method(mat, part.delta_tilde, args.method, num.pts_per_cycle)
+    mat, part, kin = cfg.material, cfg.particle, cfg.kinematics
+    table = table_for_method(mat, part.delta_tilde, args.method, cfg.pts_per_cycle)
     res = tau_d(mat, part, kin, method=args.method, table=table)
     report = {
         "tau_d": res.tau_d,
@@ -381,9 +361,9 @@ def _sweep_values(args: argparse.Namespace) -> np.ndarray:
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
-    mat, part, kin, num = cfg.material, cfg.particle, cfg.kinematics, cfg.numerics
+    mat, part, kin = cfg.material, cfg.particle, cfg.kinematics
     values = _sweep_values(args)
-    opts = dict(method=args.method, pts_per_cycle=num.pts_per_cycle)
+    opts = dict(method=args.method, pts_per_cycle=cfg.pts_per_cycle)
 
     if args.param in ("theta", "phi"):
         # the fixed angle is the resolved orientation's, or the flag as given
@@ -448,7 +428,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--u", type=float, help="dimensionless velocity v/(omega_s a)")
     p.add_argument("--a-nm", dest="a_nm", type=float, help="surface distance in nm")
     p.add_argument("--pts-per-cycle", dest="pts_per_cycle", type=int)
-    p.add_argument("--omega-max", dest="omega_max", type=float)
     p.add_argument("--out", help="output path ('-' for stdout)")
     p.add_argument("--format", choices=("csv", "json"), help="sweep only: csv or json rows")
     p.add_argument(

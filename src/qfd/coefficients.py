@@ -231,13 +231,22 @@ def omega_kernel_sin(t_prime, gamma_tilde: float):
     return float(out[0]) if np.isscalar(t_prime) else out
 
 
+# the oracle's tolerances on (D, f, zeta); its frequency quadrature runs
+# 1e-4 below them, as otherwise its residual jitter looks like roughness
+# to the delay quadrature
+_ORACLE_REL_TOL = 1e-8
+_ORACLE_ABS_TOL = 1e-10
+_FREQ_REL_TOL = 1e-4 * _ORACLE_REL_TOL
+_FREQ_ABS_TOL = 1e-4 * _ORACLE_ABS_TOL
+
+
 def _frequency_tail(omega_max: float, t: np.ndarray, gamma_tilde: float) -> np.ndarray:
     """Truncation tails int_M^inf J(w) e^{i w t} dw, uniform in t: the
     cosine tail as the real part and the sine tail as the imaginary part.
 
     Expands J = gt/w^3 + gt(2-gt^2)/w^5 + O(1/w^7) and integrates both
     terms exactly through E1(-i M t) = -Ci(M t) - i (Si(M t) - pi/2); the
-    residual is O(gt/M^6).
+    residual is O(gt^5/M^6).
     """
     m = omega_max
     e = np.exp(1j * m * t)
@@ -250,30 +259,32 @@ def _frequency_tail(omega_max: float, t: np.ndarray, gamma_tilde: float) -> np.n
     return gamma_tilde * (t3 + (2.0 - gamma_tilde**2) * t5)
 
 
-def _frequency_kernels(
-    t, gamma_tilde: float, omega_max: float, rel_tol: float, abs_tol: float, max_subdivisions: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _frequency_kernels(t, gamma_tilde: float) -> tuple[np.ndarray, np.ndarray]:
     """(Kc, Ks) = int_0^inf J(w) (cos, sin)(w t) dw at an array of delays t.
 
-    One adaptive quadrature of J(w) [cos(w t), sin(w t)] up to omega_max
-    per segment between breakpoints, every delay and both kinds sharing
-    its panels, plus the analytic tail of the truncated 1/w^3 falloff.
+    One adaptive quadrature of J(w) [cos(w t), sin(w t)] up to the cutoff
+    M = 50 max(1, gamma_tilde) per segment between breakpoints, every
+    delay and both kinds sharing its panels, plus the analytic tail past
+    M.  The cutoff keeps gamma_tilde/M <= 1/50, so the tail's residual
+    stays near 1e-10 of the kernels at every damping; the quadrature's
+    cost grows with M.
     """
     gt = gamma_tilde
     t = np.atleast_1d(np.asarray(t, dtype=float))
+    m = 50.0 * max(1.0, gt)
     # segments bracketing the w = 1 response peak for small damping
     hw = min(40.0 * gt, 0.5)
-    breaks = sorted(p for p in (0.0, 1.0 - hw, 1.0 + hw, omega_max) if p <= omega_max)
+    breaks = (0.0, 1.0 - hw, 1.0 + hw, m)
 
     def integrand(w: np.ndarray) -> np.ndarray:
         wt = w[..., None] * t
         return spectral_density(w, gt)[..., None, None] * np.stack([np.cos(wt), np.sin(wt)], -2)
 
     total = sum(
-        integrate_adaptive(integrand, lo, hi, rel_tol, abs_tol, max_subdivisions).value
+        integrate_adaptive(integrand, lo, hi, _FREQ_REL_TOL, _FREQ_ABS_TOL, 65536).value
         for lo, hi in zip(breaks[:-1], breaks[1:])
     )
-    tail = _frequency_tail(omega_max, t, gt)
+    tail = _frequency_tail(m, t, gt)
     return total[0] + tail.real, total[1] + tail.imag
 
 
@@ -644,37 +655,26 @@ def coefficients_brute(
     part: ParticleParams,
     kin: KinematicsParams,
     grid,
-    omega_max: float = 50.0,
-    rel_tol: float = 1e-8,
-    abs_tol: float = 1e-10,
 ) -> CoefficientTrace:
     """Validation oracle evaluating the raw double integrals numerically.
 
-    The frequency integral is truncated at omega_max and completed with
-    the analytic tail of the 1/w^3 falloff.  The delay integral of
-    (D, f, zeta) is one adaptive quadrature per grid panel, each component
-    at (rel_tol, abs_tol), whose G7K15 panels get both kernels at their 15
+    The frequency integral runs up to 50 max(1, gamma_tilde) and is
+    completed with the analytic tail of the 1/w^3 falloff
+    (_frequency_kernels).  The delay integral of (D, f, zeta) is one
+    adaptive quadrature per grid panel, each component to 1e-8 relative
+    or 1e-10 absolute, whose G7K15 panels get both kernels at their 15
     delays from one frequency quadrature.  Cost is quadratic in the
-    horizon - use coarse grids.
+    horizon and grows with gamma_tilde - use coarse grids.
     """
     g = _check_grid(grid)
     dt = part.delta_tilde
+    gt = mat.gamma_tilde
     u = abs(kin.u)
-    # the inner frequency quadrature must sit well below the outer
-    # tolerance, otherwise its residual jitter looks like roughness to
-    # the outer rule
-    inner = dict(
-        gamma_tilde=mat.gamma_tilde,
-        omega_max=float(omega_max),
-        rel_tol=1e-4 * rel_tol,
-        abs_tol=1e-4 * abs_tol,
-        max_subdivisions=65536,
-    )
 
     # (cos Kc P, sin Kc P, sin Ks P); one frequency quadrature per panel
     # row, as batching the rows multiplies the inner temporaries
     def integrand(tp: np.ndarray) -> np.ndarray:
-        kc, ks = np.array([_frequency_kernels(row, **inner) for row in tp]).swapaxes(0, 1)
+        kc, ks = np.array([_frequency_kernels(row, gt) for row in tp]).swapaxes(0, 1)
         pv = kernel_P(u * tp, part.orientation)
         cosn, sinn = np.cos(dt * tp), np.sin(dt * tp)
         return np.stack([cosn * kc * pv, sinn * kc * pv, sinn * ks * pv], axis=-1)
@@ -682,7 +682,7 @@ def coefficients_brute(
     vals = np.zeros((g.size, 3))
     for i in range(1, g.size):
         vals[i] = vals[i - 1] + integrate_adaptive(
-            integrand, g[i - 1], g[i], rel_tol=rel_tol, abs_tol=abs_tol, max_subdivisions=16384
+            integrand, g[i - 1], g[i], _ORACLE_REL_TOL, _ORACLE_ABS_TOL, max_subdivisions=16384
         ).value
     D, f, zeta = part.r0_tilde / TWO_PI * vals.T
     return CoefficientTrace(g, D, f, zeta, "brute", dt)
@@ -693,6 +693,17 @@ def coefficients_brute(
 # ---------------------------------------------------------------------------
 
 SMALL_U_LIMIT = 0.05
+
+
+def _warn_past_small_u(u: float) -> None:
+    """The one warning of both small-velocity routes (this module's
+    trace and the analytic decoherence time) past |u| = SMALL_U_LIMIT,
+    attributed to the route's caller."""
+    if abs(u) > SMALL_U_LIMIT:
+        warnings.warn(
+            f"small-velocity expansion called with u = {abs(u)} > {SMALL_U_LIMIT}",
+            stacklevel=3,
+        )
 
 
 def _by_parts(kappa: complex, t, derivs) -> np.ndarray:
@@ -766,11 +777,7 @@ def coefficients_analytic_small_u(
     gt = mat.gamma_tilde
     dt = part.delta_tilde
     u = abs(kin.u)
-    if u > SMALL_U_LIMIT:
-        warnings.warn(
-            f"small-velocity expansion called with u = {u} > {SMALL_U_LIMIT}",
-            stacklevel=2,
-        )
+    _warn_past_small_u(u)
     w, s4 = _pole_pair(gt)
     r0t = part.r0_tilde
     wts = orientation_weights(part.orientation)

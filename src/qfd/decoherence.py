@@ -31,6 +31,7 @@ from qfd.coefficients import (
     KernelTable,
     _pole_pair,
     _trace_and_tail_slope,
+    _warn_past_small_u,
     csv_table,
     decoherence_table,
     markov_limit,
@@ -189,7 +190,8 @@ def tau_d_analytic(
     the resonance exclusion band (where the expansion blows up),
     gamma_tilde >= 2 (_pole_pair) and a velocity at which the expansion
     gives no positive time are refused; zero coupling raises a
-    DomainError.
+    DomainError.  Warns past |u| = SMALL_U_LIMIT, as the trace's
+    small-velocity route does.
     """
     delta = part.delta_tilde
     gt = mat.gamma_tilde
@@ -201,6 +203,7 @@ def tau_d_analytic(
         )
     if part.r0_tilde == 0.0:
         raise DomainError("no decoherence at zero coupling r0_tilde = 0: tau_D is infinite")
+    _warn_past_small_u(kin.u)
     const, bracket = _finite_time_terms(delta, gt)
     wts = orientation_weights(part.orientation)
     di, da = wts.d_i, wts.d_a

@@ -147,6 +147,14 @@ def test_library_warning_prints_with_the_cli_prefix(tmp_path, capsys):
     assert "UserWarning" not in err
 
 
+def test_analytic_tdec_warns_once_past_small_velocity_limit(tmp_path, capsys):
+    code = run(["tdec", "--preset", "nv-nsi", "--method", "analytic", "--u", "0.1",
+                "--out", str(tmp_path / "t.json")])
+    assert code == 0
+    err = capsys.readouterr().err
+    assert err == "qfd: warning: small-velocity expansion called with u = 0.1 > 0.05\n"
+
+
 # ---------------------------------------------------------------------------
 # evolve
 # ---------------------------------------------------------------------------
@@ -366,8 +374,6 @@ def test_sweep_theta_combos_label_the_theta_axis(tmp_path):
         ("--omega-s", "inf", "omega_s"),
         ("--a-nm", "inf", "a_nm"),
         ("--pts-per-cycle", "0", "pts_per_cycle"),
-        ("--omega-max", "nan", "omega_max"),
-        ("[numerics] rel_tol", "nan", "rel_tol"),
         ("[numerics] rel_tol", "abc", "[numerics] rel_tol"),
         ("[numerics] pts_per_cycle", "1.5", "[numerics] pts_per_cycle"),
         ("[kinematics] u", "fast", "[kinematics] u"),
@@ -392,6 +398,34 @@ def test_non_finite_input_exit_2(tmp_path, capsys, flag, value, name):
     assert name in err
     if value in ("nan", "inf"):
         assert f"{name} must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--omega-max", "50"),
+        ("[numerics] rel_tol", "1e-08"),
+        ("[numerics] abs_tol", "1e-10"),
+        ("[numerics] omega_max", "50"),
+    ],
+)
+def test_removed_oracle_knob_exit_2(tmp_path, capsys, flag, value):
+    # the oracle sets its own accuracy: its old flag and keys are refused,
+    # not ignored, even at the values older --dump-config files carry
+    if flag.startswith("["):
+        section, key = flag[1:].split("] ")
+        ini = tmp_path / "old.ini"
+        ini.write_text(f"[{section}]\n{key} = {value}\n")
+        given, expected = ["--config", str(ini)], f"unknown config key {flag}"
+    else:
+        given, expected = [flag, value], f"unrecognized arguments: {flag}"
+    try:
+        code = run(["tdec", "--preset", "nv-nsi", *given, "--out", str(tmp_path / "t.json")])
+    except SystemExit as exc:  # argparse refuses an unknown flag itself
+        code = exc.code
+    assert code == 2
+    assert expected in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
 
 
 def test_sweep_config_error_exit_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Decoherence-time tests: extraction routes, fits, sweeps, scaling laws."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -197,6 +198,20 @@ def test_analytic_velocity_term_is_quadratic():
     d1 = t0 - tau_d_analytic(mat, part, KinematicsParams(u=0.01)).tau_d
     d2 = t0 - tau_d_analytic(mat, part, KinematicsParams(u=0.02)).tau_d
     assert d2 == pytest.approx(4.0 * d1, rel=1e-10)
+
+
+def test_analytic_warns_past_small_velocity_limit():
+    # the same warning as the trace's small-velocity route, at the same
+    # limit: on nv-nsi the expansion reads 4 % high at u = 0.1
+    mat, part = NV_NSI
+    with pytest.warns(UserWarning) as caught:
+        tau_d_analytic(mat, part, KinematicsParams(u=-0.1))
+    assert [str(w.message) for w in caught] == [
+        "small-velocity expansion called with u = 0.1 > 0.05"
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tau_d_analytic(mat, part, KinematicsParams(u=0.03))
 
 
 def test_analytic_near_resonance_refused():

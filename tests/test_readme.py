@@ -1,5 +1,6 @@
 """The README's command-line and library examples run as written."""
 
+import argparse
 import configparser
 import re
 import shlex
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qfd.cli import _KEYS, main
+from qfd.cli import _KEYS, build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -49,6 +50,24 @@ def test_readme_command_runs(argv, tmp_path):
         argv += ["--dump-config", str(written)]
     assert main(argv) == 0
     assert written.exists()
+
+
+def test_readme_names_only_flags_the_parser_has():
+    """Every --flag the README names, in a command or in the prose about
+    one, is an option of some qfd subcommand (the pip install line
+    aside), so a flag that is removed cannot stay documented."""
+    parser = build_parser()
+    subcommands = next(
+        action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+    )
+    options = set().union(*(p._option_string_actions for p in subcommands.choices.values()))
+    text = "\n".join(
+        line for line in README.read_text().splitlines()
+        if not line.lstrip().startswith("pip install")
+    )
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
+    assert "--pts-per-cycle" in named
+    assert named <= options, sorted(named - options)
 
 
 PYTHON_BLOCKS = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
