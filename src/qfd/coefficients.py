@@ -538,8 +538,8 @@ def _gl4(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class KernelTable:
     """Kernel samples on a grid's quadrature nodes, reusable across
-    velocities, level spacings and dipole orientations (the kernels
-    depend only on the damping).
+    velocities and dipole orientations (the kernels depend only on the
+    damping, a decoherence_table's grid on the level spacing too).
 
     The table is the one array set that grows with the plan: 16 B per
     node (kc, ks) plus one sub-panel edge per 4 nodes, from which each
@@ -865,9 +865,9 @@ def decoherence_table(
     """Kernel table on the decoherence-extraction grid, time_grid over
     the decoherence window graded toward t = 0.
 
-    Building it once and sharing it across velocities, orientations and
-    (shorter-window) level spacings avoids recomputing the kernels,
-    which dominate the cost.  The grid density is set here alone; every
+    Building it once and sharing it across velocities and orientations
+    at its level spacing avoids recomputing the kernels, which dominate
+    the cost.  The grid density is set here alone; every
     route reads it off the table it is given.  A window too long for
     the node budget is refused with the remedy to raise delta_tilde.
     """
@@ -880,28 +880,24 @@ def decoherence_table(
 
 def _trace_and_tail_slope(
     mat: MaterialParams, part: ParticleParams, kin: KinematicsParams,
-    table: KernelTable | None = None, *, stationary: bool = True,
+    table: KernelTable | None = None,
 ) -> tuple[CoefficientTrace, float]:
     """Trace on the table (decoherence_table unless given) plus D_inf, the
     tail-corrected slope of cumD past its end: the one read-out of the
     trace's end, shared by the numeric and Markov routes.
 
-    A given table may end before the point's decoherence window, where
-    the coefficients are not yet constant.  It raises when the caller
-    reads stationary constants off the end (Markov), and otherwise when
-    cumD has not reached 1 inside the trace; a crossing inside it is
-    exact (tau_d_numeric).
+    A given table that ends before the point's decoherence window, where
+    the coefficients are not yet constant, raises on both routes.
     """
     if table is None:
         table = decoherence_table(mat, part.delta_tilde)
     trace = coefficients_from_table(table, part, kin)
     t_end = float(trace.grid[-1])
-    c_end = float(trace.cumD[-1])
     window = decoherence_window(part.delta_tilde, mat.gamma_tilde)
-    if t_end < window * (1 - 1e-12) and (stationary or c_end < 1.0):
+    if t_end < window * (1 - 1e-12):
         raise PhysicsError(
             f"the kernel table ends at t = {t_end:.6g}, before the decoherence window "
-            f"{window:.6g}, with cumD = {c_end:.6g}: its end is not stationary"
+            f"{window:.6g}: its end is not stationary"
         )
     return trace, float(trace.D[-1]) + _tail_slope_correction(mat, part, kin, t_end)
 
@@ -929,9 +925,8 @@ def markov_limit(
     kin: KinematicsParams,
     table: KernelTable | None = None,
 ) -> MarkovCoefficients:
-    """Exact t -> inf coefficient constants, read off a trace on a
-    decoherence table (built unless given; one built for a smaller level
-    spacing spans a longer window and serves too).
+    """Exact t -> inf coefficient constants, read off a trace on the
+    particle's decoherence table (built unless given).
 
     D_inf is D at the trace's end plus the analytic remainder of the
     cosine kernel's 1/t^2 tail; zeta_inf is zeta there, the sine kernel

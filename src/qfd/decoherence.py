@@ -110,11 +110,12 @@ def tau_d_numeric(
     """Decoherence time: the exact root of cumD = 1.
 
     cumD (the trace of :func:`_trace_and_tail_slope`, on the same
-    table) is linear between grid points and past the trace's end, so
-    the root is closed-form on the segment ``searchsorted`` finds or on
-    the tail-corrected continuation.
+    table, which must reach the particle's decoherence window) is linear
+    between grid points and past the trace's end, so the root is
+    closed-form on the segment ``searchsorted`` finds or on the
+    tail-corrected continuation.
     """
-    trace, d_end = _trace_and_tail_slope(mat, part, kin, table, stationary=False)
+    trace, d_end = _trace_and_tail_slope(mat, part, kin, table)
     g, c = trace.grid, trace.cumD
     if c[-1] >= 1.0:
         i = int(np.searchsorted(c, 1.0))
@@ -278,8 +279,7 @@ def angles_of(orientation: tuple[float, float, float]) -> tuple[float, float]:
 
 class _SweepPoint(NamedTuple):
     """One sweep sample: the swept axis and the value its row reports,
-    the particle and kinematics to evaluate, and the row's dipole angles.
-    An excluded point is reported but never evaluated."""
+    the particle and kinematics to evaluate, and the row's dipole angles."""
 
     param: str
     value: float
@@ -287,7 +287,6 @@ class _SweepPoint(NamedTuple):
     kin: KinematicsParams
     theta: float
     phi: float
-    excluded: bool = False
 
 
 def _sweep(
@@ -296,18 +295,14 @@ def _sweep(
 ) -> list[SweepRow]:
     """Rows for sweep points on one material, in point order.
 
-    A numeric or Markov sweep evaluates every point on one kernel
-    table (table_for_method), built for the smallest level spacing,
-    whose window is the longest.  In rate mode a row carries the rate
-    tau_d / tau_d_u0 - 1 and the u = 0 reference, one per (delta_tilde,
-    r0_tilde, d_i) as P = d_i / 8 at rest;
-    otherwise tau_d_u0 repeats tau_d and the rate is 0.  Excluded points
-    get NaN entries and the flag 'excluded'.
+    Each point reads its own level spacing's table (table_for_method),
+    as tdec does; a new one is built, after the old one is dropped, only
+    when the level spacing changes from the previous point.  In rate
+    mode a row carries the rate tau_d / tau_d_u0 - 1 and the u = 0
+    reference, one per (delta_tilde, r0_tilde, d_i) as P = d_i / 8 at
+    rest; otherwise tau_d_u0 repeats tau_d and the rate is 0.
     """
-    deltas = [pt.part.delta_tilde for pt in points if not pt.excluded]
-    table = None
-    if deltas:
-        table = table_for_method(mat, min(deltas), method, pts_per_cycle)
+    table, table_delta = None, None
 
     def tau(part: ParticleParams, kin: KinematicsParams) -> float:
         return tau_d(mat, part, kin, method=method, table=table).tau_d
@@ -315,9 +310,11 @@ def _sweep(
     refs: dict[tuple[float, float, float], float] = {}
     rows = []
     for pt in points:
-        if pt.excluded:
-            td = tau0 = rate = math.nan
-        elif rate_mode:
+        if pt.part.delta_tilde != table_delta:
+            table = None  # one table held at a time
+            table = table_for_method(mat, pt.part.delta_tilde, method, pts_per_cycle)
+            table_delta = pt.part.delta_tilde
+        if rate_mode:
             key = (pt.part.delta_tilde, pt.part.r0_tilde,
                    orientation_weights(pt.part.orientation).d_i)
             if key not in refs:
@@ -343,7 +340,6 @@ def _sweep(
                 u=pt.kin.u,
                 delta_tilde=pt.part.delta_tilde,
                 gamma_tilde=mat.gamma_tilde,
-                flag="excluded" if pt.excluded else "",
             )
         )
     return rows
@@ -438,29 +434,22 @@ def sweep_level_spacing(
 ) -> list[SweepRow]:
     """Normalized rate tau(u)/tau(0) across level spacings.
 
-    Grid points inside the resonance exclusion band are skipped with a
-    flag; interior extrema of the ratio curve are flagged in the output
-    (strict local min/max against both neighbours).
+    Each row equals tdec at its own level spacing; the analytic route
+    refuses level spacings in the resonance exclusion band
+    (tau_d_analytic).  Interior extrema of the ratio curve are flagged
+    in the output (strict local min/max against both neighbours).
     """
     theta, phi = angles_of(part_template.orientation)
     points = [
-        _SweepPoint(
-            "delta",
-            d,
-            replace(part_template, delta_tilde=d),
-            kin,
-            theta,
-            phi,
-            excluded=abs(d - 1.0) < RESONANCE_EXCLUSION_BAND,
-        )
+        _SweepPoint("delta", d, replace(part_template, delta_tilde=d), kin, theta, phi)
         for d in delta_grid
     ]
     rows = _sweep(mat, points, method, pts_per_cycle, rate_mode=True)
-    ratios = [None if r.flag else r.tau_d / r.tau_d_u0 for r in rows]
+    ratios = [r.tau_d / r.tau_d_u0 for r in rows]
 
     flagged = []
     for i, row in enumerate(rows):
-        if 0 < i < len(rows) - 1 and None not in (ratios[i - 1], ratios[i], ratios[i + 1]):
+        if 0 < i < len(rows) - 1:
             left, mid, right = ratios[i - 1], ratios[i], ratios[i + 1]
             if (mid > left and mid > right) or (mid < left and mid < right):
                 row = replace(row, flag="extremum")

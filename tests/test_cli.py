@@ -4,6 +4,7 @@ import configparser
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -301,6 +302,8 @@ def test_sweep_u_emits_fit_sidecar(tmp_path):
 
 
 def test_sweep_delta_exclusion_flag(tmp_path):
+    # only the analytic route refuses the resonance band: a Markov sweep
+    # evaluates its rows there and flags none of them excluded
     out = tmp_path / "delta.csv"
     code = run(
         ["sweep", "--param", "delta", "--from", "0.9", "--to", "1.0",
@@ -308,21 +311,53 @@ def test_sweep_delta_exclusion_flag(tmp_path):
          "--method", "markov", "--out", str(out)]
     )
     assert code == 0
-    _, rows = read_csv(out)
-    assert rows[0][-1] == "excluded" and rows[1][-1] == "excluded"
+    header, rows = read_csv(out)
+    for row in rows:
+        assert row[header.index("flag")] == ""
+        for name in ("tau_d", "tau_d_u0", "rate"):
+            assert math.isfinite(float(row[header.index(name)]))
+
+
+class TableCalls(list):
+    """The arguments of every decoherence_table call, in order, with a
+    weak reference to each table built (`tables`) and, per call, how
+    many earlier tables were still alive when it was made (`held`)."""
+
+    def __init__(self):
+        super().__init__()
+        self.tables, self.held = [], []
 
 
 @pytest.fixture
 def table_calls(monkeypatch):
-    """The arguments of every decoherence_table call a sweep makes."""
+    """The decoherence_table calls a sweep makes (TableCalls)."""
     import qfd.decoherence as dec
 
-    calls = []
+    calls = TableCalls()
     build = dec.decoherence_table
-    monkeypatch.setattr(
-        dec, "decoherence_table", lambda *a, **k: calls.append(a) or build(*a, **k)
-    )
+
+    def counted(*args, **kwargs):
+        calls.held.append(sum(ref() is not None for ref in calls.tables))
+        calls.append(args)
+        table = build(*args, **kwargs)
+        calls.tables.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(dec, "decoherence_table", counted)
     return calls
+
+
+def test_delta_sweep_holds_one_table_at_a_time(tmp_path, table_calls):
+    # one table per distinct level spacing, in point order, each dropped
+    # before the next is built: the peak is one table
+    code = run(
+        ["sweep", "--param", "delta", "--from", "0.5", "--to", "1.5", "--points", "3",
+         "--preset", "nv-nsi", "--u", "0.003", "--method", "markov",
+         "--out", str(tmp_path / "delta.csv")]
+    )
+    assert code == 0
+    assert [delta for _, delta, *_ in table_calls] == [0.5, 1.0, 1.5]
+    assert table_calls.held == [0, 0, 0]
 
 
 def test_sweep_u_builds_one_kernel_table(tmp_path, table_calls):
@@ -468,6 +503,9 @@ def test_sweep_config_error_exit_2(tmp_path, capsys):
         # an INI key or section the schema does not declare is refused, not ignored
         (["tdec", "--preset", "nv-nsi", "--config", str(misspelt)], "[numerics] pts_per_cylce"),
         (["tdec", "--config", str(bogus)], "[bogus]"),
+        # an analytic delta sweep that reaches the resonance band
+        (["sweep", "--param", "delta", "--from", "0.8", "--to", "1.2", "--points", "9",
+          "--preset", "nv-nsi", "--method", "analytic"], "delta_tilde"),
     ]
     for argv, name in cases:
         assert run(argv + ["--out", str(tmp_path / "x.out")]) == 2, argv

@@ -163,15 +163,15 @@ def test_tau_horizon_cap_errors():
 
 
 def test_markov_refuses_a_table_short_of_the_window():
-    # cumD passes 1 inside a one-cycle table, so the numeric root is
-    # exact there; Markov's constants at its end are not yet stationary
-    # (D_inf 1e-3 too low), and it raises
+    # cumD passes 1 inside a one-cycle table, but its end is short of
+    # the decoherence window, so the numeric and Markov routes both raise
     mat, part = NV_NSI
     part = replace(part, r0_tilde=10.0)
     kin = KinematicsParams(u=0.003)
     short = make_kernel_table(1.0, time_grid(0.2, 1.0, 1.0))
-    assert tau_d_numeric(mat, part, kin, table=short).tau_d == pytest.approx(
-        tau_d_numeric(mat, part, kin).tau_d, rel=1e-3)
+    assert coefficients_from_table(short, part, kin).cumD[-1] > 1.0
+    with pytest.raises(PhysicsError):
+        tau_d_numeric(mat, part, kin, table=short)
     with pytest.raises(PhysicsError):
         markov_limit(mat, part, kin, table=short)
     with pytest.raises(PhysicsError):
@@ -427,13 +427,27 @@ def test_level_spacing_sweep_extremum_beyond_resonance():
 
 
 def test_level_spacing_exclusion_band():
+    # the numeric route evaluates the resonance band like any other row
     mat, part = NV_NSI
     rows = sweep_level_spacing(mat, part, REST, [0.5, 0.95, 1.05])
-    flags = [r.flag for r in rows]
-    assert flags[1] == "excluded" and flags[2] == "excluded"
-    assert math.isnan(rows[1].tau_d)
+    assert [r.flag for r in rows] == ["", "", ""]
+    assert all(math.isfinite(r.tau_d) and r.tau_d > 0 for r in rows)
     # at rest the ratio is identically one
-    assert rows[0].rate == 0.0
+    assert [r.rate for r in rows] == [0.0, 0.0, 0.0]
+
+
+def test_level_spacing_rows_equal_tdec_at_their_own_spacing():
+    # each row reads its own level spacing's table, so it is the
+    # standalone numeric tau_d there to the bit, in the band too
+    mat, part = NV_NSI
+    kin = KinematicsParams(u=0.003)
+    deltas = [0.5, 0.95, 1.0, 1.05]
+    rows = sweep_level_spacing(mat, part, kin, deltas)
+    for row, delta in zip(rows, deltas):
+        at = replace(part, delta_tilde=delta)
+        table = decoherence_table(mat, delta)
+        assert row.tau_d == tau_d_numeric(mat, at, kin, table=table).tau_d
+        assert row.tau_d_u0 == tau_d_numeric(mat, at, REST, table=table).tau_d
 
 
 def test_sweep_csv_layout():
