@@ -13,9 +13,11 @@ Configuration is a flat INI file whose keys are declared once, in
 byte-identical result; a section or key it does not declare is refused.
 The only numerics key is ``pts_per_cycle``: the brute-force oracle sets
 its own cutoff and tolerances (``qfd.coefficients.coefficients_brute``).
-Tables are written by ``qfd.coefficients.csv_table``, every number byte
-for byte as Python's ``'%.17g' % float(v)``, and files are written
-atomically.
+Tables are formatted by ``qfd.coefficients.csv_blocks``, every number
+byte for byte as Python's ``'%.17g' % float(v)``, and stream to their
+file in 2,048-row blocks, so output adds no memory that grows with the
+table.  Files are written atomically, with the mode a plain ``open``
+gives (0o666 less the umask).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 physics-invariant breach.
@@ -34,6 +36,7 @@ import warnings
 from dataclasses import asdict, dataclass, fields
 from functools import reduce
 from itertools import groupby
+from typing import Iterable
 
 import numpy as np
 
@@ -42,7 +45,7 @@ from qfd.coefficients import (
     coefficients_analytic_small_u,
     coefficients_brute,
     coefficients_e1,
-    csv_table,
+    csv_blocks,
     decoherence_table,
     markov_limit,
     time_grid,
@@ -54,7 +57,7 @@ from qfd.decoherence import (
     sweep_level_spacing,
     sweep_material_particle,
     sweep_polarization,
-    sweep_rows_to_csv,
+    sweep_columns,
     sweep_velocity,
     table_for_method,
     tau_d,
@@ -241,15 +244,23 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, text: str | Iterable[str]) -> None:
+    """Write text, or its blocks each as it comes, to stdout for '-' or
+    to a temporary file renamed over path, so that a failed write leaves
+    neither a partial file nor the temporary one."""
+    blocks = [text] if isinstance(text, str) else text
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
         return
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qfd-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            # mkstemp makes the file 0o600; give it the mode a plain open would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
+            handle.writelines(blocks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -301,7 +312,7 @@ def cmd_coeffs(args: argparse.Namespace, cfg: RunConfig) -> int:
         "brute": lambda: coefficients_brute(mat, part, kin, grid),
     }
     if method != "all":
-        text = routes[method]().to_csv()
+        columns = routes[method]().csv_columns()
     else:  # all methods side by side plus the Markov constant
         traces = {route: trace() for route, trace in routes.items()}
         columns = {"t": grid, "N_cycles": traces["e1"].cycles}
@@ -310,8 +321,7 @@ def cmd_coeffs(args: argparse.Namespace, cfg: RunConfig) -> int:
             columns |= {f"{name}_{route}": getattr(trace, name) for name in names}
         table = decoherence_table(mat, part.delta_tilde, cfg.pts_per_cycle)
         columns["D_markov"] = np.full(grid.shape, markov_limit(mat, part, kin, table).D_inf)
-        text = csv_table(columns)
-    _write_atomic(cfg.out_path, text)
+    _write_atomic(cfg.out_path, csv_blocks(columns))
     return 0
 
 
@@ -325,7 +335,7 @@ def cmd_evolve(args: argparse.Namespace, cfg: RunConfig) -> int:
         ) from exc
     trace = coefficients_e1(cfg.material, cfg.particle, cfg.kinematics,
                             _grid(args, cfg, cfg.pts_per_cycle))
-    _write_atomic(cfg.out_path, evolve(initial, trace).to_csv())
+    _write_atomic(cfg.out_path, csv_blocks(evolve(initial, trace).csv_columns()))
     return 0
 
 
@@ -390,7 +400,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
     if cfg.out_format == "json":
         text = json.dumps([asdict(r) for r in rows], indent=2, sort_keys=True) + "\n"
     else:
-        text = sweep_rows_to_csv(rows)
+        text = csv_blocks(sweep_columns(rows))
     _write_atomic(cfg.out_path, text)
 
     if args.param == "u":

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -293,9 +293,10 @@ def _frequency_kernels(t, gamma_tilde: float) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-# rows per formatting block of csv_table: one block's cells are laid out
-# as fixed-width bytes, one column at a time, and compacted into text, so
-# the formatting adds no memory that grows with the table beyond the text;
+# rows per block of csv_blocks: one block's cells are laid out as
+# fixed-width bytes, one column at a time, and compacted into text, which
+# the writer takes before the next block is formatted, so a table streams
+# to its file and its output adds no memory that grows with the table;
 # on the README evolve (34 k rows of 7 columns) 2048 formats as fast as
 # 3072, 15 % faster than 1024 and 5 % slower than 4096, peaking 1.7 MB lower
 _CSV_BLOCK = 2048
@@ -328,12 +329,14 @@ def _join_cells(cells: list[tuple[np.ndarray, np.ndarray]]) -> str:
     return buf[keep].tobytes().decode()
 
 
-def csv_table(columns: dict[str, Sequence]) -> str:
-    """CSV text of equal-length named columns, in the dict's order.
+def csv_blocks(columns: dict[str, Sequence]) -> Iterator[str]:
+    """CSV text of equal-length named columns, in the dict's order, as
+    the header and then one block per _CSV_BLOCK rows, each formatted
+    only when it is asked for.
 
     The names form the header.  Numeric columns print byte for byte as
     Python's '%.17g' % float(v) (NaN as nan), every other column verbatim
-    with %s.
+    with %s.  Unequal columns raise here, before any block is taken.
     """
     arrays = [np.asarray(c) for c in columns.values()]
     n = len(arrays[0])
@@ -345,10 +348,18 @@ def csv_table(columns: dict[str, Sequence]) -> str:
     from qfd.g17 import g17_cells
 
     formats = [g17_cells if a.dtype.kind in "fiu" else _text_cells for a in arrays]
-    blocks = [",".join(columns) + "\n"]
-    for i in range(0, n, _CSV_BLOCK):
-        blocks.append(_join_cells([f(a[i:i + _CSV_BLOCK]) for f, a in zip(formats, arrays)]))
-    return "".join(blocks)
+
+    def blocks() -> Iterator[str]:
+        yield ",".join(columns) + "\n"
+        for i in range(0, n, _CSV_BLOCK):
+            yield _join_cells([f(a[i:i + _CSV_BLOCK]) for f, a in zip(formats, arrays)])
+
+    return blocks()
+
+
+def csv_table(columns: dict[str, Sequence]) -> str:
+    """The whole CSV text of csv_blocks(columns)."""
+    return "".join(csv_blocks(columns))
 
 
 @dataclass(frozen=True)
@@ -382,13 +393,17 @@ class CoefficientTrace:
         """Grid in natural cycles N = t / (2 pi / delta_tilde)."""
         return self.grid * self.delta_tilde / TWO_PI
 
-    def to_csv(self) -> str:
-        """CSV export: columns t, N_cycles, D, f, zeta, cumD, cumF, method."""
-        return csv_table({
+    def csv_columns(self) -> dict[str, np.ndarray]:
+        """CSV export columns: t, N_cycles, D, f, zeta, cumD, cumF, method."""
+        return {
             "t": self.grid, "N_cycles": self.cycles, "D": self.D, "f": self.f,
             "zeta": self.zeta, "cumD": self.cumD, "cumF": self.cumF,
             "method": np.full(self.grid.shape, self.method),
-        })
+        }
+
+    def to_csv(self) -> str:
+        """The CSV export as one string."""
+        return csv_table(self.csv_columns())
 
 
 def kernel_decay_time(gamma_tilde: float) -> float:
@@ -520,19 +535,26 @@ def _subpanel_edges(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return edges, first * 4
 
 
-def _gl4(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """GL4 nodes mid + half x_j and weights half w_j of the sub-panels
-    between consecutive edges, 4 per sub-panel, in node order."""
+def _gl4_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GL4 nodes mid + half x_j of the sub-panels between consecutive
+    edges, 4 per sub-panel, in node order, and the half-widths."""
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = np.empty((half.size, 4))
-    weights = np.empty((half.size, 4))
     # a column at a time: broadcasting rows of 4 runs numpy's inner loop 4 long
     for j in range(4):
         np.multiply(half, _GL4_X[j], out=nodes[:, j])
         nodes[:, j] += mid
+    return nodes.ravel(), half
+
+
+def _gl4(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GL4 nodes (_gl4_nodes) and weights half w_j, in node order."""
+    nodes, half = _gl4_nodes(edges)
+    weights = np.empty((half.size, 4))
+    for j in range(4):
         np.multiply(half, _GL4_W[j], out=weights[:, j])
-    return nodes.ravel(), weights.ravel()
+    return nodes, weights.ravel()
 
 
 @dataclass(frozen=True)
@@ -557,7 +579,7 @@ class KernelTable:
     @property
     def nodes(self) -> np.ndarray:
         """Every GL4 node, built on each call."""
-        return _gl4(self.edges)[0]
+        return _gl4_nodes(self.edges)[0]
 
 
 def make_kernel_table(gamma_tilde: float, grid) -> KernelTable:
@@ -573,7 +595,7 @@ def make_kernel_table(gamma_tilde: float, grid) -> KernelTable:
     ks = np.empty_like(kc)
     for i in range(0, kc.size, _KERNEL_BLOCK):
         block = slice(i, i + _KERNEL_BLOCK)
-        x, _ = _gl4(edges[i // 4 : (i + _KERNEL_BLOCK) // 4 + 1])
+        x, _ = _gl4_nodes(edges[i // 4 : (i + _KERNEL_BLOCK) // 4 + 1])
         kc[block], ks[block] = omega_kernels(x, gamma_tilde)
     return KernelTable(grid=g, edges=edges, offsets=offsets, kc=kc, ks=ks)
 

@@ -263,9 +263,14 @@ class SweepRow:
     flag: str = ""
 
 
+def sweep_columns(rows: Sequence[SweepRow]) -> dict[str, list]:
+    """Sweep rows as CSV columns, one per SweepRow field in field order."""
+    return {f.name: [getattr(r, f.name) for r in rows] for f in fields(SweepRow)}
+
+
 def sweep_rows_to_csv(rows: Sequence[SweepRow]) -> str:
-    """Sweep rows as CSV, one column per SweepRow field in field order."""
-    return csv_table({f.name: [getattr(r, f.name) for r in rows] for f in fields(SweepRow)})
+    """Sweep rows as CSV text."""
+    return csv_table(sweep_columns(rows))
 
 
 def angles_of(orientation: tuple[float, float, float]) -> tuple[float, float]:

@@ -77,17 +77,21 @@ class EvolutionResult:
     def cycles(self) -> np.ndarray:
         return self.t * self.delta_tilde / (2.0 * np.pi)
 
-    def to_csv(self) -> str:
-        """CSV export: t, N_cycles, rho11, re_rho12, im_rho12, abs_rho12,
-        purity, decoherence_factor, xi."""
-        return csv_table({
+    def csv_columns(self) -> dict[str, np.ndarray]:
+        """CSV export columns: t, N_cycles, rho11, re_rho12, im_rho12,
+        abs_rho12, purity, decoherence_factor, xi."""
+        return {
             "t": self.t, "N_cycles": self.cycles, "rho11": self.rho11,
             "re_rho12": self.rho12.real, "im_rho12": self.rho12.imag,
             # hypot is abs of a Python complex to the bit; np.abs is not
             "abs_rho12": np.hypot(self.rho12.real, self.rho12.imag),
             "purity": self.purity, "decoherence_factor": self.decoherence_factor,
             "xi": self.xi,
-        })
+        }
+
+    def to_csv(self) -> str:
+        """The CSV export as one string."""
+        return csv_table(self.csv_columns())
 
 
 def evolve(initial: QubitState, trace: CoefficientTrace) -> EvolutionResult:

@@ -88,7 +88,7 @@ def _layouts() -> tuple[np.ndarray, np.ndarray]:
     return layout.reshape(-1, _CELL), np.array([len(c) for c in cells])
 
 
-# built at import, which csv_table defers to its first table
+# built at import, which csv_blocks defers to its first table
 _HI, _LO, _HH, _HL = _powers()
 _GROUPS, _SIG = _digit_groups()
 _LAYOUT, _LENGTH = _layouts()

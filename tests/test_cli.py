@@ -3,14 +3,16 @@
 import configparser
 import json
 import math
+import os
+import stat
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from qfd.cli import main, parse_angle
-from qfd.coefficients import decoherence_table, markov_limit
+from qfd.cli import _write_atomic, main, parse_angle
+from qfd.coefficients import csv_blocks, decoherence_table, markov_limit
 from qfd.errors import ConfigError
 from qfd.model import KinematicsParams, preset
 
@@ -714,3 +716,63 @@ def test_unwritable_out_exit_2_before_any_work(tmp_path, capsys, monkeypatch, wh
     assert "--out" in capsys.readouterr().err
     assert calls == []
     assert not (tmp_path / "missing").exists()
+
+
+# ---------------------------------------------------------------------------
+# writing
+# ---------------------------------------------------------------------------
+
+
+def test_failed_streamed_write_leaves_no_file(tmp_path):
+    # blocks that fail after the first: no partial target, no temporary
+    # file, and a target that existed before is left as it was
+    def blocks():
+        yield "t\n"
+        raise RuntimeError("block 2")
+
+    old = tmp_path / "old.csv"
+    old.write_text("kept\n")
+    for target in (tmp_path / "new.csv", old):
+        with pytest.raises(RuntimeError, match="block 2"):
+            _write_atomic(str(target), blocks())
+    assert old.read_text() == "kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["old.csv"]
+
+
+def test_written_files_take_the_mode_of_a_plain_open(tmp_path):
+    umask = os.umask(0o022)
+    try:
+        assert run(["tdec", "--preset", "nv-nsi", "--u", "0.003",
+                    "--out", str(tmp_path / "perm.json")]) == 0
+        _write_atomic(str(tmp_path / "blocks.csv"), iter(["t\n", "0\n"]))
+    finally:
+        os.umask(umask)
+    for path in tmp_path.iterdir():
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644, path.name
+
+
+def test_evolve_stdout_matches_the_file(tmp_path, capsys):
+    # 2.7 k rows: the header and two blocks
+    argv = ["evolve", "--preset", "nv-nsi", "--u", "0.3", "--cycles", "50"]
+    out = tmp_path / "evo.csv"
+    assert run(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(argv + ["--out", "-"]) == 0
+    text = capsys.readouterr().out
+    assert text.count("\n") > 2048 + 1
+    assert text.encode() == out.read_bytes()
+
+
+def test_streamed_table_write_holds_a_block_not_the_file(tmp_path):
+    # writing 100 k rows holds block-sized buffers only; a write of the
+    # joined text would hold it twice, as text and encoded
+    rng = np.random.default_rng(7)
+    columns = {name: rng.standard_normal(100_000) for name in "abcdefg"}
+    out = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        _write_atomic(str(out), csv_blocks(columns))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size / 4

@@ -27,6 +27,7 @@ from qfd.coefficients import (
     coefficients_brute,
     coefficients_e1,
     coefficients_from_table,
+    csv_blocks,
     csv_table,
     make_kernel_table,
     markov_limit,
@@ -350,6 +351,20 @@ def csv_table_reference(columns):
     line = ",".join("%.17g" if a.dtype.kind in "fiu" else "%s" for a in arrays) + "\n"
     rows = zip(*(a.tolist() for a in arrays))
     return ",".join(columns) + "\n" + "".join([line % row for row in rows])
+
+
+@pytest.mark.parametrize("n", [0, 1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1])
+def test_csv_blocks_join_to_the_table(n):
+    # the header, then one block per _CSV_BLOCK rows, the last one partial
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+    columns = {"x": x, "i": np.arange(n), "label": [f"row {i}" for i in range(n)]}
+    blocks = list(csv_blocks(columns))
+    assert len(blocks) == 1 + -(-n // _CSV_BLOCK)
+    assert "".join(blocks) == csv_table(columns) == csv_table_reference(columns)
+    # unequal columns raise on the call, before any block is taken
+    with pytest.raises(GridError):
+        csv_blocks({"x": x, "short": x[:-1] if n else [0.0]})
 
 
 def test_csv_table_matches_reference_on_evolve_and_sweep_tables():
