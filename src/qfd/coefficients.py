@@ -28,9 +28,9 @@ Three independent evaluation routes are provided:
 
 ``decoherence_table`` builds the kernel table over the window on which
 every coefficient has become constant, and ``_trace_and_tail_slope`` is
-its one stationary read-out: the trace's end plus the cosine kernel's
-tail remainder.  ``markov_limit`` and the numeric decoherence time of
-``qfd.decoherence`` read it.
+its one stationary read-out: D's end plus the cosine kernel's tail
+remainder, D alone for the numeric decoherence time of qfd.decoherence
+and zeta too for ``markov_limit``, formed by ``_panel_sums``.
 """
 
 from __future__ import annotations
@@ -613,40 +613,43 @@ def _panel_blocks(offsets: np.ndarray, n_nodes: int):
         p0 = p1
 
 
-def coefficients_from_table(
-    table: KernelTable, part: ParticleParams, kin: KinematicsParams
-) -> CoefficientTrace:
-    """Coefficient trace from precomputed kernel samples.
+def _panel_sums(
+    table: KernelTable, part: ParticleParams, kin: KinematicsParams, rows: int
+) -> np.ndarray:
+    """The first rows of (D, zeta, f) on the table's grid, as a
+    (rows, grid.size) array; only their integrands are formed.
 
     The table is read in blocks of whole grid panels holding at most
     _KERNEL_BLOCK nodes (a wider panel alone), so the envelope, the
-    phase factors and the three integrands exist one block at a time.
-    Each block's panel sums land in one (3, grid.size) array whose
-    cumulative sum gives D, f and zeta: the same elementwise products
-    and per-panel sums as one whole-table pass, so bit-identical to it.
+    phase factors and the integrands exist one block at a time.  The
+    cumulative sum of the panel sums is bit-identical to one whole-table
+    pass, of the same products in the same order, for any rows.
     """
-    g = table.grid
-    dt = part.delta_tilde
-    u = abs(kin.u)
-    sums = np.empty((3, g.size))
-    sums[:, 0] = 0.0
+    sums = np.zeros((rows, table.grid.size))
     for p0, p1, n0, n1 in _panel_blocks(table.offsets, table.kc.size):
         x, w = _gl4(table.edges[n0 // 4 : n1 // 4 + 1])
-        kc = table.kc[n0:n1]
-        pv = kernel_P(u * x, part.orientation)
-        phase = dt * x
+        pv = kernel_P(abs(kin.u) * x, part.orientation)
+        phase = part.delta_tilde * x
         cosn = np.cos(phase)
-        sinn = np.sin(phase)
+        sinn = np.sin(phase) if rows > 1 else None
         panels = table.offsets[p0:p1] - n0
         out = sums[:, 1 + p0 : 1 + p1]
-        for row, term in zip(out, (cosn * kc, sinn * kc, sinn * table.ks[n0:n1])):
+        for row, trig, kernel in zip(out, (cosn, sinn, sinn), (table.kc, table.ks, table.kc)):
+            term = trig * kernel[n0:n1]
             term *= pv  # trig * kernel * P * w, multiplied in that order
             term *= w
             np.add.reduceat(term, panels, out=row)
     np.cumsum(sums[:, 1:], axis=1, out=sums[:, 1:])
     sums *= part.r0_tilde / TWO_PI
-    D, f, zeta = sums
-    return CoefficientTrace(g, D, f, zeta, "e1", dt)
+    return sums
+
+
+def coefficients_from_table(
+    table: KernelTable, part: ParticleParams, kin: KinematicsParams
+) -> CoefficientTrace:
+    """Coefficient trace from precomputed kernel samples (_panel_sums)."""
+    D, zeta, f = _panel_sums(table, part, kin, 3)
+    return CoefficientTrace(table.grid, D, f, zeta, "e1", part.delta_tilde)
 
 
 def coefficients_e1(
@@ -662,9 +665,7 @@ def coefficients_e1(
     grid points, so the sampled values are quadrature-accurate on any
     reasonable grid.
     """
-    return coefficients_from_table(
-        make_kernel_table(mat.gamma_tilde, grid), part, kin
-    )
+    return coefficients_from_table(make_kernel_table(mat.gamma_tilde, grid), part, kin)
 
 
 # ---------------------------------------------------------------------------
@@ -902,26 +903,27 @@ def decoherence_table(
 
 def _trace_and_tail_slope(
     mat: MaterialParams, part: ParticleParams, kin: KinematicsParams,
-    table: KernelTable | None = None,
-) -> tuple[CoefficientTrace, float]:
-    """Trace on the table (decoherence_table unless given) plus D_inf, the
-    tail-corrected slope of cumD past its end: the one read-out of the
-    trace's end, shared by the numeric and Markov routes.
+    table: KernelTable | None = None, rows: int = 1,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The grid and the first rows of (D, zeta, f) (_panel_sums) on the
+    table (decoherence_table unless given), plus D_inf, the tail-corrected
+    slope of cumD past its end: the one read-out of the trace's end,
+    shared by the numeric and Markov routes.
 
     A given table that ends before the point's decoherence window, where
     the coefficients are not yet constant, raises on both routes.
     """
     if table is None:
         table = decoherence_table(mat, part.delta_tilde)
-    trace = coefficients_from_table(table, part, kin)
-    t_end = float(trace.grid[-1])
+    t_end = float(table.grid[-1])
     window = decoherence_window(part.delta_tilde, mat.gamma_tilde)
     if t_end < window * (1 - 1e-12):
         raise PhysicsError(
             f"the kernel table ends at t = {t_end:.6g}, before the decoherence window "
             f"{window:.6g}: its end is not stationary"
         )
-    return trace, float(trace.D[-1]) + _tail_slope_correction(mat, part, kin, t_end)
+    sums = _panel_sums(table, part, kin, rows)
+    return table.grid, sums, float(sums[0, -1]) + _tail_slope_correction(mat, part, kin, t_end)
 
 
 # smallest resolved stationary population (1 - zeta/D)/2; the worst
@@ -955,5 +957,5 @@ def markov_limit(
     being a pure pole term.  Exact in the velocity; at u = 0 the
     diffusion constant reduces to r0_tilde d_i J(delta_tilde) / 32.
     """
-    trace, d_inf = _trace_and_tail_slope(mat, part, kin, table)
-    return MarkovCoefficients(d_inf, float(trace.zeta[-1]))
+    _, (_, zeta), d_inf = _trace_and_tail_slope(mat, part, kin, table, rows=2)
+    return MarkovCoefficients(d_inf, float(zeta[-1]))

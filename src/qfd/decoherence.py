@@ -12,7 +12,7 @@ time is the root of cumD(tau) = 1 (envelope down to e^-2).  Three routes:
 
 The numeric and Markov routes read the decoherence table and its
 stationary read-out from qfd.coefficients (decoherence_table,
-_trace_and_tail_slope).
+_trace_and_tail_slope), the numeric one forming D alone.
 
 Sweeps over velocity, dipole angles, material/particle combinations and
 level spacing emit flat result rows ready for CSV export.
@@ -50,6 +50,7 @@ from qfd.model import (
     spectral_density,
     spectral_density_d2,
 )
+from qfd.numerics import cumulative_integral
 
 TWO_PI = 2.0 * math.pi
 
@@ -109,14 +110,14 @@ def tau_d_numeric(
 ) -> DecoherenceTimeResult:
     """Decoherence time: the exact root of cumD = 1.
 
-    cumD (the trace of :func:`_trace_and_tail_slope`, on the same
-    table, which must reach the particle's decoherence window) is linear
-    between grid points and past the trace's end, so the root is
-    closed-form on the segment ``searchsorted`` finds or on the
+    cumD, the trapezoid integral of D alone (_trace_and_tail_slope, on
+    the same table, which must reach the particle's decoherence window),
+    is linear between grid points and past the trace's end, so the root
+    is closed-form on the segment ``searchsorted`` finds or on the
     tail-corrected continuation.
     """
-    trace, d_end = _trace_and_tail_slope(mat, part, kin, table)
-    g, c = trace.grid, trace.cumD
+    g, (D,), d_end = _trace_and_tail_slope(mat, part, kin, table)
+    c = cumulative_integral(g, D)
     if c[-1] >= 1.0:
         i = int(np.searchsorted(c, 1.0))
         tau = g[i - 1] + (1.0 - c[i - 1]) * (g[i] - g[i - 1]) / (c[i] - c[i - 1])
@@ -452,14 +453,11 @@ def sweep_level_spacing(
     rows = _sweep(mat, points, method, pts_per_cycle, rate_mode=True)
     ratios = [r.tau_d / r.tau_d_u0 for r in rows]
 
-    flagged = []
-    for i, row in enumerate(rows):
-        if 0 < i < len(rows) - 1:
-            left, mid, right = ratios[i - 1], ratios[i], ratios[i + 1]
-            if (mid > left and mid > right) or (mid < left and mid < right):
-                row = replace(row, flag="extremum")
-        flagged.append(row)
-    return flagged
+    for i in range(1, len(rows) - 1):
+        left, mid, right = ratios[i - 1 : i + 2]
+        if (mid > left and mid > right) or (mid < left and mid < right):
+            rows[i] = replace(rows[i], flag="extremum")
+    return rows
 
 
 def _check_fit_velocities(us: Sequence[float], delta_tilde: float) -> None:

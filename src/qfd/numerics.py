@@ -359,16 +359,16 @@ def cumulative_integral(t: Sequence[float], y: Sequence[float]) -> np.ndarray:
         raise GridError("t and y must be 1-D arrays of equal length")
     if tt.size < 2:
         raise GridError("need at least 2 samples")
-    dt = np.diff(tt)
+    out = np.empty_like(tt)
+    out[0] = 0.0
+    dt = np.subtract(tt[1:], tt[:-1], out=out[1:])
     if np.any(dt <= 0):
         raise GridError("abscissae must be strictly increasing without duplicates")
-    # the trapezoids 0.5 dt (y[1:] + y[:-1]) formed in place
+    # the trapezoids 0.5 dt (y[1:] + y[:-1]); the steps, then their sum, in out
     dt *= 0.5
     s = yy[1:] + yy[:-1]
     s *= dt
-    out = np.empty_like(tt)
-    out[0] = 0.0
-    np.cumsum(s, out=out[1:])
+    np.cumsum(s, out=dt)
     return out
 
 

@@ -23,12 +23,14 @@ from qfd.coefficients import (
     _panel_blocks,
     _pole_pair,
     _subpanel_edges,
+    _trace_and_tail_slope,
     coefficients_analytic_small_u,
     coefficients_brute,
     coefficients_e1,
     coefficients_from_table,
     csv_blocks,
     csv_table,
+    decoherence_table,
     make_kernel_table,
     markov_limit,
     omega_kernel_cos,
@@ -583,6 +585,34 @@ def test_table_holds_16_bytes_per_node_and_trace_adds_no_node_sized_array():
     finally:
         tracemalloc.stop()
     assert peak <= 9 * grid.nbytes + block_bound < 8 * n
+
+
+# the decoherence tables of nv-nsi, rb-nsi and gold at three times its
+# damping, the bench's gold tdec
+READOUT_CASES = {
+    "nv-nsi": NV_NSI,
+    "rb-nsi": preset("rb-nsi"),
+    "rb-au-gamma-0.009": (dataclasses.replace(preset("rb-au")[0], gamma_tilde=0.009),
+                          preset("rb-au")[1]),
+}
+
+
+@pytest.mark.parametrize("name", READOUT_CASES)
+def test_stationary_readout_matches_full_trace_bitwise(name):
+    # tau_D's read-out forms D alone and the Markov one D and zeta, each
+    # bit for bit the full trace's rows
+    mat, part = READOUT_CASES[name]
+    table = decoherence_table(mat, part.delta_tilde)
+    for u in (0.0, 1.5e-4, 3e-3):
+        kin = KinematicsParams(u=u)
+        trace = coefficients_from_table(table, part, kin)
+        grid, (D,), d_inf = _trace_and_tail_slope(mat, part, kin, table)
+        assert grid is table.grid
+        assert np.array_equal(D, trace.D), u
+        assert np.array_equal(cumulative_integral(grid, D), trace.cumD), u
+        markov = markov_limit(mat, part, kin, table)
+        assert markov.D_inf == d_inf
+        assert markov.zeta_inf == trace.zeta[-1], u
 
 
 def test_oversized_grid_is_refused_before_allocating():

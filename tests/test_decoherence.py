@@ -1,6 +1,7 @@
 """Decoherence-time tests: extraction routes, fits, sweeps, scaling laws."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from qfd.decoherence import (
     tau_d_numeric,
 )
 from qfd.coefficients import (
+    _KERNEL_BLOCK,
     coefficients_from_table,
     decoherence_table,
     make_kernel_table,
@@ -82,6 +84,22 @@ def test_tau_definition_consistency():
         tau = tau_d_numeric(mat, part, kin, table=table).tau_d
         assert tau < trace.grid[-1]
         assert np.interp(tau, trace.grid, trace.cumD) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_tau_numeric_holds_about_three_grid_columns():
+    # tau_D forms D alone and then cumD: beside block-sized temporaries
+    # it holds D, cumD and the trapezoids, where a full trace holds its
+    # three rows, cumD, cumF and the trapezoids' temporaries
+    mat, part = NV_NSI
+    table = make_kernel_table(mat.gamma_tilde, np.linspace(0.0, 13000.0, 130001))
+    kin = KinematicsParams(u=0.003)
+    tracemalloc.start()
+    try:
+        tau_d_numeric(mat, part, kin, table=table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * table.grid.nbytes + 8 * 8 * _KERNEL_BLOCK
 
 
 def test_small_velocity_rate_over_u2_is_smooth():
@@ -372,16 +390,17 @@ def test_polarization_phi_periodicity_and_polar_degeneracy():
 
 def test_phi_sweep_shares_one_rest_reference(monkeypatch):
     # at theta = pi/2 every phi has d_i = 1, and at rest P = d_i / 8, so
-    # one u = 0 trace serves all N angles: N + 1 traces in all
+    # one u = 0 trace serves all N angles: N + 1 panel-sum passes in all
     import qfd.coefficients
 
     calls = []
+    panel_sums = qfd.coefficients._panel_sums
 
     def counted(*args):
         calls.append(args)
-        return coefficients_from_table(*args)
+        return panel_sums(*args)
 
-    monkeypatch.setattr(qfd.coefficients, "coefficients_from_table", counted)
+    monkeypatch.setattr(qfd.coefficients, "_panel_sums", counted)
     mat, part = NV_NSI
     phis = [0.0, 0.5, 1.0, 2.0]
     rows = sweep_polarization(
