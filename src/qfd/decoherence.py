@@ -113,13 +113,13 @@ def tau_d_numeric(
     cumD, the trapezoid integral of D alone (_trace_and_tail_slope, on
     the same table, which must reach the particle's decoherence window),
     is linear between grid points and past the trace's end, so the root
-    is closed-form on the segment ``searchsorted`` finds or on the
-    tail-corrected continuation.
+    is closed-form on the segment where cumD first reaches 1 (D may turn
+    negative, so later crossings may follow) or on the continuation.
     """
     g, (D,), d_end = _trace_and_tail_slope(mat, part, kin, table)
     c = cumulative_integral(g, D)
-    if c[-1] >= 1.0:
-        i = int(np.searchsorted(c, 1.0))
+    i = int(np.argmax(c >= 1.0))
+    if c[i] >= 1.0:
         tau = g[i - 1] + (1.0 - c[i - 1]) * (g[i] - g[i - 1]) / (c[i] - c[i - 1])
     elif d_end > 0.0:
         tau = g[-1] + (1.0 - c[-1]) / d_end

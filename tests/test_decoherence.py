@@ -102,6 +102,21 @@ def test_tau_numeric_holds_about_three_grid_columns():
     assert peak <= 3 * table.grid.nbytes + 8 * 8 * _KERNEL_BLOCK
 
 
+def test_tau_is_the_first_crossing_of_a_non_monotone_cumd():
+    # gold's D turns negative in the first cycles: at r0_tilde = 20 cumD
+    # passes 1 near t = 2.4, falls back below it and crosses it again
+    mat, part = preset("rb-au")
+    mat = replace(mat, gamma_tilde=0.2)
+    part = replace(part, r0_tilde=20.0)
+    table = decoherence_table(mat, part.delta_tilde)
+    c = coefficients_from_table(table, part, REST).cumD
+    first = int(np.argmax(c >= 1.0))
+    assert np.any(c[first:] < 1.0)
+    tau = tau_d_numeric(mat, part, REST, table=table).tau_d
+    assert table.grid[first - 1] < tau <= table.grid[first] < 2.5
+    assert np.interp(tau, table.grid, c) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_small_velocity_rate_over_u2_is_smooth():
     # the rate is ~3e-7 of tau at these velocities; a root found only to
     # a tolerance scattered rate/u^2 by 6e-4 relative, out of order
