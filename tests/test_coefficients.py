@@ -543,7 +543,7 @@ def test_blocked_trace_matches_whole_table_bitwise(gt, grid):
 def test_trace_temporaries_stay_block_sized():
     # 130 k panels, 520 k nodes, most on the cheap far branch of Kc; the
     # trace holds its 3 coefficient and 2 cumulative arrays plus the
-    # trapezoid's grid-sized temporaries, about 8 grid.nbytes, where a
+    # trapezoids' grid-sized temporary, about 6 grid.nbytes, where a
     # whole-table pass holds several node-sized arrays on top
     table = make_kernel_table(1.0, np.linspace(0.0, 13000.0, 130001))
     assert table.nodes.size >= 500_000
