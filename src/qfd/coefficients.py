@@ -102,15 +102,8 @@ def _pole_pair(gamma_tilde: float) -> tuple[complex, float]:
             "the small-velocity analytic route requires 0 < gamma_tilde < 2 "
             f"(got {gamma_tilde}); every other method runs at any damping"
         )
-    p = pole_omega_r(gamma_tilde)
-    return p.omega_r, float(p.sqrt_factor.real)
-
-
-def _overdamped_rates(gamma_tilde: float) -> tuple[float, float, float]:
-    """Rates a < b of the imaginary poles i a, i b above gamma_tilde = 2
-    (a b = 1, b - a = s) and s = sqrt(gamma_tilde^2 - 4)."""
-    b = pole_omega_r(gamma_tilde).omega_r.imag
-    return 1.0 / b, b, math.sqrt(gamma_tilde * gamma_tilde - 4.0)
+    w = pole_omega_r(gamma_tilde)
+    return w, 2.0 * w.real
 
 
 def _cos_tail_coefficients(gamma_tilde: float, scale: float = 1.0) -> np.ndarray:
@@ -138,7 +131,8 @@ def omega_kernels(t_prime, gamma_tilde: float) -> tuple[np.ndarray, np.ndarray]:
     w_r and s4 = sqrt(4 - gamma_tilde^2),
         Kc(t) = [pi Re e^{i w_r t} + Im G(i w_r t) + Im G(-i w_r t)] / s4,
     Kc(0) = (pi - 2 arg w_r) / s4.  Above it, J = [w/(w^2 + a^2) -
-    w/(w^2 + b^2)] / s (_overdamped_rates) and, by G&R 3.723,
+    w/(w^2 + b^2)] / s, with i a and i b the poles of J (a b = 1,
+    s = b - a = sqrt(gamma_tilde^2 - 4)), and, by G&R 3.723,
         Kc(t) = [H(a t) - H(b t)] / (2 s),  H(x) = G(x) - e^{-x} Ei(x),
     Kc(0) = 2 ln b / s.  At 2, the double-pole limit,
         Kc(t) = 1 - (t/2) [e^{-t} Ei(t) + G(t)],  Kc(0) = 1.
@@ -186,7 +180,8 @@ def omega_kernels(t_prime, gamma_tilde: float) -> tuple[np.ndarray, np.ndarray]:
             return 1.0 - 0.5 * x * (exp_integral_ei_scaled(x) + exp_integral_e1_scaled(x).real)
 
     else:
-        a, b, s = _overdamped_rates(gt)
+        b = pole_omega_r(gt).imag
+        a, s = 1.0 / b, math.sqrt(gt * gt - 4.0)
         p, k0 = a, 2.0 * math.log(b) / s
         ks = -math.pi * np.exp(-a * t) * np.expm1(-s * t) / (2.0 * s)
 
@@ -411,7 +406,7 @@ def kernel_decay_time(gamma_tilde: float) -> float:
     for the cosine kernel's -gamma_tilde/t^2 tail."""
     if gamma_tilde < 2.0:
         return 2.0 * _KERNEL_DECAY_EFOLDS / gamma_tilde
-    return _KERNEL_DECAY_EFOLDS * pole_omega_r(gamma_tilde).omega_r.imag
+    return _KERNEL_DECAY_EFOLDS * pole_omega_r(gamma_tilde).imag
 
 
 # grid points per natural cycle of every grid that is not given one

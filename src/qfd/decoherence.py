@@ -7,7 +7,7 @@ time is the root of cumD(tau) = 1 (envelope down to e^-2).  Three routes:
   diffusion of a reference trace, extended linearly once the kernels
   have died out, with the tail-corrected slope D_inf;
 * analytic - closed small-velocity formula built from the stationary
-  response functions h and g below;
+  response h = J(delta) (spectral_response) and g below;
 * markov   - plain 1 / D_inf, the numeric route's read-out (markov_limit).
 
 The numeric and Markov routes read the decoherence table and its
@@ -41,14 +41,12 @@ from qfd.model import (
     KinematicsParams,
     MaterialParams,
     ParticleParams,
-    _density_denominator,
     kernel_P,  # noqa: F401  bench/test_bench.py checks that tracing reaches it here
     orientation_from_angles,
     orientation_weights,
     pole_omega_r,
     preset,
-    spectral_density,
-    spectral_density_d2,
+    spectral_response,
 )
 from qfd.numerics import cumulative_integral
 
@@ -136,16 +134,6 @@ def tau_d_numeric(
 # ---------------------------------------------------------------------------
 
 
-def _h_funcs(delta: float, gt: float) -> tuple[float, float, float]:
-    """Stationary response h = J(delta), its second delta-derivative and
-    the second derivative of h/delta."""
-    h = spectral_density(delta, gt)
-    h2 = spectral_density_d2(delta, gt)
-    den, dden, d2den = _density_denominator(delta, gt)
-    h_over_delta_2 = gt * (2.0 * dden * dden - den * d2den) / den**3
-    return h, h2, h_over_delta_2
-
-
 def _g_funcs(delta: float, gt: float) -> tuple[float, float]:
     """Logarithmic response g and its second delta-derivative.
 
@@ -153,7 +141,7 @@ def _g_funcs(delta: float, gt: float) -> tuple[float, float]:
     with the principal branch; w_r sits in the upper half plane so the
     argument never crosses the cut for delta > 0.
     """
-    w = pole_omega_r(gt).omega_r
+    w = pole_omega_r(gt)
     a = 1.0 + (2j / math.pi) * (np.log(w) - math.log(delta))
     da = -(2j / math.pi) / delta
     d2a = (2j / math.pi) / (delta * delta)
@@ -174,7 +162,7 @@ def _finite_time_terms(delta: float, gt: float) -> tuple[float, float]:
     the u^2 part of tau = (1 + int (D_inf - D))/D_inf is (3/8)(d_a/d_i) u^2
     times the bracket."""
     _, s4 = _pole_pair(gt)
-    h, h2, hod2 = _h_funcs(delta, gt)
+    h, h2, hod2 = spectral_response(delta, gt)
     g, g2 = _g_funcs(delta, gt)
     return (-g / (s4 * h) + 2.0 / (math.pi * delta),
             (g * h2 / h**2 - g2 / h) / s4 + (2.0 / (math.pi * h)) * (hod2 - h2 / delta))
@@ -210,7 +198,7 @@ def tau_d_analytic(
     wts = orientation_weights(part.orientation)
     di, da = wts.d_i, wts.d_a
     u2 = kin.u * kin.u
-    h, h2, _ = _h_funcs(delta, gt)
+    h, h2, _ = spectral_response(delta, gt)
 
     tau_mark = 32.0 / (part.r0_tilde * di) * (1.0 / h - 0.375 * (da / di) * u2 * h2 / h**2)
     tau = tau_mark + const + 0.375 * (da / di) * u2 * bracket

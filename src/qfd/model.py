@@ -96,19 +96,6 @@ class OrientationWeights:
             raise DomainError(f"d_a out of range [1, 4]: {self.d_a}")
 
 
-@dataclass(frozen=True)
-class PoleData:
-    """Upper-half-plane resonance pole of the surface response."""
-
-    omega_r: complex
-    sqrt_factor: complex  # sqrt(4 - gamma_tilde^2); imaginary above gt = 2
-
-    def __post_init__(self):
-        w = self.omega_r
-        if w.real < 0 or not w.imag > 0:
-            raise DomainError(f"pole must satisfy Re >= 0, Im > 0: {w}")
-
-
 def unit_orientation(n: Iterable[float]) -> tuple[float, float, float]:
     """Normalize a nonzero 3-vector to a unit dipole direction."""
     v = np.asarray(tuple(n), dtype=float)
@@ -177,45 +164,36 @@ def spectral_density(omega, gamma_tilde: float):
     return float(val) if np.isscalar(omega) else val
 
 
-def _density_denominator(x: float, gamma_tilde: float) -> tuple[float, float, float]:
-    """Denominator (x^2 - 1)^2 + gt^2 x^2 of J(x) = gt x / den and its
-    first and second x-derivatives."""
+def spectral_response(x, gamma_tilde: float) -> tuple:
+    """J(x), J''(x) and (J/x)'' at frequencies x > 0 (a float or an
+    array), from one evaluation of the denominator
+    den = (x^2 - 1)^2 + gt^2 x^2 of J = gt x / den and J/x = gt / den
+    and of its first two x-derivatives."""
     g2 = gamma_tilde * gamma_tilde
     den = (x * x - 1.0) ** 2 + g2 * x * x
     dden = 4.0 * x * (x * x - 1.0) + 2.0 * g2 * x
     d2den = 12.0 * x * x - 4.0 + 2.0 * g2
-    return den, dden, d2den
+    j2 = gamma_tilde * (-x * d2den * den - 2.0 * dden * (den - x * dden)) / den**3
+    j_over_x_2 = gamma_tilde * (2.0 * dden * dden - den * d2den) / den**3
+    return gamma_tilde * x / den, j2, j_over_x_2
 
 
-def spectral_density_d2(delta_tilde: float, gamma_tilde: float) -> float:
-    """Analytic second derivative of the spectral density at w = delta_tilde."""
-    x = delta_tilde
-    den, dden, d2den = _density_denominator(x, gamma_tilde)
-    return gamma_tilde * (-x * d2den * den - 2.0 * dden * (den - x * dden)) / den**3
-
-
-def pole_omega_r(gamma_tilde: float) -> PoleData:
-    """Upper-half-plane root of (w^2 - 1)^2 + gt^2 w^2 = 0.
+def pole_omega_r(gamma_tilde: float) -> complex:
+    """Upper-half-plane root w_r of (w^2 - 1)^2 + gt^2 w^2 = 0.
 
     For gt < 2 the pole sits on the unit circle,
-    w_r = (sqrt(4 - gt^2) + i gt) / 2; for gt > 2 it is purely imaginary.
+    w_r = (sqrt(4 - gt^2) + i gt) / 2; for gt >= 2 it is purely imaginary.
     The quartic residual stays below 1e-10 in either regime.
     """
     if not gamma_tilde > 0:
         raise DomainError("gamma_tilde must be > 0")
     gt = float(gamma_tilde)
     if gt < 2.0:
-        s = math.sqrt(4.0 - gt * gt)
-        w = complex(0.5 * s, 0.5 * gt)
-        sqrt_factor: complex = complex(s, 0.0)
-    else:
-        s_im = math.sqrt(gt * gt - 4.0)
-        # continuation of w^2 = (2 - gt^2 + i gt sqrt(4 - gt^2)) / 2 with
-        # the principal square root of the now-negative radicand
-        w2 = 0.5 * (2.0 - gt * gt - gt * s_im)
-        w = complex(0.0, math.sqrt(-w2))
-        sqrt_factor = complex(0.0, s_im)
-    return PoleData(omega_r=w, sqrt_factor=sqrt_factor)
+        return complex(0.5 * math.sqrt(4.0 - gt * gt), 0.5 * gt)
+    # continuation of w^2 = (2 - gt^2 + i gt sqrt(4 - gt^2)) / 2 with
+    # the principal square root of the now-negative radicand
+    w2 = 0.5 * (2.0 - gt * gt - gt * math.sqrt(gt * gt - 4.0))
+    return complex(0.0, math.sqrt(-w2))
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,7 @@ from qfd.model import (
     kernel_P,
     orientation_weights,
     preset,
-    spectral_density,
-    spectral_density_d2,
+    spectral_response,
     unit_orientation,
 )
 from qfd.numerics import exp_integral_e1
@@ -436,7 +435,8 @@ def test_criterion_10_level_spacing_sweep():
 
     def closed_form(deltas):
         d = np.asarray(deltas)
-        curvature = spectral_density_d2(d, gt) / spectral_density(d, gt)
+        j, j2, _ = spectral_response(d, gt)
+        curvature = j2 / j
         return -0.375 * (wts.d_a / wts.d_i) * kin.u**2 * curvature
 
     fine = np.linspace(1.15, 4.0, 28501)

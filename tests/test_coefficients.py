@@ -49,7 +49,7 @@ from qfd.model import (
     pole_omega_r,
     preset,
     spectral_density,
-    spectral_density_d2,
+    spectral_response,
     unit_orientation,
 )
 from qfd.numerics import cumulative_integral
@@ -178,7 +178,7 @@ def test_kernel_weak_damping_residue_dominates():
     # for tiny damping the pole term carries the whole kernel: envelope
     # exp(-gt t/2) oscillating at Re w_r
     gt = 0.003
-    w = pole_omega_r(gt).omega_r
+    w = pole_omega_r(gt)
     s4 = math.sqrt(4.0 - gt * gt)
     for t in (500.0, 2000.0):
         residue = math.pi * math.exp(-0.5 * gt * t) * math.cos(w.real * t) / s4
@@ -225,7 +225,7 @@ def closed_form_cos_kernel(t: float, gt: float) -> tuple[float, float]:
 
 def nearest_pole_distance(gt: float) -> float:
     """p of the far branch: |w_r| = 1 up to gt = 2, the slow rate a above."""
-    return 1.0 if gt <= 2.0 else 1.0 / pole_omega_r(gt).omega_r.imag
+    return 1.0 if gt <= 2.0 else 1.0 / pole_omega_r(gt).imag
 
 
 @pytest.mark.parametrize("gt", [0.003, 0.3, 1.0, 1.999, 2.0, 2.001, 2.5, 100.0])
@@ -890,8 +890,7 @@ def _markov_diffusion_small_u(mat, part, kin):
     """Closed-form O(u^2) stationary diffusion constant,
     D_inf = (r0t/32) [d_i J(dt) + (3/8) d_a u^2 J''(dt)]."""
     wts = orientation_weights(part.orientation)
-    j = spectral_density(part.delta_tilde, mat.gamma_tilde)
-    j2 = spectral_density_d2(part.delta_tilde, mat.gamma_tilde)
+    j, j2, _ = spectral_response(part.delta_tilde, mat.gamma_tilde)
     u2 = kin.u * kin.u
     return part.r0_tilde / 32.0 * (wts.d_i * j + 0.375 * wts.d_a * u2 * j2)
 

@@ -280,13 +280,14 @@ def test_analytic_u2_bracket_is_derivative_of_rest_constant(name):
     # term is (3/8)(d_a/d_i) (c'' + 2 c' h'/h) with c the route's own rest
     # constant; nv-au's delta lies in the resonance band tau_d_analytic
     # refuses, so the terms are read directly
-    from qfd.decoherence import _finite_time_terms, _h_funcs
+    from qfd.decoherence import _finite_time_terms
+    from qfd.model import spectral_response
 
     mat, part = preset(name)
     delta, gt = part.delta_tilde, mat.gamma_tilde
     step = 1e-4 * delta
     cm, c0, cp = (_finite_time_terms(delta + k * step, gt)[0] for k in (-1, 0, 1))
-    hm, h0, hp = (_h_funcs(delta + k * step, gt)[0] for k in (-1, 0, 1))
+    hm, h0, hp = (spectral_response(delta + k * step, gt)[0] for k in (-1, 0, 1))
     c1 = (cp - cm) / (2 * step)
     c2 = (cp - 2 * c0 + cm) / (step * step)
     const, bracket = _finite_time_terms(delta, gt)
@@ -296,7 +297,7 @@ def test_analytic_u2_bracket_is_derivative_of_rest_constant(name):
         u, wts = 0.01, orientation_weights(part.orientation)
         di, da = wts.d_i, wts.d_a
         kin = KinematicsParams(u=u)
-        h, h2, _ = _h_funcs(delta, gt)
+        h, h2, _ = spectral_response(delta, gt)
         markov = 32.0 / (part.r0_tilde * di) * (1.0 / h - 0.375 * (da / di) * u * u * h2 / h**2)
         tau = tau_d_analytic(mat, part, kin).tau_d
         assert tau == pytest.approx(markov + const + 0.375 * (da / di) * u * u * bracket,

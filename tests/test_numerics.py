@@ -214,7 +214,7 @@ def test_quadrature_spectral_density_vs_residue_form():
     from qfd.coefficients import _frequency_kernels
 
     gt = 1.0
-    w = pole_omega_r(gt).omega_r
+    w = pole_omega_r(gt)
     exact = (math.pi - 2.0 * np.angle(w)) / math.sqrt(4.0 - gt * gt)
     got = _frequency_kernels(0.0, gt)[0]
     assert got == pytest.approx(exact, abs=1e-9)
