@@ -562,7 +562,8 @@ class KernelTable:
     node (kc, ks) plus one sub-panel edge per 4 nodes, from which each
     reader forms a block's GL4 nodes and weights (_gl4); offsets[i] is
     the first node of grid panel i.  Traces read it in blocks and add
-    only block-sized temporaries.
+    only block-sized temporaries.  gamma_tilde is the damping the
+    kernels were evaluated at.
     """
 
     grid: np.ndarray
@@ -570,6 +571,7 @@ class KernelTable:
     offsets: np.ndarray
     kc: np.ndarray
     ks: np.ndarray
+    gamma_tilde: float
 
     @property
     def nodes(self) -> np.ndarray:
@@ -592,7 +594,8 @@ def make_kernel_table(gamma_tilde: float, grid) -> KernelTable:
         block = slice(i, i + _KERNEL_BLOCK)
         x, _ = _gl4_nodes(edges[i // 4 : (i + _KERNEL_BLOCK) // 4 + 1])
         kc[block], ks[block] = omega_kernels(x, gamma_tilde)
-    return KernelTable(grid=g, edges=edges, offsets=offsets, kc=kc, ks=ks)
+    return KernelTable(grid=g, edges=edges, offsets=offsets, kc=kc, ks=ks,
+                       gamma_tilde=gamma_tilde)
 
 
 def _panel_blocks(offsets: np.ndarray, n_nodes: int):
@@ -905,11 +908,17 @@ def _trace_and_tail_slope(
     slope of cumD past its end: the one read-out of the trace's end,
     shared by the numeric and Markov routes.
 
-    A given table that ends before the point's decoherence window, where
-    the coefficients are not yet constant, raises on both routes.
+    A given table built at another damping than the material's, or one
+    that ends before the point's decoherence window, where the
+    coefficients are not yet constant, raises on both routes.
     """
     if table is None:
         table = decoherence_table(mat, part.delta_tilde)
+    if table.gamma_tilde != mat.gamma_tilde:
+        raise ConfigError(
+            f"the kernel table was built at gamma_tilde = {table.gamma_tilde}, "
+            f"not at the material's gamma_tilde = {mat.gamma_tilde}"
+        )
     t_end = float(table.grid[-1])
     window = decoherence_window(part.delta_tilde, mat.gamma_tilde)
     if t_end < window * (1 - 1e-12):

@@ -570,7 +570,7 @@ def test_table_holds_16_bytes_per_node_and_trace_adds_no_node_sized_array():
     n = table.kc.size
     assert n == 160_000 and len(list(_panel_blocks(table.offsets, n))) == 40
     per_node = [getattr(table, f.name) for f in dataclasses.fields(table)]
-    per_node = [a for a in per_node if a.size >= n]
+    per_node = [a for a in per_node if np.size(a) >= n]
     assert sum(a.nbytes for a in per_node) == 16 * n
     assert table.edges.size == n // 4 + 1
     # the kernels, the edges and block-sized temporaries: no node array

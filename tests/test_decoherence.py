@@ -211,6 +211,17 @@ def test_markov_refuses_a_table_short_of_the_window():
         tau_d(mat, part, kin, method="markov", table=short)
 
 
+def test_routes_refuse_a_table_built_at_another_damping():
+    # a gold-damped table that outlasts n-Si's decoherence window passes
+    # the window check, so only its recorded damping tells it apart
+    mat, part = NV_NSI
+    kin = KinematicsParams(u=0.003)
+    gold = make_kernel_table(0.003, np.linspace(0.0, 2000.0, 401))
+    for route in (tau_d_numeric, markov_limit):
+        with pytest.raises(ConfigError, match=r"gamma_tilde = 0\.003, .* gamma_tilde = 1\.0"):
+            route(mat, part, kin, table=gold)
+
+
 # ---------------------------------------------------------------------------
 # analytic route
 # ---------------------------------------------------------------------------
