@@ -158,6 +158,15 @@ def test_analytic_tdec_warns_once_past_small_velocity_limit(tmp_path, capsys):
     assert err == "qfd: warning: small-velocity expansion called with u = 0.1 > 0.05\n"
 
 
+def test_dimensional_warning_prints_with_the_cli_prefix(tmp_path, capsys):
+    # 2 um above n-Si, NV's spacing breaks the near-field condition
+    code = run(["tdec", "--preset", "nv-nsi", "--u", "0.003", "--a-nm", "2000",
+                "--out", str(tmp_path / "t.json")])
+    assert code == 0
+    err = capsys.readouterr().err
+    assert err == "qfd: warning: near-field condition violated: a*Delta/c = 3.30e-01 > 0.1\n"
+
+
 # ---------------------------------------------------------------------------
 # evolve
 # ---------------------------------------------------------------------------
@@ -255,6 +264,16 @@ def test_tdec_zero_coupling_exit_3(tmp_path, capsys, method):
     )
     assert code == 3
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_physics_breach_exit_4_writes_nothing(tmp_path, capsys):
+    # a coupling this strong drives the population out of [0, 1]
+    code = run(["evolve", "--preset", "nv-nsi", "--r0", "1e5", "--u", "0.3",
+                "--cycles", "200", "--out", str(tmp_path / "e.csv")])
+    assert code == 4
+    assert list(tmp_path.iterdir()) == []
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("qfd: physics invariant breached: ")
 
 
 # ---------------------------------------------------------------------------

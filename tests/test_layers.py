@@ -1,7 +1,10 @@
 """Module layering: each qfd module imports only the layers before it."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +48,22 @@ def test_module_imports_only_earlier_layers(module):
     if module in LAYERS:
         allowed = {*LAYERS[: LAYERS.index(module)], *LEAVES}
     assert qfd_imports(SRC / f"{module}.py") <= allowed
+
+
+def test_tdec_never_loads_g17(tmp_path):
+    """csv_blocks imports qfd.g17 on its first call, so a run that writes
+    no table (tdec) never loads it; loaded at import, it raised gold
+    tdec's peak RSS by 0.4 MB.  The first table then loads it."""
+    script = f"""
+import sys
+from qfd.cli import main
+from qfd.coefficients import csv_table
+assert main(["tdec", "--preset", "nv-nsi", "--u", "0.003", "--out", {str(tmp_path / "t.json")!r}]) == 0
+print("qfd.g17" in sys.modules)
+csv_table({{"x": [1.0]}})
+print("qfd.g17" in sys.modules)
+"""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "False\nTrue\n"
