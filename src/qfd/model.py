@@ -166,16 +166,16 @@ def spectral_density(omega, gamma_tilde: float):
 
 def spectral_response(x, gamma_tilde: float) -> tuple:
     """J(x), J''(x) and (J/x)'' at frequencies x > 0 (a float or an
-    array), from one evaluation of the denominator
-    den = (x^2 - 1)^2 + gt^2 x^2 of J = gt x / den and J/x = gt / den
-    and of its first two x-derivatives."""
+    array).  J is `spectral_density`; both curvatures come from one
+    evaluation of the denominator den = (x^2 - 1)^2 + gt^2 x^2 of
+    J = gt x / den and J/x = gt / den and of its first two x-derivatives."""
     g2 = gamma_tilde * gamma_tilde
     den = (x * x - 1.0) ** 2 + g2 * x * x
     dden = 4.0 * x * (x * x - 1.0) + 2.0 * g2 * x
     d2den = 12.0 * x * x - 4.0 + 2.0 * g2
     j2 = gamma_tilde * (-x * d2den * den - 2.0 * dden * (den - x * dden)) / den**3
     j_over_x_2 = gamma_tilde * (2.0 * dden * dden - den * d2den) / den**3
-    return gamma_tilde * x / den, j2, j_over_x_2
+    return spectral_density(x, gamma_tilde), j2, j_over_x_2
 
 
 def pole_omega_r(gamma_tilde: float) -> complex:

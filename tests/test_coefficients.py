@@ -725,6 +725,13 @@ def test_u_zero_plateau_matches_markov():
 # ---------------------------------------------------------------------------
 
 
+def test_pole_pair_square_root_factor():
+    # s4 = sqrt(4 - gt^2), which the gt < 2 kernels and the analytic bracket divide by
+    w, s4 = _pole_pair(1.0)
+    assert w == pytest.approx(math.sqrt(3) / 2 + 0.5j, abs=1e-12)
+    assert s4 == pytest.approx(math.sqrt(3), abs=1e-12)
+
+
 def test_analytic_matches_e1_reference_point():
     # moving-atom benchmark: damping of order one, where the
     # exponential-integral correction is a leading-order effect
