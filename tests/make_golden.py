@@ -32,6 +32,14 @@ CASES = {
                       "--u", "0.3"],
     "sweep-delta.csv": ["sweep", "--param", "delta", "--from", "0.05", "--to", "0.5",
                         "--points", "10", *NV_NSI],
+    "sweep-combos.csv": ["sweep", "--param", "phi", "--from", "0", "--to", "6.28318",
+                         "--points", "5", "--combos", "nv-nsi,rb-nsi", "--preset", "nv-nsi"],
+    # also writes its fit, sweep-u-markov.csv.fit.json
+    "sweep-u-markov.csv": ["sweep", "--param", "u", "--from", "0.001", "--to", "0.03",
+                           "--points", "8", "--preset", "nv-nsi", "--method", "markov"],
+    "sweep-phi-markov.csv": ["sweep", "--param", "phi", "--from", "0", "--to", "6.28318",
+                             "--points", "25", "--theta", "90deg", "--preset", "nv-nsi",
+                             "--u", "0.3", "--method", "markov"],
     "sweep-delta-analytic.csv": ["sweep", "--param", "delta", "--from", "1.2", "--to", "4",
                                  "--points", "29", *NV_NSI, "--method", "analytic"],
     "evolve.csv": ["evolve", "--preset", "nv-nsi", "--u", "0.3", "--cycles", "10"],
