@@ -26,11 +26,12 @@ Three independent evaluation routes are provided:
   exponential-integral correction that keeps it accurate for damping of
   order one.
 
-``decoherence_table`` builds the kernel table over the window on which
-every coefficient has become constant, and ``_trace_and_tail_slope`` is
-its one stationary read-out: D's end plus the cosine kernel's tail
-remainder, D alone for the numeric decoherence time of qfd.decoherence
-and zeta too for ``markov_limit``, formed by ``_panel_sums``.
+A kernel table is a quadrature plan that holds no kernel: ``_panel_sums``,
+the one pass over it, evaluates both kernels a block at a time for every
+point at one level spacing.  ``decoherence_table`` plans the window on
+which every coefficient has become constant, and ``_stationary_readout``
+streams its end: D's end plus the cosine kernel's tail remainder, zeta's
+for ``markov_limit`` and cumD's first crossing of 1 for qfd.decoherence.
 """
 
 from __future__ import annotations
@@ -412,9 +413,9 @@ def kernel_decay_time(gamma_tilde: float) -> float:
 # grid points per natural cycle of every grid that is not given one
 DEFAULT_PTS_PER_CYCLE = 400
 
-# most panel nodes a kernel table may hold: at 16 B per node (Kc and
-# Ks) 2^26 nodes take 1.1 GB, while the largest default plan, nv-au
-# tdec, builds 8.4 M
+# most panel nodes a kernel table's plan may span: its grid, edges and
+# offsets take up to 6 B per node (24 B per dense panel), 0.4 GB at 2^26,
+# while the largest default plan, nv-au tdec, spans 8.4 M
 _MAX_TABLE_NODES = 2**26
 
 
@@ -423,9 +424,9 @@ def _check_table_nodes(nodes: float, remedy: str) -> None:
     before any array is built, with the remedy naming the parameter."""
     if not nodes <= _MAX_TABLE_NODES:
         raise ConfigError(
-            f"the plan needs {nodes:.3g} panel nodes ({16e-9 * nodes:.3g} GB of kernel "
-            f"table), over the budget of {_MAX_TABLE_NODES} "
-            f"({16e-9 * _MAX_TABLE_NODES:.2g} GB): {remedy}"
+            f"the plan needs {nodes:.3g} panel nodes (up to {6e-9 * nodes:.3g} GB of grid, "
+            f"edges and offsets), over the budget of {_MAX_TABLE_NODES} "
+            f"({6e-9 * _MAX_TABLE_NODES:.2g} GB): {remedy}"
         )
 
 
@@ -499,10 +500,9 @@ def _check_grid(grid: np.ndarray) -> np.ndarray:
 
 _MAX_SUBPANEL_WIDTH = 0.5
 
-# node block of make_kernel_table and coefficients_from_table, whose
-# complex temporaries then take 64 KiB: blocks of 8192 raised the peak
-# RSS of `coeffs --method all` by a further 0.7 MB, and each block adds
-# a fixed E1 loop overhead
+# node block of the panel-sum pass, whose complex kernel temporaries then
+# take 64 KiB: blocks of 8192 raised the peak RSS of `coeffs --method all`
+# by a further 0.7 MB, and each block adds a fixed E1 loop overhead
 _KERNEL_BLOCK = 4096
 
 
@@ -514,20 +514,27 @@ def _subpanel_edges(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (edges, offsets): edges[k], edges[k + 1] bound sub-panel k,
     whose GL4 nodes are 4 k .. 4 k + 3 (_gl4), and offsets[i] is the
     first node of grid panel i.  A grid of more than _MAX_TABLE_NODES
-    nodes is refused before any array is built.
+    nodes is refused before any array is built.  Beside the grid, the
+    edges and the offsets, it holds one grid-sized column at most.
     """
-    a = grid[:-1]
-    b = grid[1:]
-    counts = np.ceil((b - a) / _MAX_SUBPANEL_WIDTH)
-    _check_table_nodes(4.0 * counts.sum(), "lower the number or the span of the grid's points")
-    counts = np.maximum(1, counts.astype(int))
-    first = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    j = np.arange(first[-1] + counts[-1]) - np.repeat(first, counts)
-    # np.linspace(a, b, k + 1) arithmetic, edge j = j * ((b - a) / k) + a,
-    # so the edges are bit-identical to a per-panel linspace; a panel's
-    # last edge is the next panel's first, a exactly, and the grid's end
-    edges = np.append(j * np.repeat((b - a) / counts, counts) + np.repeat(a, counts), grid[-1])
-    return edges, first * 4
+    counts = np.diff(grid) / _MAX_SUBPANEL_WIDTH
+    _check_table_nodes(4.0 * np.ceil(counts, out=counts).sum(),
+                       "lower the number or the span of the grid's points")
+    first = np.zeros(grid.size, int)
+    first[1:] = np.maximum(counts, 1.0, out=counts)
+    del counts
+    np.cumsum(first, out=first)
+    edges = np.empty(first[-1] + 1)
+    edges[-1] = grid[-1]
+    for p0, p1, s0, s1 in _panel_blocks(first[:-1], first[-1], _KERNEL_BLOCK // 4):
+        a, k = grid[p0:p1], np.diff(first[p0 : p1 + 1])
+        # np.linspace(a, b, k + 1) arithmetic, edge j = j * ((b - a) / k) + a,
+        # so the edges are bit-identical to a per-panel linspace; a panel's
+        # last edge is the next panel's first, a exactly, and the grid's end
+        j = np.arange(s0, s1) - np.repeat(first[p0:p1], k)
+        edges[s0:s1] = j * np.repeat((grid[p0 + 1 : p1 + 1] - a) / k, k) + np.repeat(a, k)
+    first *= 4
+    return edges, first[:-1]
 
 
 def _gl4_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -554,23 +561,21 @@ def _gl4(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class KernelTable:
-    """Kernel samples on a grid's quadrature nodes, reusable across
-    velocities and dipole orientations (the kernels depend only on the
-    damping, a decoherence_table's grid on the level spacing too).
+    """The quadrature plan of a grid, reusable across velocities and
+    dipole orientations (a decoherence_table's grid depends on the
+    damping and the level spacing alone).
 
-    The table is the one array set that grows with the plan: 16 B per
-    node (kc, ks) plus one sub-panel edge per 4 nodes, from which each
-    reader forms a block's GL4 nodes and weights (_gl4); offsets[i] is
-    the first node of grid panel i.  Traces read it in blocks and add
-    only block-sized temporaries.  gamma_tilde is the damping the
-    kernels were evaluated at.
+    It holds no kernel: the plan is the grid, one sub-panel edge per 4
+    panel nodes, from which each pass forms a block's GL4 nodes and
+    weights (_gl4), and offsets[i], the first node of grid panel i.  The
+    one pass over it, _panel_sums, evaluates the kernels a block at a
+    time, so it adds only block-sized temporaries per point.
+    gamma_tilde is the damping the kernels are evaluated at.
     """
 
     grid: np.ndarray
     edges: np.ndarray
     offsets: np.ndarray
-    kc: np.ndarray
-    ks: np.ndarray
     gamma_tilde: float
 
     @property
@@ -580,73 +585,70 @@ class KernelTable:
 
 
 def make_kernel_table(gamma_tilde: float, grid) -> KernelTable:
-    """Evaluate both closed-form kernels on the panel nodes of a grid.
-
-    One omega_kernels pass per block of _KERNEL_BLOCK nodes, whose nodes
-    are formed from the block's edges, which bounds every temporary;
-    every value is bit-identical to one whole-array call.
-    """
+    """The quadrature plan (KernelTable) of a grid for the kernels at
+    gamma_tilde; nothing is evaluated until a pass reads it."""
     g = _check_grid(grid)
     edges, offsets = _subpanel_edges(g)
-    kc = np.empty(4 * (edges.size - 1))
-    ks = np.empty_like(kc)
-    for i in range(0, kc.size, _KERNEL_BLOCK):
-        block = slice(i, i + _KERNEL_BLOCK)
-        x, _ = _gl4_nodes(edges[i // 4 : (i + _KERNEL_BLOCK) // 4 + 1])
-        kc[block], ks[block] = omega_kernels(x, gamma_tilde)
-    return KernelTable(grid=g, edges=edges, offsets=offsets, kc=kc, ks=ks,
-                       gamma_tilde=gamma_tilde)
+    return KernelTable(grid=g, edges=edges, offsets=offsets, gamma_tilde=gamma_tilde)
 
 
-def _panel_blocks(offsets: np.ndarray, n_nodes: int):
+def _panel_blocks(offsets: np.ndarray, n_nodes: int, block: int = _KERNEL_BLOCK):
     """Runs (p0, p1, n0, n1) of whole grid panels p0..p1-1, nodes
-    n0..n1-1, of at most _KERNEL_BLOCK nodes each; a wider panel is a
-    run of its own."""
-    starts = np.append(offsets, n_nodes)
+    n0..n1-1, of at most block nodes each; a wider panel is a run of
+    its own."""
     p0 = 0
     while p0 < offsets.size:
-        n0 = starts[p0]
-        p1 = max(int(np.searchsorted(starts, n0 + _KERNEL_BLOCK, side="right")) - 1, p0 + 1)
-        yield p0, p1, n0, starts[p1]
+        n0 = offsets[p0]
+        p1 = int(np.searchsorted(offsets, n0 + block, side="right"))
+        if n_nodes > n0 + block:
+            p1 = max(p1 - 1, p0 + 1)
+        yield p0, p1, n0, offsets[p1] if p1 < offsets.size else n_nodes
         p0 = p1
 
 
 def _panel_sums(
-    table: KernelTable, part: ParticleParams, kin: KinematicsParams, rows: int
-) -> np.ndarray:
-    """The first rows of (D, zeta, f) on the table's grid, as a
-    (rows, grid.size) array; only their integrands are formed.
+    table: KernelTable, points: Sequence[tuple[ParticleParams, KinematicsParams]], rows: int
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """The first rows of (D, zeta, f) of (part, kin) points at the first
+    one's level spacing, a block of whole grid panels (_panel_blocks) at
+    a time: the one pass over a kernel table.
 
-    The table is read in blocks of whole grid panels holding at most
-    _KERNEL_BLOCK nodes (a wider panel alone), so the envelope, the
-    phase factors and the integrands exist one block at a time.  The
-    cumulative sum of the panel sums is bit-identical to one whole-table
-    pass, of the same products in the same order, for any rows.
+    Yields (at, sums) per block: sums[k] holds point k's rows at
+    table.grid[at], the block's points after the one before it, whose
+    column is carried over (0 at t = 0).  Kc, Ks and trig K are formed
+    once per block, and each point multiplies in P and w, in the order
+    trig * kernel * P * w; a cumulative sum continued from its carry is
+    bit-identical to one whole-grid pass.
     """
-    sums = np.zeros((rows, table.grid.size))
-    for p0, p1, n0, n1 in _panel_blocks(table.offsets, table.kc.size):
+    pref = np.array([part.r0_tilde / TWO_PI for part, _ in points])[:, None, None]
+    carry = np.zeros((len(points), rows, 1))
+    for p0, p1, n0, n1 in _panel_blocks(table.offsets, 4 * (table.edges.size - 1)):
         x, w = _gl4(table.edges[n0 // 4 : n1 // 4 + 1])
-        pv = kernel_P(abs(kin.u) * x, part.orientation)
-        phase = part.delta_tilde * x
+        kc, ks = omega_kernels(x, table.gamma_tilde)
+        phase = points[0][0].delta_tilde * x
         cosn = np.cos(phase)
         sinn = np.sin(phase) if rows > 1 else None
+        trig_k = [t * k for t, k, _ in zip((cosn, sinn, sinn), (kc, ks, kc), range(rows))]
         panels = table.offsets[p0:p1] - n0
-        out = sums[:, 1 + p0 : 1 + p1]
-        for row, trig, kernel in zip(out, (cosn, sinn, sinn), (table.kc, table.ks, table.kc)):
-            term = trig * kernel[n0:n1]
-            term *= pv  # trig * kernel * P * w, multiplied in that order
-            term *= w
-            np.add.reduceat(term, panels, out=row)
-    np.cumsum(sums[:, 1:], axis=1, out=sums[:, 1:])
-    sums *= part.r0_tilde / TWO_PI
-    return sums
+        sums = np.concatenate([carry, np.empty((len(points), rows, p1 - p0))], axis=2)
+        for (part, kin), out in zip(points, sums[:, :, 1:]):
+            pv = kernel_P(abs(kin.u) * x, part.orientation)
+            for row, tk in zip(out, trig_k):
+                term = tk * pv  # trig * kernel * P * w, multiplied in that order
+                term *= w
+                np.add.reduceat(term, panels, out=row)
+        np.cumsum(sums, axis=2, out=sums)
+        carry = sums[:, :, -1:]
+        yield slice(p0, p1 + 1), sums * pref
 
 
 def coefficients_from_table(
     table: KernelTable, part: ParticleParams, kin: KinematicsParams
 ) -> CoefficientTrace:
-    """Coefficient trace from precomputed kernel samples (_panel_sums)."""
-    D, zeta, f = _panel_sums(table, part, kin, 3)
+    """Coefficient trace on a kernel table's grid (_panel_sums)."""
+    D, zeta, f = out = np.empty((3, table.grid.size))
+    for at, (sums,) in _panel_sums(table, [(part, kin)], 3):
+        out[:, at] = sums
     return CoefficientTrace(table.grid, D, f, zeta, "e1", part.delta_tilde)
 
 
@@ -883,51 +885,75 @@ def decoherence_table(
     delta_tilde: float,
     pts_per_cycle: int = DEFAULT_PTS_PER_CYCLE,
 ) -> KernelTable:
-    """Kernel table on the decoherence-extraction grid, time_grid over
-    the decoherence window graded toward t = 0.
+    """Kernel table (the plan, KernelTable) on the decoherence-extraction
+    grid, time_grid over the decoherence window graded toward t = 0.
 
-    Building it once and sharing it across velocities and orientations
-    at its level spacing avoids recomputing the kernels, which dominate
-    the cost.  The grid density is set here alone; every
-    route reads it off the table it is given.  A window too long for
-    the node budget is refused with the remedy to raise delta_tilde.
+    It serves every velocity and orientation at its level spacing; the
+    kernels, which dominate the cost, are evaluated in each pass over it,
+    once for all the points a sweep reads at that spacing.  The grid
+    density is set here alone; every route reads it off the table it is
+    given.  A window too long for the node budget is refused with the
+    remedy to raise delta_tilde.
     """
     cycle = TWO_PI / delta_tilde
     window = decoherence_window(delta_tilde, mat.gamma_tilde)
-    grid = time_grid(delta_tilde, mat.gamma_tilde, window / cycle, pts_per_cycle,
-                     remedy="raise delta_tilde")
-    return make_kernel_table(mat.gamma_tilde, _graded_start(grid))
+    grid = _graded_start(time_grid(delta_tilde, mat.gamma_tilde, window / cycle, pts_per_cycle,
+                                   remedy="raise delta_tilde"))
+    return make_kernel_table(mat.gamma_tilde, grid)
 
 
-def _trace_and_tail_slope(
-    mat: MaterialParams, part: ParticleParams, kin: KinematicsParams,
+def _stationary_readout(
+    mat: MaterialParams, points: Sequence[tuple[ParticleParams, KinematicsParams]],
     table: KernelTable | None = None, rows: int = 1,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """The grid and the first rows of (D, zeta, f) (_panel_sums) on the
-    table (decoherence_table unless given), plus D_inf, the tail-corrected
-    slope of cumD past its end: the one read-out of the trace's end,
-    shared by the numeric and Markov routes.
+) -> list[tuple[float, float, float, float]]:
+    """The read-out of the trace's end, shared by the numeric and Markov
+    routes, of (part, kin) points at one level spacing, from one pass of
+    their first rows of (D, zeta) (_panel_sums) over the table
+    (decoherence_table unless given), which holds no grid-sized array.
 
-    A given table built at another damping than the material's, or one
-    that ends before the point's decoherence window, where the
-    coefficients are not yet constant, raises on both routes.
+    Per point (D_inf, zeta_end, cumD_end, tau): D's end plus the
+    tail-corrected slope remainder; zeta's end (nan unless rows = 2);
+    cumD's end, D's trapezoid integral streamed with its carry prepended
+    to each cumulative sum, so bit for bit cumulative_integral's; and
+    cumD's first crossing of 1 (D may turn negative, so later ones may
+    follow), closed-form on its linear segment, else on the continuation
+    past the end at slope D_inf, else nan.  A given table built at
+    another damping than the material's, or one that ends before the
+    points' decoherence window, where the coefficients are not yet
+    constant, raises.
     """
+    delta_tilde = points[0][0].delta_tilde
     if table is None:
-        table = decoherence_table(mat, part.delta_tilde)
+        table = decoherence_table(mat, delta_tilde)
     if table.gamma_tilde != mat.gamma_tilde:
         raise ConfigError(
             f"the kernel table was built at gamma_tilde = {table.gamma_tilde}, "
             f"not at the material's gamma_tilde = {mat.gamma_tilde}"
         )
     t_end = float(table.grid[-1])
-    window = decoherence_window(part.delta_tilde, mat.gamma_tilde)
+    window = decoherence_window(delta_tilde, mat.gamma_tilde)
     if t_end < window * (1 - 1e-12):
         raise PhysicsError(
             f"the kernel table ends at t = {t_end:.6g}, before the decoherence window "
             f"{window:.6g}: its end is not stationary"
         )
-    sums = _panel_sums(table, part, kin, rows)
-    return table.grid, sums, float(sums[0, -1]) + _tail_slope_correction(mat, part, kin, t_end)
+    cum, tau = np.zeros((len(points), 1)), np.full(len(points), math.nan)
+    for at, sums in _panel_sums(table, points, rows):
+        g, d = table.grid[at], sums[:, 0]
+        c = np.concatenate([cum, d[:, 1:] + d[:, :-1]], axis=1)
+        c[:, 1:] *= 0.5 * np.diff(g)
+        np.cumsum(c, axis=1, out=c)
+        cum = c[:, -1:]
+        for k in np.flatnonzero(np.isnan(tau) & np.any(c >= 1.0, axis=1)):
+            i = int(np.argmax(c[k] >= 1.0))
+            tau[k] = g[i - 1] + (1.0 - c[k, i - 1]) * (g[i] - g[i - 1]) / (c[k, i] - c[k, i - 1])
+    out = []
+    for (part, kin), end, c_end, t in zip(points, sums[:, :, -1], cum[:, 0], tau):
+        d_inf = float(end[0]) + _tail_slope_correction(mat, part, kin, t_end)
+        if math.isnan(t) and d_inf > 0.0:
+            t = t_end + (1.0 - c_end) / d_inf
+        out.append((d_inf, float(end[1]) if rows > 1 else math.nan, float(c_end), float(t)))
+    return out
 
 
 # smallest resolved stationary population (1 - zeta/D)/2; the worst
@@ -961,5 +987,5 @@ def markov_limit(
     being a pure pole term.  Exact in the velocity; at u = 0 the
     diffusion constant reduces to r0_tilde d_i J(delta_tilde) / 32.
     """
-    _, (_, zeta), d_inf = _trace_and_tail_slope(mat, part, kin, table, rows=2)
-    return MarkovCoefficients(d_inf, float(zeta[-1]))
+    d_inf, zeta_end, _, _ = _stationary_readout(mat, [(part, kin)], table, rows=2)[0]
+    return MarkovCoefficients(d_inf, zeta_end)

@@ -12,7 +12,8 @@ time is the root of cumD(tau) = 1 (envelope down to e^-2).  Three routes:
 
 The numeric and Markov routes read the decoherence table and its
 stationary read-out from qfd.coefficients (decoherence_table,
-_trace_and_tail_slope), the numeric one forming D alone.
+_stationary_readout), the numeric one forming D alone; a sweep reads
+all its points at one level spacing in one pass.
 
 Sweeps over velocity, dipole angles, material/particle combinations and
 level spacing emit flat result rows ready for CSV export.
@@ -22,15 +23,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import NamedTuple, Sequence
+from itertools import groupby
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from qfd.coefficients import (
     DEFAULT_PTS_PER_CYCLE,
     KernelTable,
+    MarkovCoefficients,
     _pole_pair,
-    _trace_and_tail_slope,
+    _stationary_readout,
     _warn_past_small_u,
     csv_table,
     decoherence_table,
@@ -48,7 +51,6 @@ from qfd.model import (
     preset,
     spectral_response,
 )
-from qfd.numerics import cumulative_integral
 
 TWO_PI = 2.0 * math.pi
 
@@ -106,27 +108,12 @@ def tau_d_numeric(
     kin: KinematicsParams,
     table: KernelTable | None = None,
 ) -> DecoherenceTimeResult:
-    """Decoherence time: the exact root of cumD = 1.
-
-    cumD, the trapezoid integral of D alone (_trace_and_tail_slope, on
-    the same table, which must reach the particle's decoherence window),
-    is linear between grid points and past the trace's end, so the root
-    is closed-form on the segment where cumD first reaches 1 (D may turn
-    negative, so later crossings may follow) or on the continuation.
+    """Decoherence time: the exact root of cumD = 1 (_stationary_readout,
+    on the same table, which must reach the particle's decoherence
+    window): cumD, the trapezoid integral of D alone, is linear between
+    grid points and past the trace's end, so the root is closed-form.
     """
-    g, (D,), d_end = _trace_and_tail_slope(mat, part, kin, table)
-    c = cumulative_integral(g, D)
-    i = int(np.argmax(c >= 1.0))
-    if c[i] >= 1.0:
-        tau = g[i - 1] + (1.0 - c[i - 1]) * (g[i] - g[i - 1]) / (c[i] - c[i - 1])
-    elif d_end > 0.0:
-        tau = g[-1] + (1.0 - c[-1]) / d_end
-    else:
-        raise BracketError(
-            f"diffusion coefficient is not positive at the horizon "
-            f"(D = {d_end:.3e}, cumD = {c[-1]:.6g}); cumD never reaches 1"
-        )
-    return DecoherenceTimeResult(float(tau), "numeric")
+    return next(_tau_results(mat, [(part, kin)], "numeric", table))
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +214,29 @@ def tau_d(
     raise DomainError(f"unknown decoherence-time method {method!r}")
 
 
+def _tau_results(
+    mat: MaterialParams, points: Sequence[tuple[ParticleParams, KinematicsParams]],
+    method: str, table: KernelTable | None,
+) -> Iterator[DecoherenceTimeResult]:
+    """tau_d of (part, kin) points at one level spacing, in order, each
+    that of its own tau_d call: the numeric and Markov routes read all
+    of them off one pass over the table (_stationary_readout)."""
+    if method not in ("numeric", "markov"):
+        yield from (tau_d(mat, part, kin, method) for part, kin in points)
+        return
+    rows = 1 if method == "numeric" else 2
+    for d_inf, zeta_end, cum_d, tau in _stationary_readout(mat, points, table, rows):
+        if method == "markov":
+            yield DecoherenceTimeResult(1.0 / MarkovCoefficients(d_inf, zeta_end).D_inf, "markov")
+        elif math.isnan(tau):
+            raise BracketError(
+                f"diffusion coefficient is not positive at the horizon "
+                f"(D = {d_inf:.3e}, cumD = {cum_d:.6g}); cumD never reaches 1"
+            )
+        else:
+            yield DecoherenceTimeResult(tau, "numeric")
+
+
 # ---------------------------------------------------------------------------
 # Sweeps and velocity fits
 # ---------------------------------------------------------------------------
@@ -289,53 +299,45 @@ def _sweep(
 ) -> list[SweepRow]:
     """Rows for sweep points on one material, in point order.
 
-    Each point reads its own level spacing's table (table_for_method),
-    as tdec does; a new one is built, after the old one is dropped, only
-    when the level spacing changes from the previous point.  In rate
-    mode a row carries the rate tau_d / tau_d_u0 - 1 and the u = 0
-    reference, one per (delta_tilde, r0_tilde, d_i) as P = d_i / 8 at
-    rest; otherwise tau_d_u0 repeats tau_d and the rate is 0.
+    Each run of points at one level spacing reads its table
+    (table_for_method), built after the previous one is dropped, in one
+    pass (_tau_results), so each row is tdec's.  In rate mode a row
+    carries the rate tau_d / tau_d_u0 - 1 and the u = 0 reference, one
+    per (r0_tilde, d_i) in the run as P = d_i / 8 at rest, read in the
+    same pass; otherwise tau_d_u0 repeats tau_d and the rate is 0.
     """
-    table, table_delta = None, None
-
-    def tau(part: ParticleParams, kin: KinematicsParams) -> float:
-        return tau_d(mat, part, kin, method=method, table=table).tau_d
-
-    refs: dict[tuple[float, float, float], float] = {}
-    rows = []
-    for pt in points:
-        if pt.part.delta_tilde != table_delta:
-            table = None  # one table held at a time
-            table = table_for_method(mat, pt.part.delta_tilde, method, pts_per_cycle)
-            table_delta = pt.part.delta_tilde
-        if rate_mode:
-            key = (pt.part.delta_tilde, pt.part.r0_tilde,
-                   orientation_weights(pt.part.orientation).d_i)
-            if key not in refs:
-                refs[key] = tau(pt.part, KinematicsParams(u=0.0))
-            tau0 = refs[key]
-            td = tau(pt.part, pt.kin)
-            rate = td / tau0 - 1.0
-        else:
-            td = tau0 = tau(pt.part, pt.kin)
-            rate = 0.0
-        rows.append(
-            SweepRow(
-                sweep_param=pt.param,
-                value=pt.value,
-                tau_d=td,
-                tau_d_u0=tau0,
-                rate=rate,
-                method=method,
-                material=mat.name,
-                particle=pt.part.name,
-                theta=pt.theta,
-                phi=pt.phi,
-                u=pt.kin.u,
-                delta_tilde=pt.part.delta_tilde,
-                gamma_tilde=mat.gamma_tilde,
+    rows, table = [], None
+    for delta, run in groupby(points, lambda pt: pt.part.delta_tilde):
+        evals, refs, at = [], {}, []
+        for pt in run:
+            key = (pt.part.r0_tilde, orientation_weights(pt.part.orientation).d_i)
+            if rate_mode and key not in refs:
+                refs[key] = len(evals)
+                evals.append((pt.part, KinematicsParams(u=0.0)))
+            at.append((pt, len(evals), refs[key] if rate_mode else len(evals)))
+            evals.append((pt.part, pt.kin))
+        table = None  # one table held at a time
+        table = table_for_method(mat, delta, method, pts_per_cycle)
+        taus = [r.tau_d for r in _tau_results(mat, evals, method, table)]
+        for pt, i, i0 in at:
+            td, tau0 = taus[i], taus[i0]
+            rows.append(
+                SweepRow(
+                    sweep_param=pt.param,
+                    value=pt.value,
+                    tau_d=td,
+                    tau_d_u0=tau0,
+                    rate=td / tau0 - 1.0 if rate_mode else 0.0,
+                    method=method,
+                    material=mat.name,
+                    particle=pt.part.name,
+                    theta=pt.theta,
+                    phi=pt.phi,
+                    u=pt.kin.u,
+                    delta_tilde=pt.part.delta_tilde,
+                    gamma_tilde=mat.gamma_tilde,
+                )
             )
-        )
     return rows
 
 

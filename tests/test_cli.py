@@ -563,7 +563,7 @@ def test_oversized_plan_exit_2_before_allocating(tmp_path, capsys, argv, remedy)
         tracemalloc.stop()
     assert code == 2
     err = capsys.readouterr().err
-    assert err.rstrip().endswith(f"budget of {2**26} (1.1 GB): {remedy}")
+    assert err.rstrip().endswith(f"budget of {2**26} (0.4 GB): {remedy}")
     assert peak < 1e6
     assert not out.exists()
 

@@ -22,8 +22,9 @@ from qfd.coefficients import (
     _gl4,
     _panel_blocks,
     _pole_pair,
+    _stationary_readout,
     _subpanel_edges,
-    _trace_and_tail_slope,
+    _tail_slope_correction,
     coefficients_analytic_small_u,
     coefficients_brute,
     coefficients_e1,
@@ -35,9 +36,10 @@ from qfd.coefficients import (
     markov_limit,
     omega_kernel_cos,
     omega_kernel_sin,
+    omega_kernels,
     time_grid,
 )
-from qfd.decoherence import sweep_level_spacing, sweep_rows_to_csv
+from qfd.decoherence import sweep_level_spacing, sweep_rows_to_csv, tau_d_numeric
 from qfd.dynamics import QubitState, asymptotic_population, evolve
 from qfd.errors import ConfigError, GridError
 from qfd.model import (
@@ -285,6 +287,8 @@ def test_kernel_table_far_nodes_skip_e1(monkeypatch, gt, per_node):
 
         monkeypatch.setattr(qfd.coefficients, name, counted)
     table = make_kernel_table(gt, np.linspace(0.0, 2000.0, 4001))
+    assert seen == []  # the plan evaluates nothing; the pass does
+    coefficients_from_table(table, NV_NSI[1], KinematicsParams(u=0.0))
     near = np.count_nonzero(nearest_pole_distance(gt) * table.nodes < _FAR_PT)
     assert 0 < near < table.nodes.size
     assert sum(seen) == per_node * near
@@ -473,26 +477,45 @@ def test_block_nodes_match_per_panel_linspace(grid):
     assert np.array_equal(make_kernel_table(1.0, grid).nodes, ref[0])
 
 
-def test_kernel_table_blocks_match_whole_array_bitwise():
+def test_kernel_table_blocks_match_whole_array_bitwise(monkeypatch):
     # 3.5 node blocks, whose nodes take both E1 branches and, from the
-    # far threshold on, which falls inside a block, the 1/t^2 series
+    # far threshold on, which falls inside a block, the 1/t^2 series;
+    # the kernels the pass evaluates a block at a time are those of one
+    # whole-array call
+    import qfd.coefficients
+
+    blocks = []
+
+    def recorded(t, gt):
+        blocks.append(omega_kernels(t, gt))
+        return blocks[-1]
+
+    monkeypatch.setattr(qfd.coefficients, "omega_kernels", recorded)
     grid = np.linspace(0.0, 200.0, 7 * _KERNEL_BLOCK // 8 + 1)
+    part = ParticleParams(delta_tilde=0.9, r0_tilde=1e-2, orientation=(1.0, 0.0, 0.0))
     # 2.0 is the double-pole form, dispatched beside the other two
     for gt in (0.003, 1.0, 2.0, 2.5):
         table = make_kernel_table(gt, grid)
         assert table.nodes.size > 3 * _KERNEL_BLOCK
         first_far = np.searchsorted(nearest_pole_distance(gt) * table.nodes, _FAR_PT)
         assert 0 < first_far % _KERNEL_BLOCK and first_far < table.nodes.size
-        assert np.array_equal(table.kc, omega_kernel_cos(table.nodes, gt))
-        assert np.array_equal(table.ks, omega_kernel_sin(table.nodes, gt))
+        blocks.clear()
+        coefficients_from_table(table, part, KinematicsParams(u=0.3))
+        assert len(blocks) == 4
+        kc, ks = omega_kernels(table.nodes, gt)
+        assert np.array_equal(np.concatenate([b[0] for b in blocks]), kc)
+        assert np.array_equal(np.concatenate([b[1] for b in blocks]), ks)
+        assert np.array_equal(kc, omega_kernel_cos(table.nodes, gt))
+        assert np.array_equal(ks, omega_kernel_sin(table.nodes, gt))
 
 
 def trace_reference(table, part, kin):
-    """(D, f, zeta, cumD, cumF) from one whole-table pass: every node's
-    integrand at once, summed per panel by one reduceat."""
+    """(D, f, zeta, cumD, cumF) from one whole-table pass: both kernels
+    and every node's integrand at once, summed per panel by one reduceat."""
     pref = part.r0_tilde / (2.0 * math.pi)
     nodes, weights, offsets = panel_nodes_reference(table.grid)
     assert np.array_equal(offsets, table.offsets)
+    kc, ks = omega_kernels(nodes, table.gamma_tilde)
     pv = kernel_P(abs(kin.u) * nodes, part.orientation)
     cosn = np.cos(part.delta_tilde * nodes)
     sinn = np.sin(part.delta_tilde * nodes)
@@ -504,9 +527,9 @@ def trace_reference(table, part, kin):
         np.cumsum(panel, out=out[1:])
         return pref * out
 
-    D = prefix(cosn * table.kc * pv)
-    f = prefix(sinn * table.kc * pv)
-    zeta = prefix(sinn * table.ks * pv)
+    D = prefix(cosn * kc * pv)
+    f = prefix(sinn * kc * pv)
+    zeta = prefix(sinn * ks * pv)
     return D, f, zeta, cumulative_integral(table.grid, D), cumulative_integral(table.grid, f)
 
 
@@ -557,7 +580,7 @@ def test_trace_temporaries_stay_block_sized():
     assert peak <= 9 * table.grid.nbytes
 
 
-def test_table_holds_16_bytes_per_node_and_trace_adds_no_node_sized_array():
+def test_table_holds_no_node_sized_array_and_neither_does_a_trace():
     # 40 panels of 4,000 nodes, each a block of its own: 160 k nodes, of
     # 1.25 MB per float array, against a block's 32 KiB
     grid = np.linspace(0.0, 20000.0, 41)
@@ -567,15 +590,14 @@ def test_table_holds_16_bytes_per_node_and_trace_adds_no_node_sized_array():
         build_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    n = table.kc.size
+    n = table.nodes.size
     assert n == 160_000 and len(list(_panel_blocks(table.offsets, n))) == 40
-    per_node = [getattr(table, f.name) for f in dataclasses.fields(table)]
-    per_node = [a for a in per_node if np.size(a) >= n]
-    assert sum(a.nbytes for a in per_node) == 16 * n
+    fields = [getattr(table, f.name) for f in dataclasses.fields(table)]
+    assert [a for a in fields if np.size(a) >= n] == []
     assert table.edges.size == n // 4 + 1
-    # the kernels, the edges and block-sized temporaries: no node array
+    # the edges, the offsets and block-sized temporaries: no node array
     block_bound = 24 * 8 * _KERNEL_BLOCK
-    assert build_peak <= 16 * n + table.edges.nbytes + block_bound
+    assert build_peak <= table.edges.nbytes + table.offsets.nbytes + block_bound
 
     part = ParticleParams(delta_tilde=0.9, r0_tilde=1e-2, orientation=unit_orientation((1, 1, 1)))
     tracemalloc.start()
@@ -597,22 +619,54 @@ READOUT_CASES = {
 }
 
 
+def whole_row_root(trace, d_inf):
+    """tau_D off a whole cumD row and the index of its crossing: the
+    first crossing of 1, closed-form on its segment, else (index None)
+    the continuation past the end at slope d_inf."""
+    g, c = trace.grid, trace.cumD
+    i = int(np.argmax(c >= 1.0))
+    if c[i] >= 1.0:
+        return g[i - 1] + (1.0 - c[i - 1]) * (g[i] - g[i - 1]) / (c[i] - c[i - 1]), i
+    return g[-1] + (1.0 - c[-1]) / d_inf, None
+
+
 @pytest.mark.parametrize("name", READOUT_CASES)
 def test_stationary_readout_matches_full_trace_bitwise(name):
-    # tau_D's read-out forms D alone and the Markov one D and zeta, each
-    # bit for bit the full trace's rows
+    # the streamed tau_D is the root of the full trace's cumD, and the
+    # Markov read-out's ends are the trace's, bit for bit
     mat, part = READOUT_CASES[name]
     table = decoherence_table(mat, part.delta_tilde)
     for u in (0.0, 1.5e-4, 3e-3):
         kin = KinematicsParams(u=u)
         trace = coefficients_from_table(table, part, kin)
-        grid, (D,), d_inf = _trace_and_tail_slope(mat, part, kin, table)
-        assert grid is table.grid
-        assert np.array_equal(D, trace.D), u
-        assert np.array_equal(cumulative_integral(grid, D), trace.cumD), u
         markov = markov_limit(mat, part, kin, table)
-        assert markov.D_inf == d_inf
+        tail = _tail_slope_correction(mat, part, kin, float(table.grid[-1]))
+        assert markov.D_inf == float(trace.D[-1]) + tail, u
         assert markov.zeta_inf == trace.zeta[-1], u
+        ((d_inf, _, cum_d, _),) = _stationary_readout(mat, [(part, kin)], table)
+        assert d_inf == markov.D_inf and cum_d == trace.cumD[-1], u
+        tau = tau_d_numeric(mat, part, kin, table=table).tau_d
+        assert tau == whole_row_root(trace, markov.D_inf)[0], u
+
+
+def test_streamed_tau_is_the_whole_row_root_in_and_past_the_window():
+    # past the window (the continuation), inside it (r0_tilde = 1), and
+    # on the first grid point of a block, where the crossing's left end
+    # is the cumD carried over from the block before
+    mat, part = NV_NSI
+    table = decoherence_table(mat, part.delta_tilde)
+    kin = KinematicsParams(u=0.003)
+    first = list(_panel_blocks(table.offsets, table.nodes.size))[2][0] + 1
+    unit = coefficients_from_table(table, dataclasses.replace(part, r0_tilde=1.0), kin).cumD
+    at_first = 2.0 / (unit[first - 1] + unit[first])
+    crossings = []
+    for r0 in (1e-2, 1.0, at_first):
+        at = dataclasses.replace(part, r0_tilde=r0)
+        trace = coefficients_from_table(table, at, kin)
+        tau, i = whole_row_root(trace, markov_limit(mat, at, kin, table).D_inf)
+        assert tau_d_numeric(mat, at, kin, table=table).tau_d == tau, r0
+        crossings.append(i)
+    assert crossings[0] is None and crossings[1] is not None and crossings[2] == first
 
 
 def test_oversized_grid_is_refused_before_allocating():

@@ -417,15 +417,15 @@ def test_polarization_phi_periodicity_and_polar_degeneracy():
 
 def test_phi_sweep_shares_one_rest_reference(monkeypatch):
     # at theta = pi/2 every phi has d_i = 1, and at rest P = d_i / 8, so
-    # one u = 0 trace serves all N angles: N + 1 panel-sum passes in all
+    # one u = 0 point serves all N angles: one pass of N + 1 points
     import qfd.coefficients
 
     calls = []
     panel_sums = qfd.coefficients._panel_sums
 
-    def counted(*args):
-        calls.append(args)
-        return panel_sums(*args)
+    def counted(table, points, rows):
+        calls.append(len(points))
+        return panel_sums(table, points, rows)
 
     monkeypatch.setattr(qfd.coefficients, "_panel_sums", counted)
     mat, part = NV_NSI
@@ -433,8 +433,61 @@ def test_phi_sweep_shares_one_rest_reference(monkeypatch):
     rows = sweep_polarization(
         mat, part, KinematicsParams(u=0.003), [math.pi / 2], phis, rate_mode=True
     )
-    assert len(calls) == len(phis) + 1
+    assert calls == [len(phis) + 1]
     assert len({r.tau_d_u0 for r in rows}) == 1
+
+
+@pytest.mark.parametrize("method", ["numeric", "markov"])
+def test_sweeps_evaluate_each_kernel_node_once_per_level_spacing(monkeypatch, method):
+    # a 4-point u sweep and a rate-mode phi sweep each read their points
+    # and their rest reference off one pass, which evaluates the kernels
+    # once per node; a delta sweep once per node of each spacing's table
+    import qfd.coefficients
+
+    evaluated = []
+    omega_kernels = qfd.coefficients.omega_kernels
+
+    def counted(t, gamma_tilde):
+        evaluated.append(np.size(t))
+        return omega_kernels(t, gamma_tilde)
+
+    monkeypatch.setattr(qfd.coefficients, "omega_kernels", counted)
+    mat, part = NV_NSI
+    nodes = decoherence_table(mat, part.delta_tilde).nodes.size
+    sweeps = [
+        lambda: sweep_velocity(mat, part, [0.001, 0.003, 0.01, 0.03], method=method),
+        lambda: sweep_polarization(mat, part, KinematicsParams(u=0.003), [math.pi / 2],
+                                   [0.0, 1.0, 2.0], method=method, rate_mode=True),
+    ]
+    for sweep in sweeps:
+        evaluated.clear()
+        sweep()
+        assert sum(evaluated) == nodes
+    evaluated.clear()
+    sweep_level_spacing(mat, part, KinematicsParams(u=0.003), [0.2, 0.3], method=method)
+    assert sum(evaluated) == nodes + decoherence_table(mat, 0.3).nodes.size
+
+
+def test_phi_sweep_memory_grows_by_block_rows_per_angle():
+    # a pass holds each point's rows for one block, never for the whole
+    # grid: 100 angles on one table peak at most 100 block bounds above
+    # one angle, where 100 grid-sized rows would take 18 MB
+    mat, part = NV_NSI
+    kin = KinematicsParams(u=0.003)
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            sweep_polarization(mat, part, kin, [math.pi / 2], list(np.linspace(0.0, 6.0, n)),
+                               rate_mode=True, pts_per_cycle=4000)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    grid = decoherence_table(mat, part.delta_tilde, 4000).grid
+    block_bound = 8 * 8 * (_KERNEL_BLOCK // 4 + 1)
+    assert 100 * grid.nbytes > 18e6 > 100 * block_bound
+    assert peak(100) - peak(1) <= 100 * block_bound
 
 
 def test_polarization_grid_validation():
