@@ -514,8 +514,8 @@ def _subpanel_edges(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (edges, offsets): edges[k], edges[k + 1] bound sub-panel k,
     whose GL4 nodes are 4 k .. 4 k + 3 (_gl4), and offsets[i] is the
     first node of grid panel i.  A grid of more than _MAX_TABLE_NODES
-    nodes is refused before any array is built.  Beside the grid, the
-    edges and the offsets, it holds one grid-sized column at most.
+    nodes is refused before any array is built.  The edges are formed
+    _KERNEL_BLOCK sub-panels at a time, beside one grid-sized temporary.
     """
     counts = np.diff(grid) / _MAX_SUBPANEL_WIDTH
     _check_table_nodes(4.0 * np.ceil(counts, out=counts).sum(),
@@ -526,7 +526,7 @@ def _subpanel_edges(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.cumsum(first, out=first)
     edges = np.empty(first[-1] + 1)
     edges[-1] = grid[-1]
-    for p0, p1, s0, s1 in _panel_blocks(first[:-1], first[-1], _KERNEL_BLOCK // 4):
+    for p0, p1, s0, s1 in _panel_blocks(first[:-1], first[-1]):
         a, k = grid[p0:p1], np.diff(first[p0 : p1 + 1])
         # np.linspace(a, b, k + 1) arithmetic, edge j = j * ((b - a) / k) + a,
         # so the edges are bit-identical to a per-panel linspace; a panel's
@@ -592,15 +592,15 @@ def make_kernel_table(gamma_tilde: float, grid) -> KernelTable:
     return KernelTable(grid=g, edges=edges, offsets=offsets, gamma_tilde=gamma_tilde)
 
 
-def _panel_blocks(offsets: np.ndarray, n_nodes: int, block: int = _KERNEL_BLOCK):
+def _panel_blocks(offsets: np.ndarray, n_nodes: int):
     """Runs (p0, p1, n0, n1) of whole grid panels p0..p1-1, nodes
-    n0..n1-1, of at most block nodes each; a wider panel is a run of
-    its own."""
+    n0..n1-1, of at most _KERNEL_BLOCK nodes each; a wider panel is a
+    run of its own."""
     p0 = 0
     while p0 < offsets.size:
         n0 = offsets[p0]
-        p1 = int(np.searchsorted(offsets, n0 + block, side="right"))
-        if n_nodes > n0 + block:
+        p1 = int(np.searchsorted(offsets, n0 + _KERNEL_BLOCK, side="right"))
+        if n_nodes > n0 + _KERNEL_BLOCK:
             p1 = max(p1 - 1, p0 + 1)
         yield p0, p1, n0, offsets[p1] if p1 < offsets.size else n_nodes
         p0 = p1
