@@ -31,7 +31,7 @@ def resolve_only(argv: list[str]) -> bool:
     """Examples checked through --dump-config, which resolves every
     parameter and then stops: `coeffs --method all --cycles 6` runs the
     brute-force oracle on 1,885 grid points (about 2 minutes) and the
-    two-preset combo sweep takes about 4 s."""
+    two-preset combo sweep takes about 2 s."""
     return (argv[0] == "coeffs" and "all" in argv) or "--combos" in argv
 
 
