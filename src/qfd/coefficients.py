@@ -27,11 +27,12 @@ Three independent evaluation routes are provided:
   order one.
 
 A kernel table is a quadrature plan that holds no kernel: ``_panel_sums``,
-the one pass over it, evaluates both kernels a block at a time for every
-point at one level spacing.  ``decoherence_table`` plans the window on
-which every coefficient has become constant, and ``_stationary_readout``
-streams its end: D's end plus the cosine kernel's tail remainder, zeta's
-for ``markov_limit`` and cumD's first crossing of 1 for qfd.decoherence.
+the one pass over it, forms each block's points and nodes and evaluates
+both kernels there, for every point at one level spacing.
+``decoherence_table`` plans the window on which every coefficient has
+become constant, as segments, and ``_stationary_readout`` streams its
+end: D's end plus the cosine kernel's tail remainder, zeta's for
+``markov_limit`` and cumD's first crossing of 1 for qfd.decoherence.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from itertools import chain
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -413,44 +415,60 @@ def kernel_decay_time(gamma_tilde: float) -> float:
 # grid points per natural cycle of every grid that is not given one
 DEFAULT_PTS_PER_CYCLE = 400
 
-# most panel nodes a kernel table's plan may span: its grid, edges and
-# offsets take up to 6 B per node (24 B per dense panel), 0.4 GB at 2^26,
-# while the largest default plan, nv-au tdec, spans 8.4 M
+# most panel nodes a grid may span: it bounds the time of every pass over
+# a plan, 4 kernel nodes per dense panel, and the array of a caller's
+# grid, at most 2 B per node (0.13 GB at 2^26); the largest default plan,
+# nv-au tdec, spans 8.4 M nodes and holds no grid-sized array
 _MAX_TABLE_NODES = 2**26
 
 
-def _check_table_nodes(nodes: float, remedy: str) -> None:
+def _check_table_nodes(nodes: float, remedy: str, grid: bool = True) -> None:
     """Refuse a plan of more than _MAX_TABLE_NODES panel nodes, counted
-    before any array is built, with the remedy naming the parameter."""
+    before any array is built, with the remedy naming the parameter; the
+    budget bounds a grid, or with grid=False the time of a pass."""
     if not nodes <= _MAX_TABLE_NODES:
-        raise ConfigError(
-            f"the plan needs {nodes:.3g} panel nodes (up to {6e-9 * nodes:.3g} GB of grid, "
-            f"edges and offsets), over the budget of {_MAX_TABLE_NODES} "
-            f"({6e-9 * _MAX_TABLE_NODES:.2g} GB): {remedy}"
-        )
+        bound = (f" (up to {2e-9 * nodes:.3g} GB of grid), over the budget of {_MAX_TABLE_NODES} "
+                 f"({2e-9 * _MAX_TABLE_NODES:.2g} GB)" if grid else
+                 f", over the budget of {_MAX_TABLE_NODES} that bounds the time of a pass")
+        raise ConfigError(f"the plan needs {nodes:.3g} panel nodes{bound}: {remedy}")
 
 
-def time_grid(
-    delta_tilde: float,
-    gamma_tilde: float,
-    n_cycles: float,
-    pts_per_cycle: int = DEFAULT_PTS_PER_CYCLE,
-    *,
-    remedy: str = "lower n_cycles",
-) -> np.ndarray:
-    """Hybrid simulation grid over n_cycles natural cycles.
+class _Uniform(NamedTuple):
+    """Points first..n of np.linspace(start, stop, n + 1), formed on
+    demand in its arithmetic: i ((stop - start) / n) + start, the last
+    one stop itself.  In a plan, point first - 1 is the one before them."""
+
+    start: float
+    stop: float
+    n: int
+    first: int
+
+    def points(self, i: int, j: int) -> np.ndarray:
+        """Points i..j-1, 0 <= i < j <= n + 1."""
+        out = np.arange(i, j, dtype=float) * ((self.stop - self.start) / self.n) + self.start
+        if j == self.n + 1:
+            out[-1] = self.stop
+        return out
+
+
+def _time_segments(
+    delta_tilde: float, gamma_tilde: float, n_cycles: float, pts_per_cycle: int,
+    remedy: str, grid: bool = True,
+) -> list[_Uniform]:
+    """The plan of time_grid, its uniform segments, dense and then sparse.
 
     Dense sampling (pts_per_cycle per cycle, capped at spacing 0.1 so the
     order-one kernel oscillations stay resolved) while the kernels are
     alive, then sparse sampling where every coefficient has become
     constant and only slow exponentials remain.
 
-    A grid whose kernel table would pass _MAX_TABLE_NODES panel nodes is
-    refused before it is built (ConfigError).  The message names
-    pts_per_cycle when its least value, 8, would fit the budget; else
-    gamma_tilde when the kernels' decay time, reached by the horizon,
-    spans a dense part that holds most nodes; else remedy, the caller's
-    way to shorten the horizon.
+    A plan of more than _MAX_TABLE_NODES panel nodes is refused before
+    any point is formed (ConfigError, _check_table_nodes, which says what
+    the budget bounds: a grid, or with grid=False a pass's time).  The
+    message names pts_per_cycle when its least value, 8, would fit the
+    budget; else gamma_tilde when the kernels' decay time, reached by the
+    horizon, spans a dense part that holds most nodes; else remedy, the
+    caller's way to shorten the horizon.
     """
     if not 0 < n_cycles < math.inf or pts_per_cycle < 8:
         raise GridError("need finite n_cycles > 0 and pts_per_cycle >= 8")
@@ -464,7 +482,7 @@ def time_grid(
     # panels and is refused, where math.ceil would raise OverflowError
     n_dense = np.ceil(t_dense_end / h_dense)
     n_sparse = np.ceil((t_end - t_dense_end) / h_sparse)
-    # the table's panel nodes (_subpanel_edges): 4 per dense panel, 4 per
+    # the plan's panel nodes (_plan_blocks): 4 per dense panel, 4 per
     # sub-panel of each sparse one
     dense_nodes = 4.0 * n_dense
     sparse_nodes = 4.0 * n_sparse * np.ceil(h_sparse / _MAX_SUBPANEL_WIDTH)
@@ -474,12 +492,24 @@ def time_grid(
     elif dense_at_8 > sparse_nodes and t_end >= decay >= 2.0 * cycle:
         # the decay time is shortest at gamma_tilde = 2
         remedy = ("raise" if gamma_tilde < 2.0 else "lower") + " gamma_tilde"
-    _check_table_nodes(dense_nodes + sparse_nodes, remedy)
-    dense = np.linspace(0.0, t_dense_end, int(n_dense) + 1)
-    if t_dense_end >= t_end:
-        return dense
-    sparse = np.linspace(t_dense_end, t_end, int(n_sparse) + 1)[1:]
-    return np.concatenate([dense, sparse])
+    _check_table_nodes(dense_nodes + sparse_nodes, remedy, grid)
+    sparse = [_Uniform(t_dense_end, t_end, int(n_sparse), 1)] if t_dense_end < t_end else []
+    return [_Uniform(0.0, t_dense_end, int(n_dense), 0), *sparse]
+
+
+def time_grid(
+    delta_tilde: float,
+    gamma_tilde: float,
+    n_cycles: float,
+    pts_per_cycle: int = DEFAULT_PTS_PER_CYCLE,
+    *,
+    remedy: str = "lower n_cycles",
+) -> np.ndarray:
+    """Hybrid simulation grid over n_cycles natural cycles: the points
+    of its plan (_time_segments), by np.linspace."""
+    parts = [np.linspace(s.start, s.stop, s.n + 1)[s.first:]
+             for s in _time_segments(delta_tilde, gamma_tilde, n_cycles, pts_per_cycle, remedy)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _check_grid(grid: np.ndarray) -> np.ndarray:
@@ -506,57 +536,18 @@ _MAX_SUBPANEL_WIDTH = 0.5
 _KERNEL_BLOCK = 4096
 
 
-def _subpanel_edges(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sub-panel edges of every grid panel, internally refined.
-
-    Panels wider than _MAX_SUBPANEL_WIDTH are split so the degree-7 rule
-    stays far beyond any caller tolerance even on coarse oracle grids.
-    Returns (edges, offsets): edges[k], edges[k + 1] bound sub-panel k,
-    whose GL4 nodes are 4 k .. 4 k + 3 (_gl4), and offsets[i] is the
-    first node of grid panel i.  A grid of more than _MAX_TABLE_NODES
-    nodes is refused before any array is built.  The edges are formed
-    _KERNEL_BLOCK sub-panels at a time, beside one grid-sized temporary.
-    """
-    counts = np.diff(grid) / _MAX_SUBPANEL_WIDTH
-    _check_table_nodes(4.0 * np.ceil(counts, out=counts).sum(),
-                       "lower the number or the span of the grid's points")
-    first = np.zeros(grid.size, int)
-    first[1:] = np.maximum(counts, 1.0, out=counts)
-    del counts
-    np.cumsum(first, out=first)
-    edges = np.empty(first[-1] + 1)
-    edges[-1] = grid[-1]
-    for p0, p1, s0, s1 in _panel_blocks(first[:-1], first[-1]):
-        a, k = grid[p0:p1], np.diff(first[p0 : p1 + 1])
-        # np.linspace(a, b, k + 1) arithmetic, edge j = j * ((b - a) / k) + a,
-        # so the edges are bit-identical to a per-panel linspace; a panel's
-        # last edge is the next panel's first, a exactly, and the grid's end
-        j = np.arange(s0, s1) - np.repeat(first[p0:p1], k)
-        edges[s0:s1] = j * np.repeat((grid[p0 + 1 : p1 + 1] - a) / k, k) + np.repeat(a, k)
-    first *= 4
-    return edges, first[:-1]
-
-
-def _gl4_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """GL4 nodes mid + half x_j of the sub-panels between consecutive
-    edges, 4 per sub-panel, in node order, and the half-widths."""
+def _gl4(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GL4 nodes mid + half x_j and weights half w_j of the sub-panels
+    between consecutive edges, 4 per sub-panel, in node order."""
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = np.empty((half.size, 4))
+    nodes, weights = np.empty((2, half.size, 4))
     # a column at a time: broadcasting rows of 4 runs numpy's inner loop 4 long
     for j in range(4):
         np.multiply(half, _GL4_X[j], out=nodes[:, j])
         nodes[:, j] += mid
-    return nodes.ravel(), half
-
-
-def _gl4(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """GL4 nodes (_gl4_nodes) and weights half w_j, in node order."""
-    nodes, half = _gl4_nodes(edges)
-    weights = np.empty((half.size, 4))
-    for j in range(4):
         np.multiply(half, _GL4_W[j], out=weights[:, j])
-    return nodes, weights.ravel()
+    return nodes.ravel(), weights.ravel()
 
 
 @dataclass(frozen=True)
@@ -565,72 +556,102 @@ class KernelTable:
     dipole orientations (a decoherence_table's grid depends on the
     damping and the level spacing alone).
 
-    It holds no kernel: the plan is the grid, one sub-panel edge per 4
-    panel nodes, from which each pass forms a block's GL4 nodes and
-    weights (_gl4), and offsets[i], the first node of grid panel i.  The
-    one pass over it, _panel_sums, evaluates the kernels a block at a
-    time, so it adds only block-sized temporaries per point.
-    gamma_tilde is the damping the kernels are evaluated at.
+    It holds no kernel and no point past head, the caller's grid (or a
+    decoherence grid's graded start): the uniform segments that follow it
+    (_Uniform) form their points, and every block its sub-panel edges,
+    as _plan_blocks reaches them.  The one pass over it, _panel_sums,
+    evaluates the kernels a block at a time, so it adds only block-sized
+    temporaries per point.  gamma_tilde is the damping of the kernels.
     """
 
-    grid: np.ndarray
-    edges: np.ndarray
-    offsets: np.ndarray
+    head: np.ndarray
+    segments: tuple[_Uniform, ...]
     gamma_tilde: float
+
+    @property
+    def grid(self) -> np.ndarray:
+        """Every grid point, built on each call but for a plain head."""
+        if not self.segments:
+            return self.head
+        return np.concatenate([self.head, *(s.points(s.first, s.n + 1) for s in self.segments)])
 
     @property
     def nodes(self) -> np.ndarray:
         """Every GL4 node, built on each call."""
-        return _gl4_nodes(self.edges)[0]
+        return np.concatenate([_gl4(edges)[0] for _, edges, _ in _plan_blocks(self)])
 
 
-def make_kernel_table(gamma_tilde: float, grid) -> KernelTable:
-    """The quadrature plan (KernelTable) of a grid for the kernels at
+def make_kernel_table(gamma_tilde: float, grid, segments: Sequence[_Uniform] = ()) -> KernelTable:
+    """The quadrature plan (KernelTable) of a grid continued by uniform
+    segments, whose node budget their planner checks, for the kernels at
     gamma_tilde; nothing is evaluated until a pass reads it."""
     g = _check_grid(grid)
-    edges, offsets = _subpanel_edges(g)
-    return KernelTable(grid=g, edges=edges, offsets=offsets, gamma_tilde=gamma_tilde)
+    _check_table_nodes(4.0 * np.ceil(np.diff(g) / _MAX_SUBPANEL_WIDTH).sum(),
+                       "lower the number or the span of the grid's points")
+    return KernelTable(head=g, segments=tuple(segments), gamma_tilde=gamma_tilde)
 
 
-def _panel_blocks(offsets: np.ndarray, n_nodes: int):
-    """Runs (p0, p1, n0, n1) of whole grid panels p0..p1-1, nodes
-    n0..n1-1, of at most _KERNEL_BLOCK nodes each; a wider panel is a
-    run of its own."""
-    p0 = 0
-    while p0 < offsets.size:
-        n0 = offsets[p0]
-        p1 = int(np.searchsorted(offsets, n0 + _KERNEL_BLOCK, side="right"))
-        if n_nodes > n0 + _KERNEL_BLOCK:
-            p1 = max(p1 - 1, p0 + 1)
-        yield p0, p1, n0, offsets[p1] if p1 < offsets.size else n_nodes
-        p0 = p1
+def _plan_blocks(table: KernelTable) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(points, edges, offsets) of each block of whole grid panels, at most
+    _KERNEL_BLOCK nodes (a wider panel is a block of its own), from the
+    block alone: its grid points from the one before it, the edges that
+    split each panel into ceil(width / _MAX_SUBPANEL_WIDTH) equal
+    sub-panels, so the degree-7 rule stays far beyond any caller
+    tolerance even on coarse oracle grids, and each panel's first node."""
+    panels = _KERNEL_BLOCK // 4
+    # runs of at most a dense block's panels, each from the point before it
+    for g in chain(
+        (table.head[i:i + panels + 1] for i in range(0, table.head.size - 1, panels)),
+        (s.points(i - 1, min(i + panels, s.n + 1))
+         for s in table.segments for i in range(s.first, s.n + 1, panels)),
+    ):
+        width = np.diff(g)
+        if width.max() <= _MAX_SUBPANEL_WIDTH:
+            # one sub-panel per panel, the dense part's: the edges are the points
+            yield g, g, np.arange(0, 4 * width.size, 4)
+            continue
+        counts = np.ceil(width / _MAX_SUBPANEL_WIDTH).astype(int)
+        first = np.zeros(g.size, int)
+        np.cumsum(counts, out=first[1:])
+        p = 0
+        while p < counts.size:
+            q = max(p + 1, int(np.searchsorted(first, first[p] + panels, "right")) - 1)
+            k, at = counts[p:q], first[p:q] - first[p]
+            # np.linspace(a, b, k + 1) arithmetic, edge j = j * ((b - a) / k) + a,
+            # so the edges are bit-identical to a per-panel linspace; a panel's
+            # last edge is the next panel's first, a exactly, and the block's end
+            j = np.arange(first[q] - first[p]) - np.repeat(at, k)
+            edges = np.empty(j.size + 1)
+            edges[:-1] = j * np.repeat(width[p:q] / k, k) + np.repeat(g[p:q], k)
+            edges[-1] = g[q]
+            yield g[p:q + 1], edges, 4 * at
+            p = q
 
 
 def _panel_sums(
     table: KernelTable, points: Sequence[tuple[ParticleParams, KinematicsParams]], rows: int
-) -> Iterator[tuple[slice, np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The first rows of (D, zeta, f) of (part, kin) points at the first
-    one's level spacing, a block of whole grid panels (_panel_blocks) at
+    one's level spacing, a block of whole grid panels (_plan_blocks) at
     a time: the one pass over a kernel table.
 
-    Yields (at, sums) per block: sums[k] holds point k's rows at
-    table.grid[at], the block's points after the one before it, whose
-    column is carried over (0 at t = 0).  Kc, Ks and trig K are formed
-    once per block, and each point multiplies in P and w, in the order
-    trig * kernel * P * w; a cumulative sum continued from its carry is
-    bit-identical to one whole-grid pass.
+    Yields (g, sums) per block: sums[k] holds point k's rows at the
+    block's grid points g, the first of which closes the block before
+    it, whose column is carried over (0 at t = 0).  Kc, Ks and trig K
+    are formed once per block, and each point multiplies in P and w, in
+    the order trig * kernel * P * w; a cumulative sum continued from its
+    carry is bit-identical to one whole-grid pass.
     """
     pref = np.array([part.r0_tilde / TWO_PI for part, _ in points])[:, None, None]
     carry = np.zeros((len(points), rows, 1))
-    for p0, p1, n0, n1 in _panel_blocks(table.offsets, 4 * (table.edges.size - 1)):
-        x, w = _gl4(table.edges[n0 // 4 : n1 // 4 + 1])
+    for g, edges, panels in _plan_blocks(table):
+        x, w = _gl4(edges)
         kc, ks = omega_kernels(x, table.gamma_tilde)
         phase = points[0][0].delta_tilde * x
         cosn = np.cos(phase)
         sinn = np.sin(phase) if rows > 1 else None
         trig_k = [t * k for t, k, _ in zip((cosn, sinn, sinn), (kc, ks, kc), range(rows))]
-        panels = table.offsets[p0:p1] - n0
-        sums = np.concatenate([carry, np.empty((len(points), rows, p1 - p0))], axis=2)
+        sums = np.concatenate([carry, np.empty((len(points), rows, panels.size))], axis=2)
         for (part, kin), out in zip(points, sums[:, :, 1:]):
             pv = kernel_P(abs(kin.u) * x, part.orientation)
             for row, tk in zip(out, trig_k):
@@ -639,17 +660,20 @@ def _panel_sums(
                 np.add.reduceat(term, panels, out=row)
         np.cumsum(sums, axis=2, out=sums)
         carry = sums[:, :, -1:]
-        yield slice(p0, p1 + 1), sums * pref
+        yield g, sums * pref
 
 
 def coefficients_from_table(
     table: KernelTable, part: ParticleParams, kin: KinematicsParams
 ) -> CoefficientTrace:
     """Coefficient trace on a kernel table's grid (_panel_sums)."""
-    D, zeta, f = out = np.empty((3, table.grid.size))
-    for at, (sums,) in _panel_sums(table, [(part, kin)], 3):
-        out[:, at] = sums
-    return CoefficientTrace(table.grid, D, f, zeta, "e1", part.delta_tilde)
+    grid = table.grid
+    D, zeta, f = out = np.empty((3, grid.size))
+    at = 0
+    for g, (sums,) in _panel_sums(table, [(part, kin)], 3):
+        out[:, at:at + g.size] = sums
+        at += g.size - 1
+    return CoefficientTrace(grid, D, f, zeta, "e1", part.delta_tilde)
 
 
 def coefficients_e1(
@@ -886,20 +910,31 @@ def decoherence_table(
     pts_per_cycle: int = DEFAULT_PTS_PER_CYCLE,
 ) -> KernelTable:
     """Kernel table (the plan, KernelTable) on the decoherence-extraction
-    grid, time_grid over the decoherence window graded toward t = 0.
+    grid, time_grid over the decoherence window graded toward t = 0
+    (_graded_start), which it holds as that head and the segments after it.
 
     It serves every velocity and orientation at its level spacing; the
     kernels, which dominate the cost, are evaluated in each pass over it,
     once for all the points a sweep reads at that spacing.  The grid
     density is set here alone; every route reads it off the table it is
     given.  A window too long for the node budget is refused with the
-    remedy to raise delta_tilde.
+    remedy on the level spacing: to lower it while the dense spacing is
+    cycle / pts_per_cycle, else to raise it; a window of no finite
+    length names the parameter that makes it so.
     """
+    gt = mat.gamma_tilde
     cycle = TWO_PI / delta_tilde
-    window = decoherence_window(delta_tilde, mat.gamma_tilde)
-    grid = _graded_start(time_grid(delta_tilde, mat.gamma_tilde, window / cycle, pts_per_cycle,
-                                   remedy="raise delta_tilde"))
-    return make_kernel_table(mat.gamma_tilde, grid)
+    window = decoherence_window(delta_tilde, gt)
+    if not window < math.inf:
+        _check_table_nodes(math.inf, "raise delta_tilde" if cycle == math.inf else
+                           ("raise" if gt < 2.0 else "lower") + " gamma_tilde", grid=False)
+    remedy = ("lower" if cycle / pts_per_cycle < 0.1 else "raise") + " delta_tilde"
+    dense, *sparse = _time_segments(delta_tilde, gt, window / cycle, pts_per_cycle, remedy,
+                                    grid=False)
+    # the dense points up to t = 1 and one past it, of spacing <= 0.1
+    start = dense.points(0, min(dense.n + 1, int(dense.n / dense.stop) + 3))
+    k = int(np.searchsorted(start, 1.0, side="right"))
+    return make_kernel_table(gt, _graded_start(start[:k]), [dense._replace(first=k), *sparse])
 
 
 def _stationary_readout(
@@ -930,7 +965,7 @@ def _stationary_readout(
             f"the kernel table was built at gamma_tilde = {table.gamma_tilde}, "
             f"not at the material's gamma_tilde = {mat.gamma_tilde}"
         )
-    t_end = float(table.grid[-1])
+    t_end = float(table.segments[-1].stop if table.segments else table.head[-1])
     window = decoherence_window(delta_tilde, mat.gamma_tilde)
     if t_end < window * (1 - 1e-12):
         raise PhysicsError(
@@ -938,8 +973,8 @@ def _stationary_readout(
             f"{window:.6g}: its end is not stationary"
         )
     cum, tau = np.zeros((len(points), 1)), np.full(len(points), math.nan)
-    for at, sums in _panel_sums(table, points, rows):
-        g, d = table.grid[at], sums[:, 0]
+    for g, sums in _panel_sums(table, points, rows):
+        d = sums[:, 0]
         c = np.concatenate([cum, d[:, 1:] + d[:, :-1]], axis=1)
         c[:, 1:] *= 0.5 * np.diff(g)
         np.cumsum(c, axis=1, out=c)

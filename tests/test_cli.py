@@ -547,13 +547,23 @@ def test_sweep_config_error_exit_2(tmp_path, capsys):
         # pts_per_cycle lifts; the decay time is shortest at gamma_tilde = 2
         (["tdec", "--preset", "nv-nsi", "--gamma", "1e-6"], "raise gamma_tilde"),
         (["tdec", "--preset", "nv-nsi", "--gamma", "1e5"], "lower gamma_tilde"),
+        # the float range's ends: a dense spacing of cycle / 400 = 2e-302,
+        # which a lower level spacing widens, and a window of 3 cycles of 6e300
+        (["tdec", "--preset", "nv-nsi", "--u", "0.003", "--delta", "1e300"], "lower delta_tilde"),
+        (["tdec", "--preset", "nv-nsi", "--u", "0.003", "--delta", "1e-300"], "raise delta_tilde"),
+        # kernels that never decay in floats: a window of no finite length
+        (["tdec", "--preset", "nv-nsi", "--u", "0.003", "--gamma", "1e300"], "lower gamma_tilde"),
+        (["tdec", "--preset", "nv-nsi", "--u", "0.003", "--gamma", "5e-324"], "raise gamma_tilde"),
     ],
     ids=["evolve-cycles", "coeffs-cycles-inf", "tdec-pts-per-cycle", "tdec-window",
-         "tdec-gamma-low", "tdec-gamma-high"],
+         "tdec-gamma-low", "tdec-gamma-high", "tdec-delta-1e300", "tdec-delta-1e-300",
+         "tdec-gamma-1e300", "tdec-gamma-5e-324"],
 )
 def test_oversized_plan_exit_2_before_allocating(tmp_path, capsys, argv, remedy):
     # a kernel table of terabytes is refused from its node count, before
-    # any grid, node or kernel array is built
+    # any grid, node or kernel array is built; the message says what the
+    # budget bounds: a caller's grid, or the time of a decoherence pass,
+    # whose plan holds no grid-sized array
     out = tmp_path / "x.out"
     tracemalloc.start()
     try:
@@ -563,7 +573,8 @@ def test_oversized_plan_exit_2_before_allocating(tmp_path, capsys, argv, remedy)
         tracemalloc.stop()
     assert code == 2
     err = capsys.readouterr().err
-    assert err.rstrip().endswith(f"budget of {2**26} (0.4 GB): {remedy}")
+    bound = "that bounds the time of a pass" if argv[0] == "tdec" else "(0.13 GB)"
+    assert err.rstrip().endswith(f"budget of {2**26} {bound}: {remedy}")
     assert peak < 1e6
     assert not out.exists()
 

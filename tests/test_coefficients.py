@@ -20,10 +20,10 @@ from qfd.coefficients import (
     _cos_tail_coefficients,
     _e1_correction_sums,
     _gl4,
-    _panel_blocks,
+    _graded_start,
+    _plan_blocks,
     _pole_pair,
     _stationary_readout,
-    _subpanel_edges,
     _tail_slope_correction,
     coefficients_analytic_small_u,
     coefficients_brute,
@@ -32,6 +32,7 @@ from qfd.coefficients import (
     csv_blocks,
     csv_table,
     decoherence_table,
+    decoherence_window,
     make_kernel_table,
     markov_limit,
     omega_kernel_cos,
@@ -439,7 +440,7 @@ def test_csv_table_integer_bool_text_and_empty_columns():
 
 def panel_nodes_reference(grid):
     """GL4 nodes, weights and panel offsets from per-panel np.linspace
-    sub-panel edges, the loop _subpanel_edges replaces, all at once."""
+    sub-panel edges, the loop _plan_blocks replaces, all at once."""
     counts = np.maximum(1, np.ceil(np.diff(grid) / _MAX_SUBPANEL_WIDTH).astype(int))
     edges = [np.linspace(a, b, k + 1) for a, b, k in zip(grid[:-1], grid[1:], counts)]
     sa = np.concatenate([e[:-1] for e in edges])
@@ -449,6 +450,21 @@ def panel_nodes_reference(grid):
     nodes = (mid[:, None] + half[:, None] * _GL4_X[None, :]).ravel()
     wts = (half[:, None] * _GL4_W[None, :]).ravel()
     return nodes, wts, np.concatenate([[0], np.cumsum(counts)[:-1]]) * 4
+
+
+def plan_layout(table):
+    """(nodes, weights, offsets, grid) of the whole plan, joined from the
+    blocks of _plan_blocks: each block's GL4 nodes and weights (_gl4) as
+    the pass forms them, its panel offsets shifted by the nodes before
+    it, and its grid points after the one it shares with the block
+    before."""
+    parts, start = [[], [], [], [table.grid[:1]]], 0
+    for g, edges, offsets in _plan_blocks(table):
+        x, w = _gl4(edges)
+        for part, a in zip(parts, (x, w, offsets + start, g[1:])):
+            part.append(a)
+        start += x.size
+    return tuple(np.concatenate(p) for p in parts)
 
 
 @pytest.mark.parametrize(
@@ -465,16 +481,15 @@ def panel_nodes_reference(grid):
 def test_block_nodes_match_per_panel_linspace(grid):
     # the nodes and weights each panel block forms from its edges, as
     # coefficients_from_table forms them, and the table's on-demand nodes
-    edges, offsets = _subpanel_edges(grid)
-    blocks = [_gl4(edges[n0 // 4 : n1 // 4 + 1])
-              for _, _, n0, n1 in _panel_blocks(offsets, 4 * (edges.size - 1))]
-    got = (np.concatenate([x for x, _ in blocks]), np.concatenate([w for _, w in blocks]), offsets)
+    table = make_kernel_table(1.0, grid)
+    *got, points = plan_layout(table)
     ref = panel_nodes_reference(grid)
     assert np.diff(grid).max() > _MAX_SUBPANEL_WIDTH
     for g, r in zip(got, ref):
         assert g.dtype == r.dtype
         assert np.array_equal(g, r)
-    assert np.array_equal(make_kernel_table(1.0, grid).nodes, ref[0])
+    assert np.array_equal(points, grid)
+    assert np.array_equal(table.nodes, ref[0])
 
 
 def test_kernel_table_blocks_match_whole_array_bitwise(monkeypatch):
@@ -514,7 +529,7 @@ def trace_reference(table, part, kin):
     and every node's integrand at once, summed per panel by one reduceat."""
     pref = part.r0_tilde / (2.0 * math.pi)
     nodes, weights, offsets = panel_nodes_reference(table.grid)
-    assert np.array_equal(offsets, table.offsets)
+    assert np.array_equal(offsets, plan_layout(table)[2])
     kc, ks = omega_kernels(nodes, table.gamma_tilde)
     pv = kernel_P(abs(kin.u) * nodes, part.orientation)
     cosn = np.cos(part.delta_tilde * nodes)
@@ -550,7 +565,7 @@ def test_blocked_trace_matches_whole_table_bitwise(gt, grid):
     else:
         assert table.nodes.size > 3 * _KERNEL_BLOCK
         multiples = set(range(_KERNEL_BLOCK, table.nodes.size, _KERNEL_BLOCK))
-        assert not multiples & set(table.offsets)
+        assert not multiples & set(plan_layout(table)[2])
     oblique = unit_orientation((0.3, 0.5, 0.8))
     for u in (0.0, 0.3):
         for n in ((1.0, 0.0, 0.0), oblique):
@@ -591,13 +606,14 @@ def test_table_holds_no_node_sized_array_and_neither_does_a_trace():
     finally:
         tracemalloc.stop()
     n = table.nodes.size
-    assert n == 160_000 and len(list(_panel_blocks(table.offsets, n))) == 40
+    blocks = list(_plan_blocks(table))
+    assert n == 160_000 and len(blocks) == 40
     fields = [getattr(table, f.name) for f in dataclasses.fields(table)]
     assert [a for a in fields if np.size(a) >= n] == []
-    assert table.edges.size == n // 4 + 1
-    # the edges, the offsets and block-sized temporaries: no node array
+    assert sum(edges.size - 1 for _, edges, _ in blocks) == n // 4
+    # block-sized temporaries: no edge, offset or node array
     block_bound = 24 * 8 * _KERNEL_BLOCK
-    assert build_peak <= table.edges.nbytes + table.offsets.nbytes + block_bound
+    assert build_peak <= block_bound
 
     part = ParticleParams(delta_tilde=0.9, r0_tilde=1e-2, orientation=unit_orientation((1, 1, 1)))
     tracemalloc.start()
@@ -656,7 +672,7 @@ def test_streamed_tau_is_the_whole_row_root_in_and_past_the_window():
     mat, part = NV_NSI
     table = decoherence_table(mat, part.delta_tilde)
     kin = KinematicsParams(u=0.003)
-    first = list(_panel_blocks(table.offsets, table.nodes.size))[2][0] + 1
+    first = sum(g.size - 1 for g, _, _ in list(_plan_blocks(table))[:2]) + 1
     unit = coefficients_from_table(table, dataclasses.replace(part, r0_tilde=1.0), kin).cumD
     at_first = 2.0 / (unit[first - 1] + unit[first])
     crossings = []
@@ -669,13 +685,45 @@ def test_streamed_tau_is_the_whole_row_root_in_and_past_the_window():
     assert crossings[0] is None and crossings[1] is not None and crossings[2] == first
 
 
+@pytest.mark.parametrize("name", ["nv-nsi", "rb-nsi", "rb-au", "nv-au"])
+def test_decoherence_plan_blocks_form_the_graded_time_grid_bitwise(name):
+    # the points each block forms from the plan's segments are those of
+    # the graded start of time_grid's np.linspace grid, bit for bit
+    mat, part = preset(name)
+    table = decoherence_table(mat, part.delta_tilde)
+    assert table.head.size < 4 * _KERNEL_BLOCK
+    cycle = 2.0 * math.pi / part.delta_tilde
+    window = decoherence_window(part.delta_tilde, mat.gamma_tilde)
+    ref = _graded_start(time_grid(part.delta_tilde, mat.gamma_tilde, window / cycle))
+    points = plan_layout(table)[3]
+    assert points.dtype == ref.dtype and np.array_equal(points, ref)
+    assert np.array_equal(table.grid, ref)
+
+
+@pytest.mark.parametrize("gamma_tilde", [0.003, 0.001])
+def test_decoherence_plan_build_is_block_sized_whatever_the_window(gamma_tilde):
+    # nv-au's plan spans 2.1 M grid points (8.4 M nodes), 6.3 M at a third
+    # of its damping; building it holds less than one block's node array
+    mat, part = preset("nv-au")
+    mat = dataclasses.replace(mat, gamma_tilde=gamma_tilde)
+    tracemalloc.start()
+    try:
+        table = decoherence_table(mat, part.delta_tilde)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    points = table.head.size + sum(s.n + 1 - s.first for s in table.segments)
+    assert points > 2_000_000
+    assert peak <= 8 * _KERNEL_BLOCK < points
+
+
 def test_oversized_grid_is_refused_before_allocating():
     # one panel of 8e12 nodes, refused from the sub-panel counts (the CLI
     # plans are refused earlier, by time_grid)
     tracemalloc.start()
     try:
         with pytest.raises(ConfigError, match="panel nodes"):
-            _subpanel_edges(np.array([0.0, 1e12]))
+            make_kernel_table(1.0, np.array([0.0, 1e12]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
