@@ -46,7 +46,6 @@ from qfd.coefficients import (
     coefficients_brute,
     coefficients_e1,
     csv_blocks,
-    decoherence_table,
     markov_limit,
     time_grid,
 )
@@ -59,7 +58,6 @@ from qfd.decoherence import (
     sweep_polarization,
     sweep_columns,
     sweep_velocity,
-    table_for_method,
     tau_d,
 )
 from qfd.dynamics import QubitState, evolve
@@ -319,8 +317,8 @@ def cmd_coeffs(args: argparse.Namespace, cfg: RunConfig) -> int:
         for route, trace in traces.items():
             names = ("D", "f", "zeta", "cumD", "cumF") if route == "e1" else ("D", "f", "zeta")
             columns |= {f"{name}_{route}": getattr(trace, name) for name in names}
-        table = decoherence_table(mat, part.delta_tilde, cfg.pts_per_cycle)
-        columns["D_markov"] = np.full(grid.shape, markov_limit(mat, part, kin, table).D_inf)
+        d_inf = markov_limit(mat, part, kin, cfg.pts_per_cycle).D_inf
+        columns["D_markov"] = np.full(grid.shape, d_inf)
     _write_atomic(cfg.out_path, csv_blocks(columns))
     return 0
 
@@ -341,8 +339,7 @@ def cmd_evolve(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_tdec(args: argparse.Namespace, cfg: RunConfig) -> int:
     mat, part, kin = cfg.material, cfg.particle, cfg.kinematics
-    table = table_for_method(mat, part.delta_tilde, args.method, cfg.pts_per_cycle)
-    res = tau_d(mat, part, kin, method=args.method, table=table)
+    res = tau_d(mat, part, kin, method=args.method, pts_per_cycle=cfg.pts_per_cycle)
     report = {
         "tau_d": res.tau_d,
         "method": res.method,

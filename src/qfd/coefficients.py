@@ -30,8 +30,9 @@ A kernel table is a quadrature plan that holds no kernel: ``_panel_sums``,
 the one pass over it, forms each block's points and nodes and evaluates
 both kernels there, for every point at one level spacing.
 ``decoherence_table`` plans the window on which every coefficient has
-become constant, as segments, and ``_stationary_readout`` streams its
-end: D's end plus the cosine kernel's tail remainder, zeta's for
+become constant, as segments, at the particle's level spacing and the
+caller's ``pts_per_cycle``, and ``_stationary_readout`` streams its end:
+D's end plus the cosine kernel's tail remainder, zeta's for
 ``markov_limit`` and cumD's first crossing of 1 for qfd.decoherence.
 """
 
@@ -45,7 +46,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from qfd.errors import ConfigError, DomainError, GridError, PhysicsError
+from qfd.errors import ConfigError, DomainError, GridError
 from qfd.model import (
     KinematicsParams,
     MaterialParams,
@@ -916,11 +917,11 @@ def decoherence_table(
     It serves every velocity and orientation at its level spacing; the
     kernels, which dominate the cost, are evaluated in each pass over it,
     once for all the points a sweep reads at that spacing.  The grid
-    density is set here alone; every route reads it off the table it is
-    given.  A window too long for the node budget is refused with the
-    remedy on the level spacing: to lower it while the dense spacing is
-    cycle / pts_per_cycle, else to raise it; a window of no finite
-    length names the parameter that makes it so.
+    density is set here alone, from the pts_per_cycle of the numeric or
+    Markov route that builds the table.  A window too long for the node
+    budget is refused with the remedy on the level spacing: to lower it
+    while the dense spacing is cycle / pts_per_cycle, else to raise it;
+    a window of no finite length names the parameter that makes it so.
     """
     gt = mat.gamma_tilde
     cycle = TWO_PI / delta_tilde
@@ -939,12 +940,12 @@ def decoherence_table(
 
 def _stationary_readout(
     mat: MaterialParams, points: Sequence[tuple[ParticleParams, KinematicsParams]],
-    table: KernelTable | None = None, rows: int = 1,
+    table: KernelTable, rows: int = 1,
 ) -> list[tuple[float, float, float, float]]:
     """The read-out of the trace's end, shared by the numeric and Markov
     routes, of (part, kin) points at one level spacing, from one pass of
-    their first rows of (D, zeta) (_panel_sums) over the table
-    (decoherence_table unless given), which holds no grid-sized array.
+    their first rows of (D, zeta) (_panel_sums) over their
+    decoherence_table, which holds no grid-sized array.
 
     Per point (D_inf, zeta_end, cumD_end, tau): D's end plus the
     tail-corrected slope remainder; zeta's end (nan unless rows = 2);
@@ -952,26 +953,9 @@ def _stationary_readout(
     to each cumulative sum, so bit for bit cumulative_integral's; and
     cumD's first crossing of 1 (D may turn negative, so later ones may
     follow), closed-form on its linear segment, else on the continuation
-    past the end at slope D_inf, else nan.  A given table built at
-    another damping than the material's, or one that ends before the
-    points' decoherence window, where the coefficients are not yet
-    constant, raises.
+    past the end at slope D_inf, else nan.
     """
-    delta_tilde = points[0][0].delta_tilde
-    if table is None:
-        table = decoherence_table(mat, delta_tilde)
-    if table.gamma_tilde != mat.gamma_tilde:
-        raise ConfigError(
-            f"the kernel table was built at gamma_tilde = {table.gamma_tilde}, "
-            f"not at the material's gamma_tilde = {mat.gamma_tilde}"
-        )
-    t_end = float(table.segments[-1].stop if table.segments else table.head[-1])
-    window = decoherence_window(delta_tilde, mat.gamma_tilde)
-    if t_end < window * (1 - 1e-12):
-        raise PhysicsError(
-            f"the kernel table ends at t = {t_end:.6g}, before the decoherence window "
-            f"{window:.6g}: its end is not stationary"
-        )
+    t_end = float(table.segments[-1].stop)
     cum, tau = np.zeros((len(points), 1)), np.full(len(points), math.nan)
     for g, sums in _panel_sums(table, points, rows):
         d = sums[:, 0]
@@ -1012,15 +996,16 @@ def markov_limit(
     mat: MaterialParams,
     part: ParticleParams,
     kin: KinematicsParams,
-    table: KernelTable | None = None,
+    pts_per_cycle: int = DEFAULT_PTS_PER_CYCLE,
 ) -> MarkovCoefficients:
     """Exact t -> inf coefficient constants, read off a trace on the
-    particle's decoherence table (built unless given).
+    particle's decoherence_table at pts_per_cycle.
 
     D_inf is D at the trace's end plus the analytic remainder of the
     cosine kernel's 1/t^2 tail; zeta_inf is zeta there, the sine kernel
     being a pure pole term.  Exact in the velocity; at u = 0 the
     diffusion constant reduces to r0_tilde d_i J(delta_tilde) / 32.
     """
+    table = decoherence_table(mat, part.delta_tilde, pts_per_cycle)
     d_inf, zeta_end, _, _ = _stationary_readout(mat, [(part, kin)], table, rows=2)[0]
     return MarkovCoefficients(d_inf, zeta_end)

@@ -10,10 +10,10 @@ time is the root of cumD(tau) = 1 (envelope down to e^-2).  Three routes:
   response h = J(delta) (spectral_response) and g below;
 * markov   - plain 1 / D_inf, the numeric route's read-out (markov_limit).
 
-The numeric and Markov routes read the decoherence table and its
-stationary read-out from qfd.coefficients (decoherence_table,
-_stationary_readout), the numeric one forming D alone; a sweep reads
-all its points at one level spacing in one pass.
+The numeric and Markov routes build the particle's decoherence table at
+their pts_per_cycle and read its stationary read-out, D alone, from
+qfd.coefficients (decoherence_table, _stationary_readout); a sweep
+reads all its points at one level spacing in one pass.
 
 Sweeps over velocity, dipole angles, material/particle combinations and
 level spacing emit flat result rows ready for CSV export.
@@ -30,14 +30,11 @@ import numpy as np
 
 from qfd.coefficients import (
     DEFAULT_PTS_PER_CYCLE,
-    KernelTable,
-    MarkovCoefficients,
     _pole_pair,
     _stationary_readout,
     _warn_past_small_u,
     csv_table,
     decoherence_table,
-    markov_limit,
 )
 from qfd.errors import BracketError, ConfigError, DomainError, PhysicsError
 from qfd.model import (
@@ -92,28 +89,18 @@ class QuadraticFit:
 # ---------------------------------------------------------------------------
 
 
-def table_for_method(
-    mat: MaterialParams, delta_tilde: float, method: str,
-    pts_per_cycle: int = DEFAULT_PTS_PER_CYCLE,
-) -> KernelTable | None:
-    """The decoherence_table a tau_d method reads, or None for analytic."""
-    if method == "analytic":
-        return None
-    return decoherence_table(mat, delta_tilde, pts_per_cycle)
-
-
 def tau_d_numeric(
     mat: MaterialParams,
     part: ParticleParams,
     kin: KinematicsParams,
-    table: KernelTable | None = None,
+    pts_per_cycle: int = DEFAULT_PTS_PER_CYCLE,
 ) -> DecoherenceTimeResult:
-    """Decoherence time: the exact root of cumD = 1 (_stationary_readout,
-    on the same table, which must reach the particle's decoherence
-    window): cumD, the trapezoid integral of D alone, is linear between
-    grid points and past the trace's end, so the root is closed-form.
+    """Decoherence time: the exact root of cumD = 1 (_stationary_readout
+    on the particle's decoherence_table at pts_per_cycle): cumD, the
+    trapezoid integral of D alone, is linear between grid points and
+    past the trace's end, so the root is closed-form.
     """
-    return next(_tau_results(mat, [(part, kin)], "numeric", table))
+    return next(_tau_results(mat, [(part, kin)], "numeric", pts_per_cycle))
 
 
 # ---------------------------------------------------------------------------
@@ -202,39 +189,38 @@ def tau_d(
     part: ParticleParams,
     kin: KinematicsParams,
     method: str = "numeric",
-    table: KernelTable | None = None,
+    pts_per_cycle: int = DEFAULT_PTS_PER_CYCLE,
 ) -> DecoherenceTimeResult:
-    """Dispatch to one of the extraction routes by name."""
+    """Dispatch to one of the extraction routes by name; pts_per_cycle
+    sets the numeric and Markov grid, the analytic route has none."""
     if method == "numeric":
-        return tau_d_numeric(mat, part, kin, table=table)
-    if method == "analytic":
-        return tau_d_analytic(mat, part, kin)
-    if method == "markov":
-        return DecoherenceTimeResult(1.0 / markov_limit(mat, part, kin, table).D_inf, "markov")
-    raise DomainError(f"unknown decoherence-time method {method!r}")
+        return tau_d_numeric(mat, part, kin, pts_per_cycle)
+    return next(_tau_results(mat, [(part, kin)], method, pts_per_cycle))
 
 
 def _tau_results(
     mat: MaterialParams, points: Sequence[tuple[ParticleParams, KinematicsParams]],
-    method: str, table: KernelTable | None,
+    method: str, pts_per_cycle: int,
 ) -> Iterator[DecoherenceTimeResult]:
     """tau_d of (part, kin) points at one level spacing, in order, each
     that of its own tau_d call: the numeric and Markov routes read all
-    of them off one pass over the table (_stationary_readout)."""
-    if method not in ("numeric", "markov"):
-        yield from (tau_d(mat, part, kin, method) for part, kin in points)
+    of them off one pass over one decoherence_table (_stationary_readout)."""
+    if method == "analytic":
+        yield from (tau_d_analytic(mat, part, kin) for part, kin in points)
         return
-    rows = 1 if method == "numeric" else 2
-    for d_inf, zeta_end, cum_d, tau in _stationary_readout(mat, points, table, rows):
+    if method not in ("numeric", "markov"):
+        raise DomainError(f"unknown decoherence-time method {method!r}")
+    table = decoherence_table(mat, points[0][0].delta_tilde, pts_per_cycle)
+    for (part, kin), (d_inf, _, cum_d, tau) in zip(points, _stationary_readout(mat, points, table)):
         if method == "markov":
-            yield DecoherenceTimeResult(1.0 / MarkovCoefficients(d_inf, zeta_end).D_inf, "markov")
-        elif math.isnan(tau):
-            raise BracketError(
-                f"diffusion coefficient is not positive at the horizon "
-                f"(D = {d_inf:.3e}, cumD = {cum_d:.6g}); cumD never reaches 1"
+            tau = 1.0 / d_inf if d_inf > 0.0 else math.nan
+        if math.isnan(tau):
+            raise (BracketError if method == "numeric" else DomainError)(
+                f"diffusion coefficient is not positive at the horizon (D = {d_inf:.3e}, "
+                f"cumD = {cum_d:.6g}) at u = {kin.u}, r0_tilde = {part.r0_tilde}: no "
+                f"decoherence time to read; raise r0_tilde or lower u"
             )
-        else:
-            yield DecoherenceTimeResult(tau, "numeric")
+        yield DecoherenceTimeResult(tau, method)
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +285,15 @@ def _sweep(
 ) -> list[SweepRow]:
     """Rows for sweep points on one material, in point order.
 
-    Each run of points at one level spacing reads its table
-    (table_for_method), built after the previous one is dropped, in one
-    pass (_tau_results), so each row is tdec's.  In rate mode a row
+    Each run of points at one level spacing is read in one pass
+    (_tau_results) over its own table at pts_per_cycle, built after the
+    previous one is dropped, so each row is tdec's.  In rate mode a row
     carries the rate tau_d / tau_d_u0 - 1 and the u = 0 reference, one
     per (r0_tilde, d_i) in the run as P = d_i / 8 at rest, read in the
     same pass; otherwise tau_d_u0 repeats tau_d and the rate is 0.
     """
-    rows, table = [], None
-    for delta, run in groupby(points, lambda pt: pt.part.delta_tilde):
+    rows = []
+    for _, run in groupby(points, lambda pt: pt.part.delta_tilde):
         evals, refs, at = [], {}, []
         for pt in run:
             key = (pt.part.r0_tilde, orientation_weights(pt.part.orientation).d_i)
@@ -316,9 +302,7 @@ def _sweep(
                 evals.append((pt.part, KinematicsParams(u=0.0)))
             at.append((pt, len(evals), refs[key] if rate_mode else len(evals)))
             evals.append((pt.part, pt.kin))
-        table = None  # one table held at a time
-        table = table_for_method(mat, delta, method, pts_per_cycle)
-        taus = [r.tau_d for r in _tau_results(mat, evals, method, table)]
+        taus = [r.tau_d for r in _tau_results(mat, evals, method, pts_per_cycle)]
         for pt, i, i0 in at:
             td, tau0 = taus[i], taus[i0]
             rows.append(

@@ -302,11 +302,10 @@ def test_criterion_7_polarization_ordering():
     than transverse."""
     mat, part = NV_NSI
     kin = KinematicsParams(u=0.3)
-    table = decoherence_table(mat, part.delta_tilde)
     taus = {}
     for label, orient in {"z": (0, 0, 1), "x": (1, 0, 0), "y": (0, 1, 0)}.items():
         p = part.with_orientation(orient)
-        taus[label] = tau_d_numeric(mat, p, kin, table=table).tau_d
+        taus[label] = tau_d_numeric(mat, p, kin).tau_d
     tol = 1e-10 * max(taus.values())
     ok = (
         taus["z"] < taus["x"] - 3 * tol
@@ -393,9 +392,9 @@ def test_criterion_9_property_suite(long_runs):
     table = decoherence_table(mat, part.delta_tilde)
     trace = coefficients_from_table(table, part, kin)
     t_end = trace.grid[-1]
-    tau = tau_d_numeric(mat, part, kin, table=table).tau_d
+    tau = tau_d_numeric(mat, part, kin).tau_d
     # the crossing lies past the trace, where cumD continues with slope D_inf
-    cum_tau = trace.cumD[-1] + markov_limit(mat, part, kin, table=table).D_inf * (tau - t_end)
+    cum_tau = trace.cumD[-1] + markov_limit(mat, part, kin).D_inf * (tau - t_end)
     if not (tau > t_end and abs(cum_tau - 1.0) <= 1e-6):
         failures.append("cumD(tau)=1")
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from qfd.cli import _write_atomic, main, parse_angle
-from qfd.coefficients import csv_blocks, decoherence_table, markov_limit
+from qfd.coefficients import csv_blocks, markov_limit
 from qfd.errors import ConfigError
 from qfd.model import KinematicsParams, preset
 
@@ -134,8 +134,7 @@ def test_coeffs_all_markov_column_reads_the_run_density(tmp_path):
     ) == 0
     header, rows = read_csv(out)
     mat, part = preset("nv-nsi")
-    table = decoherence_table(mat, part.delta_tilde, 800)
-    d_inf = markov_limit(mat, part, KinematicsParams(u=0.003), table).D_inf
+    d_inf = markov_limit(mat, part, KinematicsParams(u=0.003), 800).D_inf
     assert {row[header.index("D_markov")] for row in rows} == {f"{d_inf:.17g}"}
 
 
@@ -264,6 +263,21 @@ def test_tdec_zero_coupling_exit_3(tmp_path, capsys, method):
     )
     assert code == 3
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["--u", "1e20"], ["--u", "1e20", "--method", "markov"], ["--r0", "0"]],
+    ids=["u-numeric", "u-markov", "r0"],
+)
+def test_tdec_nothing_to_read_names_u_and_r0_exit_3(tmp_path, capsys, argv):
+    # D at the horizon is not positive: -2e-44 far past the paper's
+    # velocities, 0 at zero coupling; the message names both knobs
+    code = run(["tdec", "--preset", "nv-nsi", *argv, "--out", str(tmp_path / "x.json")])
+    assert code == 3
+    assert list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err
+    assert "at u = " in err and ", r0_tilde = " in err
+    assert err.endswith("; raise r0_tilde or lower u\n")
 
 
 def test_physics_breach_exit_4_writes_nothing(tmp_path, capsys):
@@ -597,20 +611,24 @@ U_SWEEP = ["sweep", "--param", "u", "--from", "0.005", "--to", "0.03", "--points
 
 
 def test_sweep_honours_pts_per_cycle(tmp_path):
-    coarse, fine = tmp_path / "400.csv", tmp_path / "1600.csv"
-    assert run(U_SWEEP + ["--out", str(coarse)]) == 0
-    assert run(U_SWEEP + ["--pts-per-cycle", "1600", "--out", str(fine)]) == 0
-    _, coarse_rows = read_csv(coarse)
-    header, rows = read_csv(fine)
-    tau, u = header.index("tau_d"), header.index("u")
-    assert all(a[tau] != b[tau] for a, b in zip(coarse_rows, rows))
-    # each row is the tdec of its velocity on the same grid
-    report = tmp_path / "tdec.json"
-    for row in rows:
-        assert run(["tdec", "--preset", "nv-nsi", "--u", row[u], "--pts-per-cycle", "1600",
-                    "--out", str(report)]) == 0
-        assert float(row[tau]) == pytest.approx(json.loads(report.read_text())["tau_d"],
-                                                rel=1e-12)
+    # the numeric and the Markov route each read --pts-per-cycle, in the
+    # sweep and in tdec alike
+    for method in ("numeric", "markov"):
+        coarse, fine = tmp_path / "400.csv", tmp_path / "1600.csv"
+        sweep = U_SWEEP + ["--method", method]
+        assert run(sweep + ["--out", str(coarse)]) == 0
+        assert run(sweep + ["--pts-per-cycle", "1600", "--out", str(fine)]) == 0
+        _, coarse_rows = read_csv(coarse)
+        header, rows = read_csv(fine)
+        tau, u = header.index("tau_d"), header.index("u")
+        assert all(a[tau] != b[tau] for a, b in zip(coarse_rows, rows)), method
+        # each row is the tdec of its velocity on the same grid
+        report = tmp_path / "tdec.json"
+        for row in rows:
+            assert run(["tdec", "--preset", "nv-nsi", "--u", row[u], "--pts-per-cycle",
+                        "1600", "--method", method, "--out", str(report)]) == 0
+            assert float(row[tau]) == pytest.approx(json.loads(report.read_text())["tau_d"],
+                                                    rel=1e-12), method
 
 
 # ---------------------------------------------------------------------------

@@ -655,13 +655,13 @@ def test_stationary_readout_matches_full_trace_bitwise(name):
     for u in (0.0, 1.5e-4, 3e-3):
         kin = KinematicsParams(u=u)
         trace = coefficients_from_table(table, part, kin)
-        markov = markov_limit(mat, part, kin, table)
+        markov = markov_limit(mat, part, kin)
         tail = _tail_slope_correction(mat, part, kin, float(table.grid[-1]))
         assert markov.D_inf == float(trace.D[-1]) + tail, u
         assert markov.zeta_inf == trace.zeta[-1], u
         ((d_inf, _, cum_d, _),) = _stationary_readout(mat, [(part, kin)], table)
         assert d_inf == markov.D_inf and cum_d == trace.cumD[-1], u
-        tau = tau_d_numeric(mat, part, kin, table=table).tau_d
+        tau = tau_d_numeric(mat, part, kin).tau_d
         assert tau == whole_row_root(trace, markov.D_inf)[0], u
 
 
@@ -679,8 +679,8 @@ def test_streamed_tau_is_the_whole_row_root_in_and_past_the_window():
     for r0 in (1e-2, 1.0, at_first):
         at = dataclasses.replace(part, r0_tilde=r0)
         trace = coefficients_from_table(table, at, kin)
-        tau, i = whole_row_root(trace, markov_limit(mat, at, kin, table).D_inf)
-        assert tau_d_numeric(mat, at, kin, table=table).tau_d == tau, r0
+        tau, i = whole_row_root(trace, markov_limit(mat, at, kin).D_inf)
+        assert tau_d_numeric(mat, at, kin).tau_d == tau, r0
         crossings.append(i)
     assert crossings[0] is None and crossings[1] is not None and crossings[2] == first
 

@@ -23,9 +23,7 @@ from qfd.coefficients import (
     _KERNEL_BLOCK,
     coefficients_from_table,
     decoherence_table,
-    make_kernel_table,
     markov_limit,
-    time_grid,
 )
 from qfd.errors import BracketError, ConfigError, DomainError, PhysicsError
 from qfd.model import KinematicsParams, orientation_weights, preset
@@ -81,25 +79,25 @@ def test_tau_definition_consistency():
     for u in (0.0, 0.15):
         kin = KinematicsParams(u=u)
         trace = coefficients_from_table(table, part, kin)
-        tau = tau_d_numeric(mat, part, kin, table=table).tau_d
+        tau = tau_d_numeric(mat, part, kin).tau_d
         assert tau < trace.grid[-1]
         assert np.interp(tau, trace.grid, trace.cumD) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_tau_numeric_holds_about_three_grid_columns():
-    # tau_D forms D alone and then cumD: beside block-sized temporaries
-    # it holds D, cumD and the trapezoids, where a full trace holds its
-    # three rows, cumD, cumF and the trapezoids' temporaries
-    mat, part = NV_NSI
-    table = make_kernel_table(mat.gamma_tilde, np.linspace(0.0, 13000.0, 130001))
-    kin = KinematicsParams(u=0.003)
+def test_tau_numeric_holds_no_grid_column():
+    # tau_D streams D and cumD a block at a time over a plan of segments:
+    # on nv-au's 2.1 M-point window, one grid column would take 16.8 MB
+    mat, part = preset("nv-au")
+    table = decoherence_table(mat, part.delta_tilde)
+    points = table.head.size + sum(s.n + 1 - s.first for s in table.segments)
+    assert 8 * points > 16e6
     tracemalloc.start()
     try:
-        tau_d_numeric(mat, part, kin, table=table)
+        tau_d_numeric(mat, part, KinematicsParams(u=1.5e-4))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * table.grid.nbytes + 8 * 8 * _KERNEL_BLOCK
+    assert peak <= 2e6
 
 
 def test_tau_is_the_first_crossing_of_a_non_monotone_cumd():
@@ -112,7 +110,7 @@ def test_tau_is_the_first_crossing_of_a_non_monotone_cumd():
     c = coefficients_from_table(table, part, REST).cumD
     first = int(np.argmax(c >= 1.0))
     assert np.any(c[first:] < 1.0)
-    tau = tau_d_numeric(mat, part, REST, table=table).tau_d
+    tau = tau_d_numeric(mat, part, REST).tau_d
     assert table.grid[first - 1] < tau <= table.grid[first] < 2.5
     assert np.interp(tau, table.grid, c) == pytest.approx(1.0, abs=1e-12)
 
@@ -172,11 +170,7 @@ def test_tau_rate_independent_of_coupling():
 
 def test_tau_monotone_decreasing_in_velocity():
     mat, part = NV_NSI
-    table = decoherence_table(mat, part.delta_tilde)
-    taus = [
-        tau_d_numeric(mat, part, KinematicsParams(u=u), table=table).tau_d
-        for u in (0.0, 0.02, 0.05, 0.09)
-    ]
+    taus = [tau_d_numeric(mat, part, KinematicsParams(u=u)).tau_d for u in (0.0, 0.02, 0.05, 0.09)]
     assert all(a > b for a, b in zip(taus, taus[1:]))
 
 
@@ -185,41 +179,6 @@ def test_tau_zero_coupling_cannot_bracket():
     dead = replace(part, r0_tilde=0.0)
     with pytest.raises(BracketError):
         tau_d_numeric(mat, dead, REST)
-
-
-def test_tau_horizon_cap_errors():
-    # one cycle ends the table before the envelope reaches e^-2
-    mat, part = NV_NSI
-    short = make_kernel_table(mat.gamma_tilde, time_grid(part.delta_tilde, mat.gamma_tilde, 1.0))
-    with pytest.raises(PhysicsError):
-        tau_d_numeric(mat, part, REST, table=short)
-
-
-def test_markov_refuses_a_table_short_of_the_window():
-    # cumD passes 1 inside a one-cycle table, but its end is short of
-    # the decoherence window, so the numeric and Markov routes both raise
-    mat, part = NV_NSI
-    part = replace(part, r0_tilde=10.0)
-    kin = KinematicsParams(u=0.003)
-    short = make_kernel_table(1.0, time_grid(0.2, 1.0, 1.0))
-    assert coefficients_from_table(short, part, kin).cumD[-1] > 1.0
-    with pytest.raises(PhysicsError):
-        tau_d_numeric(mat, part, kin, table=short)
-    with pytest.raises(PhysicsError):
-        markov_limit(mat, part, kin, table=short)
-    with pytest.raises(PhysicsError):
-        tau_d(mat, part, kin, method="markov", table=short)
-
-
-def test_routes_refuse_a_table_built_at_another_damping():
-    # a gold-damped table that outlasts n-Si's decoherence window passes
-    # the window check, so only its recorded damping tells it apart
-    mat, part = NV_NSI
-    kin = KinematicsParams(u=0.003)
-    gold = make_kernel_table(0.003, np.linspace(0.0, 2000.0, 401))
-    for route in (tau_d_numeric, markov_limit):
-        with pytest.raises(ConfigError, match=r"gamma_tilde = 0\.003, .* gamma_tilde = 1\.0"):
-            route(mat, part, kin, table=gold)
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +279,11 @@ def test_method_dispatch():
     assert tau_d(mat, part, REST, method="markov").method == "markov"
     with pytest.raises(DomainError):
         tau_d(mat, part, REST, method="magic")
-    mk = tau_d(mat, part, REST, method="markov")
-    assert mk.tau_d == pytest.approx(1.0 / markov_limit(mat, part, REST).D_inf, rel=1e-12)
+    # the Markov tau reads D alone, the same D_inf as markov_limit's, at
+    # the density it is given
+    for pts in (400, 800):
+        mk = tau_d(mat, part, REST, method="markov", pts_per_cycle=pts)
+        assert mk.tau_d == 1.0 / markov_limit(mat, part, REST, pts).D_inf
 
 
 def test_result_requires_positive_tau():
@@ -354,9 +316,8 @@ def test_fit_quadratic_regime_deviation():
     mat, part = NV_NSI
     us = [0.002, 0.004, 0.006, 0.008, 0.01]
     fit, _ = quadratic_ratio_fit(mat, part, us)
-    table = decoherence_table(mat, part.delta_tilde)
     for u in us:
-        tau = tau_d_numeric(mat, part, KinematicsParams(u=u), table=table).tau_d
+        tau = tau_d_numeric(mat, part, KinematicsParams(u=u)).tau_d
         model = fit.a_coef - fit.b_coef * u * u
         assert abs(tau - model) <= 1e-2 * tau
 
@@ -544,9 +505,8 @@ def test_level_spacing_rows_equal_tdec_at_their_own_spacing():
     rows = sweep_level_spacing(mat, part, kin, deltas)
     for row, delta in zip(rows, deltas):
         at = replace(part, delta_tilde=delta)
-        table = decoherence_table(mat, delta)
-        assert row.tau_d == tau_d_numeric(mat, at, kin, table=table).tau_d
-        assert row.tau_d_u0 == tau_d_numeric(mat, at, REST, table=table).tau_d
+        assert row.tau_d == tau_d_numeric(mat, at, kin).tau_d
+        assert row.tau_d_u0 == tau_d_numeric(mat, at, REST).tau_d
 
 
 def test_sweep_csv_layout():

@@ -67,3 +67,52 @@ print("qfd.g17" in sys.modules)
     run = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True)
     assert run.stdout == "False\nTrue\n"
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names a source file imports and never reads, other than
+    __future__ features, names it exports in __all__ and names on a line
+    marked '# noqa: F401' with a reason after the marker."""
+    text = path.read_text()
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = set(ast.literal_eval(node.value))
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            marked = re.search(r"# noqa: F401\s+\S", lines[alias.lineno - 1])
+            if name not in used and name not in exported and not marked:
+                unused.append(f"{path.name}:{alias.lineno}: {name}")
+    return unused
+
+
+@pytest.mark.parametrize("module", ["__init__", *LAYERS, *LEAVES])
+def test_module_imports_no_name_it_never_uses(module):
+    assert unused_imports(SRC / f"{module}.py") == []
+
+
+def test_unused_import_check_sees_what_it_must(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import numpy as np\n"
+        "from os import path, sep  # noqa: F401  read by a caller\n"
+        "from sys import argv  # noqa: F401\n"
+        "from re import (\n    compile,\n    escape,\n)\n"
+        "__all__ = ['escape']\n"
+        "x = np.pi\n"
+    )
+    assert unused_imports(source) == ["probe.py:2: math", "probe.py:5: argv",
+                                      "probe.py:7: compile"]
