@@ -50,14 +50,12 @@ from qfd.coefficients import (
     time_grid,
 )
 from qfd.decoherence import (
-    _check_fit_velocities,
     angles_of,
-    quadratic_fit_rows,
+    quadratic_ratio_fit,
     sweep_level_spacing,
     sweep_material_particle,
     sweep_polarization,
     sweep_columns,
-    sweep_velocity,
     tau_d,
 )
 from qfd.dynamics import QubitState, evolve
@@ -389,8 +387,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
     elif args.combos:
         raise ConfigError("--combos applies to theta/phi sweeps only")
     elif args.param == "u":
-        _check_fit_velocities(values, part.delta_tilde)
-        rows = sweep_velocity(mat, part, values, **opts)
+        fit, rows = quadratic_ratio_fit(mat, part, values, **opts)
     else:
         rows = sweep_level_spacing(mat, part, kin, values, **opts)
 
@@ -401,7 +398,6 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
     _write_atomic(cfg.out_path, text)
 
     if args.param == "u":
-        fit = quadratic_fit_rows(rows)
         fit_payload = {
             "fit": {
                 "a": fit.a_coef,

@@ -46,7 +46,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from qfd.errors import ConfigError, DomainError, GridError
+from qfd.errors import ConfigError, GridError
 from qfd.model import (
     KinematicsParams,
     MaterialParams,
@@ -507,10 +507,9 @@ def time_grid(
     remedy: str = "lower n_cycles",
 ) -> np.ndarray:
     """Hybrid simulation grid over n_cycles natural cycles: the points
-    of its plan (_time_segments), by np.linspace."""
-    parts = [np.linspace(s.start, s.stop, s.n + 1)[s.first:]
-             for s in _time_segments(delta_tilde, gamma_tilde, n_cycles, pts_per_cycle, remedy)]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    of its plan (_time_segments), each segment's by _Uniform.points."""
+    segments = _time_segments(delta_tilde, gamma_tilde, n_cycles, pts_per_cycle, remedy)
+    return np.concatenate([s.points(s.first, s.n + 1) for s in segments])
 
 
 def _check_grid(grid: np.ndarray) -> np.ndarray:
@@ -949,25 +948,21 @@ def _stationary_readout(
 
     Per point (D_inf, zeta_end, cumD_end, tau): D's end plus the
     tail-corrected slope remainder; zeta's end (nan unless rows = 2);
-    cumD's end, D's trapezoid integral streamed with its carry prepended
-    to each cumulative sum, so bit for bit cumulative_integral's; and
-    cumD's first crossing of 1 (D may turn negative, so later ones may
-    follow), closed-form on its linear segment, else on the continuation
-    past the end at slope D_inf, else nan.
+    cumD's end, D's cumulative_integral continued block to block from
+    its carry; and cumD's first crossing of 1 (D may turn negative, so
+    later ones may follow), closed-form on its linear segment, else on
+    the continuation past the end at slope D_inf, else nan.
     """
     t_end = float(table.segments[-1].stop)
-    cum, tau = np.zeros((len(points), 1)), np.full(len(points), math.nan)
+    cum, tau = np.zeros(len(points)), np.full(len(points), math.nan)
     for g, sums in _panel_sums(table, points, rows):
-        d = sums[:, 0]
-        c = np.concatenate([cum, d[:, 1:] + d[:, :-1]], axis=1)
-        c[:, 1:] *= 0.5 * np.diff(g)
-        np.cumsum(c, axis=1, out=c)
-        cum = c[:, -1:]
+        c = cumulative_integral(g, sums[:, 0], cum)
+        cum = c[:, -1]
         for k in np.flatnonzero(np.isnan(tau) & np.any(c >= 1.0, axis=1)):
             i = int(np.argmax(c[k] >= 1.0))
             tau[k] = g[i - 1] + (1.0 - c[k, i - 1]) * (g[i] - g[i - 1]) / (c[k, i] - c[k, i - 1])
     out = []
-    for (part, kin), end, c_end, t in zip(points, sums[:, :, -1], cum[:, 0], tau):
+    for (part, kin), end, c_end, t in zip(points, sums[:, :, -1], cum, tau):
         d_inf = float(end[0]) + _tail_slope_correction(mat, part, kin, t_end)
         if math.isnan(t) and d_inf > 0.0:
             t = t_end + (1.0 - c_end) / d_inf
@@ -982,14 +977,10 @@ MARKOV_REL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class MarkovCoefficients:
-    """Asymptotic coefficient values D_inf, zeta_inf."""
+    """Asymptotic coefficient values D_inf, zeta_inf, as read (D_inf may be <= 0)."""
 
     D_inf: float
     zeta_inf: float
-
-    def __post_init__(self):
-        if not self.D_inf > 0:
-            raise DomainError(f"stationary diffusion must be positive, got {self.D_inf}")
 
 
 def markov_limit(

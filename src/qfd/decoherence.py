@@ -434,25 +434,28 @@ def sweep_level_spacing(
     return rows
 
 
-def _check_fit_velocities(us: Sequence[float], delta_tilde: float) -> None:
-    """Refuse velocities a quadratic fit cannot use (quadratic_fit_rows)."""
-    if len(us) < 4:
-        raise ConfigError("u sweeps feeding fits need --points >= 4")
-    if np.any(np.abs(us) >= delta_tilde / 2.0):
-        raise ConfigError(f"u sweeps feeding fits need |u| < delta_tilde/2 = "
-                          f"{delta_tilde / 2.0:.17g}")
+def quadratic_ratio_fit(
+    mat: MaterialParams,
+    part: ParticleParams,
+    velocities: Sequence[float],
+    method: str = "numeric",
+    pts_per_cycle: int = DEFAULT_PTS_PER_CYCLE,
+) -> tuple[QuadraticFit, list[SweepRow]]:
+    """Least-squares fit tau(u) = a - b u^2 over a velocity sweep
+    (sweep_velocity at pts_per_cycle), returned with the sweep's rows.
 
-
-def quadratic_fit_rows(rows: Sequence[SweepRow]) -> QuadraticFit:
-    """Fit tau(u) = a - b u^2 to the rows of one velocity sweep.
-
-    Requires >= 4 rows, all below u = delta_tilde / 2, where the
+    Requires >= 4 velocities, all below |u| = delta_tilde / 2, where the
     stationary excited population (activation law
     exp(-2 delta_tilde / u), see asymptotic_population) is still under
-    its ~2 % crossover; callers check the velocities before the sweep
-    (_check_fit_velocities).
+    its ~2 % crossover; they are checked before any tau_d is computed.
     """
-    us = np.array([r.u for r in rows], dtype=float)
+    us = np.asarray(list(velocities), dtype=float)
+    if len(us) < 4:
+        raise ConfigError("u sweeps feeding fits need --points >= 4")
+    if np.any(np.abs(us) >= part.delta_tilde / 2.0):
+        raise ConfigError(f"u sweeps feeding fits need |u| < delta_tilde/2 = "
+                          f"{part.delta_tilde / 2.0:.17g}")
+    rows = sweep_velocity(mat, part, us, method, pts_per_cycle)
     taus = np.array([r.tau_d for r in rows])
     design = np.vstack([np.ones_like(us), -(us**2)]).T
     coef, *_ = np.linalg.lstsq(design, taus, rcond=None)
@@ -465,21 +468,4 @@ def quadratic_fit_rows(rows: Sequence[SweepRow]) -> QuadraticFit:
         b_over_a=b_fit / a_fit,
         fit_residual=rel_rms,
         residual_warning=rel_rms > FIT_RESIDUAL_THRESHOLD,
-    )
-
-
-def quadratic_ratio_fit(
-    mat: MaterialParams,
-    part: ParticleParams,
-    velocities: Sequence[float],
-    method: str = "numeric",
-) -> tuple[QuadraticFit, np.ndarray]:
-    """Fit tau(u) = a - b u^2 over the velocity sample (quadratic_fit_rows).
-
-    Returns the fit and the rate curve tau/tau_0 - 1 on the same
-    velocities.  The velocities are checked before any tau_d is computed.
-    """
-    us = np.asarray(list(velocities), dtype=float)
-    _check_fit_velocities(us, part.delta_tilde)
-    rows = sweep_velocity(mat, part, us, method=method)
-    return quadratic_fit_rows(rows), np.array([r.rate for r in rows])
+    ), rows

@@ -31,7 +31,7 @@ from qfd.coefficients import (
     csv_table,
     markov_limit,
 )
-from qfd.errors import PhysicsError
+from qfd.errors import DomainError, PhysicsError
 from qfd.model import KinematicsParams, MaterialParams, ParticleParams
 from qfd.numerics import cumulative_integral
 
@@ -167,9 +167,14 @@ def asymptotic_population(
     kernel_P), so the nominal threshold u = delta_tilde / 2 marks a
     crossover at the ~2 % level.  Populations below MARKOV_REL_TOL,
     which bounds the error of 1 - zeta/D on the stationary constants
-    of markov_limit, are residue and read 0.
+    of markov_limit, are residue and read 0.  A D_inf of 0 (zero
+    coupling) or below leaves none to read: DomainError naming r0_tilde and u.
     """
     mk = markov if markov is not None else markov_limit(mat, part, kin)
+    if not mk.D_inf > 0.0:
+        raise DomainError(f"diffusion coefficient is not positive at the horizon (D = "
+                          f"{mk.D_inf:.3e}) at u = {kin.u}, r0_tilde = {part.r0_tilde}: no "
+                          f"stationary population to read; raise r0_tilde or lower u")
     rm_inf = -mk.zeta_inf / mk.D_inf
     rho11 = float(np.clip(0.5 * (1.0 + rm_inf), 0.0, 0.5))
     return rho11 if rho11 >= MARKOV_REL_TOL else 0.0

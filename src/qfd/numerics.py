@@ -2,7 +2,7 @@
 
 Pure functions only: exponential integrals E1 (complex) and Ei, globally
 adaptive Gauss-Kronrod quadrature, cumulative trapezoid integration
-and bracketed bisection root solving.
+continued from a carried start, and bracketed bisection root solving.
 Everything accepts/returns plain floats, complex numbers or numpy arrays
 and holds no shared mutable state, so concurrent use is safe.
 """
@@ -347,29 +347,31 @@ def integrate_adaptive(
 # ---------------------------------------------------------------------------
 
 
-def cumulative_integral(t: Sequence[float], y: Sequence[float]) -> np.ndarray:
-    """Composite-trapezoid cumulative integral Y(t_i) = int_{t_0}^{t_i} y dt.
+def cumulative_integral(t: Sequence[float], y: np.ndarray, start=0.0) -> np.ndarray:
+    """Composite-trapezoid cumulative integral Y(t_i) = start + int_{t_0}^{t_i} y dt
+    along y's last axis, start one value or one per row.
 
     Second-order accurate on arbitrary strictly increasing grids;
-    Y(t_0) = 0 exactly and Y is nondecreasing wherever y >= 0.
+    Y(t_0) = start exactly and Y is nondecreasing wherever y >= 0.  The
+    trapezoids (y[1:] + y[:-1]) (0.5 dt) take one cumulative sum with
+    start in front, so a row continued a block at a time from its carry
+    is bit for bit the whole row's.
     """
     tt = np.asarray(t, dtype=float)
     yy = np.asarray(y, dtype=float)
-    if tt.ndim != 1 or tt.shape != yy.shape:
-        raise GridError("t and y must be 1-D arrays of equal length")
+    if tt.ndim != 1 or yy.shape[-1:] != tt.shape:
+        raise GridError("t must be a 1-D array as long as y's last axis")
     if tt.size < 2:
         raise GridError("need at least 2 samples")
-    out = np.empty_like(tt)
-    out[0] = 0.0
-    dt = np.subtract(tt[1:], tt[:-1], out=out[1:])
+    dt = np.diff(tt)
     if np.any(dt <= 0):
         raise GridError("abscissae must be strictly increasing without duplicates")
-    # the trapezoids 0.5 dt (y[1:] + y[:-1]); the steps, then their sum, in out
     dt *= 0.5
-    s = yy[1:] + yy[:-1]
-    s *= dt
-    np.cumsum(s, out=dt)
-    return out
+    out = np.empty(yy.shape)
+    out[..., 0] = start
+    steps = np.add(yy[..., 1:], yy[..., :-1], out=out[..., 1:])
+    steps *= dt
+    return np.cumsum(out, axis=-1, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 
 from qfd.cli import _write_atomic, main, parse_angle
 from qfd.coefficients import csv_blocks, markov_limit
+from qfd.decoherence import quadratic_ratio_fit, sweep_columns, sweep_velocity
 from qfd.errors import ConfigError
 from qfd.model import KinematicsParams, preset
 
@@ -72,6 +73,15 @@ def test_coeffs_zero_coupling_zero_columns(tmp_path):
     _, rows = read_csv(out)
     for row in rows:
         assert float(row[2]) == 0.0 and float(row[3]) == 0.0 and float(row[4]) == 0.0
+    # every method side by side, the Markov constant a zero column too
+    assert run(
+        ["coeffs", "--preset", "nv-nsi", "--r0", "0", "--cycles", "0.1", "--method", "all",
+         "--out", str(out)]
+    ) == 0
+    header, rows = read_csv(out)
+    zero = [i for i, name in enumerate(header) if name.split("_")[0] in ("D", "f", "zeta")]
+    assert "D_markov" in [header[i] for i in zero] and len(zero) == 10
+    assert all(float(row[i]) == 0.0 for row in rows for i in zero)
 
 
 def test_coeffs_velocity_parity_byte_identical(tmp_path):
@@ -545,7 +555,7 @@ def test_sweep_config_error_exit_2(tmp_path, capsys):
     for argv, name in cases:
         assert run(argv + ["--out", str(tmp_path / "x.out")]) == 2, argv
         assert name in capsys.readouterr().err
-    assert not (tmp_path / "x.out").exists()
+    assert not (tmp_path / "x.out").exists() and not (tmp_path / "x.out.fit.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -608,6 +618,22 @@ def test_sweep_json_format(tmp_path):
 
 U_SWEEP = ["sweep", "--param", "u", "--from", "0.005", "--to", "0.03", "--points", "4",
            "--preset", "nv-nsi"]
+
+
+def test_sweep_u_fits_through_quadratic_ratio_fit(tmp_path):
+    # the CLI u sweep is the library fit: its sidecar holds
+    # quadratic_ratio_fit's fit field for field, its table the fit's rows
+    out = tmp_path / "u.csv"
+    assert run(U_SWEEP + ["--pts-per-cycle", "600", "--out", str(out)]) == 0
+    mat, part = preset("nv-nsi")
+    us = np.geomspace(0.005, 0.03, 4)
+    fit, rows = quadratic_ratio_fit(mat, part, us, pts_per_cycle=600)
+    assert rows == sweep_velocity(mat, part, us, pts_per_cycle=600)
+    sidecar = json.loads((tmp_path / "u.csv.fit.json").read_text())
+    assert sidecar == {"fit": {"a": fit.a_coef, "b": fit.b_coef, "b_over_a": fit.b_over_a,
+                               "residual": fit.fit_residual,
+                               "residual_warning": fit.residual_warning}}
+    assert out.read_text() == "".join(csv_blocks(sweep_columns(rows)))
 
 
 def test_sweep_honours_pts_per_cycle(tmp_path):

@@ -25,6 +25,7 @@ from qfd.coefficients import (
     _pole_pair,
     _stationary_readout,
     _tail_slope_correction,
+    _time_segments,
     coefficients_analytic_small_u,
     coefficients_brute,
     coefficients_e1,
@@ -42,7 +43,7 @@ from qfd.coefficients import (
 )
 from qfd.decoherence import sweep_level_spacing, sweep_rows_to_csv, tau_d_numeric
 from qfd.dynamics import QubitState, asymptotic_population, evolve
-from qfd.errors import ConfigError, GridError
+from qfd.errors import ConfigError, DomainError, GridError
 from qfd.model import (
     KinematicsParams,
     MaterialParams,
@@ -685,19 +686,39 @@ def test_streamed_tau_is_the_whole_row_root_in_and_past_the_window():
     assert crossings[0] is None and crossings[1] is not None and crossings[2] == first
 
 
+def linspace_grid(segments):
+    """The points of a time_grid plan by np.linspace over each segment."""
+    return np.concatenate([np.linspace(s.start, s.stop, s.n + 1)[s.first:] for s in segments])
+
+
 @pytest.mark.parametrize("name", ["nv-nsi", "rb-nsi", "rb-au", "nv-au"])
 def test_decoherence_plan_blocks_form_the_graded_time_grid_bitwise(name):
-    # the points each block forms from the plan's segments are those of
-    # the graded start of time_grid's np.linspace grid, bit for bit
+    # time_grid over the decoherence window is np.linspace over its
+    # segments, and the points each block forms from the plan's segments
+    # are those of its graded start, bit for bit
     mat, part = preset(name)
     table = decoherence_table(mat, part.delta_tilde)
     assert table.head.size < 4 * _KERNEL_BLOCK
     cycle = 2.0 * math.pi / part.delta_tilde
     window = decoherence_window(part.delta_tilde, mat.gamma_tilde)
-    ref = _graded_start(time_grid(part.delta_tilde, mat.gamma_tilde, window / cycle))
+    ref = linspace_grid(_time_segments(part.delta_tilde, mat.gamma_tilde, window / cycle, 400, ""))
+    assert np.array_equal(time_grid(part.delta_tilde, mat.gamma_tilde, window / cycle), ref)
+    ref = _graded_start(ref)
     points = plan_layout(table)[3]
     assert points.dtype == ref.dtype and np.array_equal(points, ref)
     assert np.array_equal(table.grid, ref)
+
+
+@pytest.mark.parametrize("name", ["nv-nsi", "rb-nsi", "rb-au", "nv-au"])
+@pytest.mark.parametrize("cycles", [1.0, 6.0, 2000.0])
+def test_time_grid_is_np_linspace_over_its_segments_bitwise(name, cycles):
+    # the coeffs and evolve grids, at the default density and at the
+    # oracle's coarse one (coeffs --method brute|all)
+    mat, part = preset(name)
+    for pts in (400, 8):
+        grid = time_grid(part.delta_tilde, mat.gamma_tilde, cycles, pts)
+        ref = linspace_grid(_time_segments(part.delta_tilde, mat.gamma_tilde, cycles, pts, ""))
+        assert grid.dtype == ref.dtype and np.array_equal(grid, ref)
 
 
 @pytest.mark.parametrize("gamma_tilde", [0.003, 0.001])
@@ -1020,9 +1041,12 @@ def test_markov_ground_state_ratio():
     assert mk.zeta_inf / mk.D_inf == pytest.approx(1.0, abs=1e-5)
 
 
-def test_markov_positive_diffusion_required():
-    from qfd.errors import DomainError
-    from qfd.coefficients import MarkovCoefficients
-
-    with pytest.raises(DomainError):
-        MarkovCoefficients(D_inf=0.0, zeta_inf=0.0)
+def test_asymptotic_population_at_zero_coupling_names_r0_tilde():
+    # the Markov constants read D_inf = 0 as it is; the population, which
+    # divides by it, refuses with the parameter to raise
+    mat, part = NV_NSI
+    part = dataclasses.replace(part, r0_tilde=0.0)
+    kin = KinematicsParams(u=0.003)
+    assert markov_limit(mat, part, kin).D_inf == 0.0
+    with pytest.raises(DomainError, match=r"u = 0\.003, r0_tilde = 0\.0: .*raise r0_tilde"):
+        asymptotic_population(mat, part, kin)

@@ -299,10 +299,10 @@ def test_result_requires_positive_tau():
 
 def test_fit_nv_on_nsi():
     mat, part = NV_NSI
-    fit, rates = quadratic_ratio_fit(mat, part, [0.001, 0.002, 0.004, 0.008, 0.016, 0.03])
+    fit, rows = quadratic_ratio_fit(mat, part, [0.001, 0.002, 0.004, 0.008, 0.016, 0.03])
     assert fit.b_over_a == pytest.approx(6.417, rel=0.10)
     assert not fit.residual_warning
-    assert np.all(rates <= 0.0)
+    assert all(r.rate <= 0.0 for r in rows)
 
 
 def test_fit_rb_on_nsi():

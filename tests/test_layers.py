@@ -16,6 +16,9 @@ SRC = Path(qfd.__file__).parent
 # the layer order of the package docstring; the leaves may be imported anywhere
 LAYERS = ["numerics", "model", "coefficients", "dynamics", "decoherence", "cli"]
 LEAVES = ["errors", "g17"]
+# (importing module, name): the only _-prefixed names one qfd module takes from another
+PRIVATE_IMPORTS = {("decoherence", "_pole_pair"), ("decoherence", "_stationary_readout"),
+                   ("decoherence", "_warn_past_small_u")}
 
 
 def qfd_imports(path: Path) -> set[str]:
@@ -67,6 +70,37 @@ print("qfd.g17" in sys.modules)
     run = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True)
     assert run.stdout == "False\nTrue\n"
+
+
+def private_imports(path: Path) -> set[str]:
+    """The _-prefixed names a source file imports from qfd modules, in
+    function bodies too."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").partition(".")[0] == "qfd")
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+
+
+@pytest.mark.parametrize("module", ["__init__", *LAYERS, *LEAVES])
+def test_module_imports_no_private_name_of_another(module):
+    found = {(module, name) for name in private_imports(SRC / f"{module}.py")}
+    assert found <= PRIVATE_IMPORTS
+
+
+def test_private_import_check_sees_what_it_must(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "from __future__ import annotations\n"
+        "from os import _exit\n"
+        "from qfd.decoherence import _pole_pair, angles_of\n"
+        "from . import _hidden\n"
+        "def f():\n    from qfd import _late\n"
+    )
+    assert private_imports(source) == {"_pole_pair", "_hidden", "_late"}
 
 
 def unused_imports(path: Path) -> list[str]:

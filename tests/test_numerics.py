@@ -333,6 +333,26 @@ def test_cumulative_matches_adaptive_of_interpolant():
     assert tr.cumD[-1] == pytest.approx(ref.value, abs=1e-6)
 
 
+def test_cumulative_carried_blocks_match_whole_rows_bitwise():
+    # rows continued a block at a time, each block from the point that
+    # closes the one before and the carry, are the whole rows bit for bit
+    rng = np.random.default_rng(5)
+    t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 1.0, 199))])
+    y = rng.normal(size=(3, 200))
+    whole = cumulative_integral(t, y)
+    blocks, carry = [], 0.0
+    for a, b in [(0, 17), (16, 90), (89, 91), (90, 200)]:
+        c = cumulative_integral(t[a:b], y[:, a:b], carry)
+        blocks.append(c[:, 1:] if a else c)
+        carry = c[:, -1]
+    assert np.array_equal(np.concatenate(blocks, axis=1), whole)
+    assert all(np.array_equal(cumulative_integral(t, row), w) for row, w in zip(y, whole))
+    with pytest.raises(GridError):
+        cumulative_integral(t[:-1], y)
+    with pytest.raises(GridError):
+        cumulative_integral(np.stack([t, t]), y)
+
+
 def test_cumulative_errors():
     with pytest.raises(GridError):
         cumulative_integral([0.0, 1.0, 1.0], [1.0, 1.0, 1.0])
