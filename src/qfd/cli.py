@@ -19,8 +19,8 @@ file in 2,048-row blocks, so output adds no memory that grows with the
 table.  Files are written atomically, with the mode a plain ``open``
 gives (0o666 less the umask).
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 physics-invariant breach.
+Exit codes: 0 success, 2 configuration error (ConfigError), 4 physics
+invariant breach (PhysicsError), 3 numerical failure (other QfdError).
 """
 
 from __future__ import annotations
@@ -59,15 +59,7 @@ from qfd.decoherence import (
     tau_d,
 )
 from qfd.dynamics import QubitState, evolve
-from qfd.errors import (
-    BracketError,
-    ConfigError,
-    ConvergenceError,
-    DomainError,
-    GridError,
-    PhysicsError,
-    QfdError,
-)
+from qfd.errors import ConfigError, PhysicsError, QfdError
 from qfd.model import (
     DEFAULT_ORIENTATION,
     DEFAULT_R0_TILDE,
@@ -360,7 +352,7 @@ def cmd_tdec(args: argparse.Namespace, cfg: RunConfig) -> int:
 def _sweep_values(args: argparse.Namespace) -> np.ndarray:
     if args.points < 2:
         raise ConfigError("sweep needs --points >= 2")
-    if args.param == "u" and args.start > 0 and args.stop > args.start:
+    if args.param == "u" and args.start > 0 and args.stop > 0:
         return np.geomspace(args.start, args.stop, args.points)
     return np.linspace(args.start, args.stop, args.points)
 
@@ -503,14 +495,11 @@ def main(argv: list[str] | None = None) -> int:
         except ConfigError as exc:
             print(f"qfd: config error: {exc}", file=sys.stderr)
             return 2
-        except (DomainError, GridError, BracketError, ConvergenceError) as exc:
-            print(f"qfd: numerical failure: {exc}", file=sys.stderr)
-            return 3
         except PhysicsError as exc:
             print(f"qfd: physics invariant breached: {exc}", file=sys.stderr)
             return 4
-        except QfdError as exc:  # any stragglers
-            print(f"qfd: error: {exc}", file=sys.stderr)
+        except QfdError as exc:  # every other package error is a numerical one
+            print(f"qfd: numerical failure: {exc}", file=sys.stderr)
             return 3
 
 

@@ -816,8 +816,8 @@ def coefficients_analytic_small_u(
     """Stationary-phase expansion of the coefficients, O(u^2) accurate.
 
     Three ingredient groups: constant endpoint terms, envelope-modulated
-    oscillations (P, Q, R), and the exponential-integral correction that
-    restores accuracy at damping of order one.  Warns outside the
+    oscillations (envelope_derivatives), and the exponential-integral
+    correction that restores accuracy at damping of order one.  Warns outside the
     validity window |u| <= 0.05.
     """
     g = _check_grid(grid)
@@ -876,16 +876,16 @@ def decoherence_window(delta_tilde: float, gamma_tilde: float) -> float:
 
 
 def _tail_slope_correction(
-    mat: MaterialParams, part: ParticleParams, kin: KinematicsParams, t_end: float
+    table: KernelTable, part: ParticleParams, kin: KinematicsParams
 ) -> float:
-    """Analytic remainder D_inf - D(t_end) of the cosine kernel's tail,
-        (r0t / 2 pi) int_T^inf cos(dt s) g(s) ds,  g = (C_0/s^2 + C_1/s^4) P(u s),
-    C_n from _cos_tail_coefficients, by parts (_by_parts) with every term
-    kept to O(T^-4); the residual scales like 1/(dt^4 T^5) and is
-    negligible past the decoherence window.
-    """
-    c0, c1 = _cos_tail_coefficients(mat.gamma_tilde)[:2]
-    t = t_end
+    """Analytic remainder D_inf - D(T) of the cosine kernel's tail past a
+    decoherence_table's end T, at its damping, (r0t / 2 pi) times
+        int_T^inf cos(dt s) g(s) ds,  g = (C_0/s^2 + C_1/s^4) P(u s),
+    C_n from _cos_tail_coefficients, by parts (_by_parts) on g and its
+    derivatives (envelope_derivatives) to O(T^-4); the residual scales
+    like 1/(dt^4 T^5) and is negligible past the decoherence window."""
+    c0, c1 = _cos_tail_coefficients(table.gamma_tilde)[:2]
+    t = float(table.segments[-1].stop)
     p, dp, d2p = envelope_derivatives(abs(kin.u), t, part.orientation)
     # the tail and its derivatives; those of C_1/s^4 are O(T^-5)
     k, dk, d2k = c0 / t**2 + c1 / t**4, -2.0 * c0 / t**3, 6.0 * c0 / t**4
@@ -938,20 +938,20 @@ def decoherence_table(
 
 
 def _stationary_readout(
-    mat: MaterialParams, points: Sequence[tuple[ParticleParams, KinematicsParams]],
-    table: KernelTable, rows: int = 1,
+    points: Sequence[tuple[ParticleParams, KinematicsParams]], table: KernelTable,
+    rows: int = 1,
 ) -> list[tuple[float, float, float, float]]:
     """The read-out of the trace's end, shared by the numeric and Markov
     routes, of (part, kin) points at one level spacing, from one pass of
     their first rows of (D, zeta) (_panel_sums) over their
     decoherence_table, which holds no grid-sized array.
 
-    Per point (D_inf, zeta_end, cumD_end, tau): D's end plus the
-    tail-corrected slope remainder; zeta's end (nan unless rows = 2);
-    cumD's end, D's cumulative_integral continued block to block from
-    its carry; and cumD's first crossing of 1 (D may turn negative, so
-    later ones may follow), closed-form on its linear segment, else on
-    the continuation past the end at slope D_inf, else nan.
+    Per point (D_inf, zeta_end, cumD_end, tau): D's end plus the tail
+    remainder at the table's damping (_tail_slope_correction); zeta's
+    end (nan unless rows = 2); cumD's end, D's cumulative_integral
+    continued block to block from its carry; and cumD's first crossing
+    of 1 (D may turn negative, so later ones may follow), closed-form on
+    its linear segment, else on the continuation at slope D_inf, or nan.
     """
     t_end = float(table.segments[-1].stop)
     cum, tau = np.zeros(len(points)), np.full(len(points), math.nan)
@@ -963,7 +963,7 @@ def _stationary_readout(
             tau[k] = g[i - 1] + (1.0 - c[k, i - 1]) * (g[i] - g[i - 1]) / (c[k, i] - c[k, i - 1])
     out = []
     for (part, kin), end, c_end, t in zip(points, sums[:, :, -1], cum, tau):
-        d_inf = float(end[0]) + _tail_slope_correction(mat, part, kin, t_end)
+        d_inf = float(end[0]) + _tail_slope_correction(table, part, kin)
         if math.isnan(t) and d_inf > 0.0:
             t = t_end + (1.0 - c_end) / d_inf
         out.append((d_inf, float(end[1]) if rows > 1 else math.nan, float(c_end), float(t)))
@@ -998,5 +998,5 @@ def markov_limit(
     diffusion constant reduces to r0_tilde d_i J(delta_tilde) / 32.
     """
     table = decoherence_table(mat, part.delta_tilde, pts_per_cycle)
-    d_inf, zeta_end, _, _ = _stationary_readout(mat, [(part, kin)], table, rows=2)[0]
+    d_inf, zeta_end, _, _ = _stationary_readout([(part, kin)], table, rows=2)[0]
     return MarkovCoefficients(d_inf, zeta_end)

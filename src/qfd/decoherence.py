@@ -211,7 +211,7 @@ def _tau_results(
     if method not in ("numeric", "markov"):
         raise DomainError(f"unknown decoherence-time method {method!r}")
     table = decoherence_table(mat, points[0][0].delta_tilde, pts_per_cycle)
-    for (part, kin), (d_inf, _, cum_d, tau) in zip(points, _stationary_readout(mat, points, table)):
+    for (part, kin), (d_inf, _, cum_d, tau) in zip(points, _stationary_readout(points, table)):
         if method == "markov":
             tau = 1.0 / d_inf if d_inf > 0.0 else math.nan
         if math.isnan(tau):
@@ -451,7 +451,7 @@ def quadratic_ratio_fit(
     """
     us = np.asarray(list(velocities), dtype=float)
     if len(us) < 4:
-        raise ConfigError("u sweeps feeding fits need --points >= 4")
+        raise ConfigError(f"a fit needs >= 4 velocities (--points >= 4), got {len(us)}")
     if np.any(np.abs(us) >= part.delta_tilde / 2.0):
         raise ConfigError(f"u sweeps feeding fits need |u| < delta_tilde/2 = "
                           f"{part.delta_tilde / 2.0:.17g}")

@@ -27,7 +27,6 @@ import numpy as np
 from qfd.coefficients import (
     MARKOV_REL_TOL,
     CoefficientTrace,
-    MarkovCoefficients,
     csv_table,
     markov_limit,
 )
@@ -156,21 +155,21 @@ def asymptotic_population(
     mat: MaterialParams,
     part: ParticleParams,
     kin: KinematicsParams,
-    markov: MarkovCoefficients | None = None,
 ) -> float:
     """Stationary excited-state population rho11(inf) = (1 - zeta/D)/2.
 
-    Built from the exact stationary coefficients and clipped into
-    [0, 1/2].  There is no sharp excitation threshold: the population
-    follows the activation law rho11 ~ A exp(-2 delta_tilde / u) with
-    A of order one (the Fourier decay of the image-dipole envelope
-    kernel_P), so the nominal threshold u = delta_tilde / 2 marks a
-    crossover at the ~2 % level.  Populations below MARKOV_REL_TOL,
-    which bounds the error of 1 - zeta/D on the stationary constants
-    of markov_limit, are residue and read 0.  A D_inf of 0 (zero
-    coupling) or below leaves none to read: DomainError naming r0_tilde and u.
+    Built from the exact stationary coefficients, which it reads off
+    markov_limit, and clipped into [0, 1/2].  There is no sharp
+    excitation threshold: the population follows the activation law
+    rho11 ~ A exp(-2 delta_tilde / u) with A of order one (the Fourier
+    decay of the image-dipole envelope kernel_P), so the nominal
+    threshold u = delta_tilde / 2 marks a crossover at the ~2 % level.
+    Populations below MARKOV_REL_TOL, which bounds the error of
+    1 - zeta/D on those constants, are residue and read 0.  A D_inf of
+    0 (zero coupling) or below leaves none to read: DomainError naming
+    r0_tilde and u.
     """
-    mk = markov if markov is not None else markov_limit(mat, part, kin)
+    mk = markov_limit(mat, part, kin)
     if not mk.D_inf > 0.0:
         raise DomainError(f"diffusion coefficient is not positive at the horizon (D = "
                           f"{mk.D_inf:.3e}) at u = {kin.u}, r0_tilde = {part.r0_tilde}: no "

@@ -197,7 +197,7 @@ def pole_omega_r(gamma_tilde: float) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Algebraic envelope functions of the moving dipole
+# Algebraic envelope of the moving dipole and its derivatives in the delay
 # ---------------------------------------------------------------------------
 
 
@@ -215,39 +215,26 @@ def kernel_P(x, orientation) -> np.ndarray | float:
     return float(val) if np.isscalar(x) else val
 
 
-def kernel_Q(x, orientation) -> np.ndarray | float:
-    """First-derivative envelope: dP/dx = -3 x Q(x)."""
+def envelope_derivatives(u: float, s, orientation) -> list:
+    """[P(u s), d/ds P(u s), d2/ds2 P(u s)], exact in the velocity u and the
+    delay s (a float or an array), x = u s: P from kernel_P, dP/dx = -3 x Q(x)
+    and d2P/dx2 = -12 R(x) from one q = 4 + x^2, R(0) = d_a / 128."""
     nx, ny, nz = orientation
-    xx = np.asarray(x, dtype=float)
-    q = 4.0 + xx * xx
-    val = (
-        2.0 * nx * nx * (6.0 - xx * xx) / q**3.5
-        + ny * ny / q**2.5
-        + nz * nz * (16.0 - xx * xx) / q**3.5
-    )
-    return float(val) if np.isscalar(x) else val
-
-
-def kernel_R(x, orientation) -> np.ndarray | float:
-    """Second-derivative envelope: d2P/dx2 = -12 R(x); R(0) = d_a / 128."""
-    nx, ny, nz = orientation
+    x = u * s
+    p = kernel_P(x, orientation)
     xx = np.asarray(x, dtype=float)
     x2 = xx * xx
     q = 4.0 + x2
-    val = (
-        2.0 * nx * nx * ((6.0 - x2) ** 2 - 30.0) / q**4.5
-        + ny * ny * (1.0 - x2) / q**3.5
-        + nz * nz * (16.0 - 27.0 * x2 + x2 * x2) / q**4.5
+    q35, q45 = q**3.5, q**4.5
+    big_q = 2.0 * nx * nx * (6.0 - x2) / q35 + ny * ny / q**2.5 + nz * nz * (16.0 - x2) / q35
+    big_r = (
+        2.0 * nx * nx * ((6.0 - x2) ** 2 - 30.0) / q45
+        + ny * ny * (1.0 - x2) / q35
+        + nz * nz * (16.0 - 27.0 * x2 + x2 * x2) / q45
     )
-    return float(val) if np.isscalar(x) else val
-
-
-def envelope_derivatives(u: float, s, orientation) -> list:
-    """[P(u s), d/ds P(u s), d2/ds2 P(u s)] from dP/dx = -3 x Q and
-    d2P/dx2 = -12 R, exact in the velocity u and the delay s."""
-    x = u * s
-    return [kernel_P(x, orientation), -3.0 * u * u * s * kernel_Q(x, orientation),
-            -12.0 * u * u * kernel_R(x, orientation)]
+    if np.isscalar(x):
+        big_q, big_r = float(big_q), float(big_r)
+    return [p, -3.0 * u * u * s * big_q, -12.0 * u * u * big_r]
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-from qfd.cli import main
-
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 NV_NSI = ["--preset", "nv-nsi", "--u", "0.003"]
@@ -52,6 +50,8 @@ CASES = {
 
 def run_case(name: str, directory: Path) -> dict[str, bytes]:
     """Every file the case writes into an empty directory, by name."""
+    from qfd.cli import main  # compare_outputs.py reads CASES without qfd
+
     if main([*CASES[name], "--out", str(directory / name)]) != 0:
         raise RuntimeError(f"qfd {' '.join(CASES[name])} failed")
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}

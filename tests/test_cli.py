@@ -11,10 +11,11 @@ import weakref
 import numpy as np
 import pytest
 
+import qfd.cli
 from qfd.cli import _write_atomic, main, parse_angle
 from qfd.coefficients import csv_blocks, markov_limit
 from qfd.decoherence import quadratic_ratio_fit, sweep_columns, sweep_velocity
-from qfd.errors import ConfigError
+from qfd.errors import ConfigError, PhysicsError, QfdError
 from qfd.model import KinematicsParams, preset
 
 
@@ -300,6 +301,33 @@ def test_physics_breach_exit_4_writes_nothing(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("qfd: physics invariant breached: ")
 
 
+def _error_classes(cls):
+    return {c for sub in cls.__subclasses__() for c in (sub, *_error_classes(sub))}
+
+
+# every QfdError subclass, pinned so that a new one is placed on purpose;
+# those without an entry in EXIT_OF are numerical failures
+ERROR_CLASSES = ("BracketError", "ConfigError", "ConvergenceError", "DomainError",
+                 "GridError", "PhysicsError")
+EXIT_OF = {ConfigError: (2, "qfd: config error: "),
+           PhysicsError: (4, "qfd: physics invariant breached: ")}
+
+
+@pytest.mark.parametrize("error", sorted(_error_classes(QfdError), key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_each_error_class_maps_to_its_exit_code(tmp_path, capsys, monkeypatch, error):
+    assert sorted(c.__name__ for c in _error_classes(QfdError)) == list(ERROR_CLASSES)
+
+    def fail(args, cfg):
+        raise error("planted")
+
+    monkeypatch.setattr(qfd.cli, "cmd_tdec", fail)
+    code, prefix = EXIT_OF.get(error, (3, "qfd: numerical failure: "))
+    assert run(["tdec", "--preset", "nv-nsi", "--out", str(tmp_path / "t.json")]) == code
+    assert capsys.readouterr().err == prefix + "planted\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -344,6 +372,18 @@ def test_sweep_u_emits_fit_sidecar(tmp_path):
     header, rows = read_csv(out)
     assert len(rows) == 4
     assert header[0] == "sweep_param"
+
+
+def test_descending_u_sweep_is_log_spaced(tmp_path):
+    out = tmp_path / "u.csv"
+    assert run(["sweep", "--param", "u", "--from", "0.03", "--to", "0.001", "--points", "8",
+                "--preset", "nv-nsi", "--method", "markov", "--pts-per-cycle", "64",
+                "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    u = np.array([float(r[header.index("u")]) for r in rows])
+    assert u[0] == 0.03 and u[-1] == 0.001
+    ratio = u[1:] / u[:-1]
+    np.testing.assert_allclose(ratio, ratio[0], rtol=1e-12, atol=0.0)
 
 
 def test_sweep_delta_exclusion_flag(tmp_path):

@@ -657,10 +657,10 @@ def test_stationary_readout_matches_full_trace_bitwise(name):
         kin = KinematicsParams(u=u)
         trace = coefficients_from_table(table, part, kin)
         markov = markov_limit(mat, part, kin)
-        tail = _tail_slope_correction(mat, part, kin, float(table.grid[-1]))
+        tail = _tail_slope_correction(table, part, kin)
         assert markov.D_inf == float(trace.D[-1]) + tail, u
         assert markov.zeta_inf == trace.zeta[-1], u
-        ((d_inf, _, cum_d, _),) = _stationary_readout(mat, [(part, kin)], table)
+        ((d_inf, _, cum_d, _),) = _stationary_readout([(part, kin)], table)
         assert d_inf == markov.D_inf and cum_d == trace.cumD[-1], u
         tau = tau_d_numeric(mat, part, kin).tau_d
         assert tau == whole_row_root(trace, markov.D_inf)[0], u
@@ -971,7 +971,7 @@ def test_markov_static_value(name):
     exact = part.r0_tilde * d_i * spectral_density(part.delta_tilde, mat.gamma_tilde) / 32.0
     assert mk.D_inf == pytest.approx(exact, rel=1e-10, abs=0.0)
     assert mk.zeta_inf == pytest.approx(exact, rel=1e-9, abs=0.0)
-    assert asymptotic_population(mat, part, rest, mk) == 0.0
+    assert asymptotic_population(mat, part, rest) == 0.0
     if name == "nv-nsi":
         # the value the figure-level runs quote (rounded upstream arithmetic)
         assert mk.D_inf == pytest.approx(6.4997e-5, abs=2e-9)

@@ -333,7 +333,7 @@ def test_fit_loglog_slope():
 
 def test_fit_preconditions():
     mat, part = NV_NSI
-    with pytest.raises(ConfigError, match="--points >= 4"):
+    with pytest.raises(ConfigError, match="4 velocities .*--points >= 4.*got 3"):
         quadratic_ratio_fit(mat, part, [0.001, 0.002, 0.004])  # too few
     with pytest.raises(ConfigError, match="delta_tilde/2"):
         quadratic_ratio_fit(mat, part, [0.001, 0.002, 0.004, 0.15])  # beyond threshold

@@ -10,9 +10,8 @@ from qfd.model import (
     KinematicsParams,
     MaterialParams,
     ParticleParams,
+    envelope_derivatives,
     kernel_P,
-    kernel_Q,
-    kernel_R,
     material_preset,
     orientation_from_angles,
     orientation_weights,
@@ -157,13 +156,15 @@ def test_envelope_values():
     assert kernel_P(0.0, (1, 0, 0)) == pytest.approx(0.125, abs=1e-15)
     assert kernel_P(0.0, (0, 0, 1)) == pytest.approx(0.25, abs=1e-15)
     assert kernel_P(2.0, (0, 1, 0)) == pytest.approx(1.0 / 8.0**1.5, rel=1e-12)
-    assert kernel_Q(0.0, (1, 0, 0)) == pytest.approx(0.09375, abs=1e-15)
-    assert kernel_R(0.0, (0, 0, 1)) == pytest.approx(0.03125, abs=1e-15)
+    # Q(0) = 3/32 for the x dipole, from P' = -3 u^2 s Q(u s) near s = 0
+    assert envelope_derivatives(1.0, 1e-8, (1, 0, 0))[1] / -3e-8 == pytest.approx(
+        0.09375, rel=1e-12)
 
 
 def test_envelope_decay():
-    for fn in (kernel_P, kernel_Q, kernel_R):
-        assert abs(fn(1e4, (0.5, 0.5, math.sqrt(0.5)))) < 1e-10
+    # P and its first two delay derivatives at s = 1e4 (x = 1e4 at u = 1)
+    for value in envelope_derivatives(1.0, 1e4, (0.5, 0.5, math.sqrt(0.5))):
+        assert abs(value) < 1e-10
 
 
 def test_envelope_static_identity_on_sphere():
@@ -189,14 +190,28 @@ def test_envelope_taylor_remainder_order():
 
 
 def test_envelope_derivative_identities():
-    # dP/dx = -3 x Q and d2P/dx2 = -12 R tie the three envelopes together
+    # central differences of kernel_P(u s) in s against the closed forms;
+    # at x = u s = 0.3, 1 and 2.5, the last also at u = 2
     n = unit_orientation((0.48, 0.6, 0.64))
     h = 1e-5
-    for x in (0.3, 1.0, 2.5):
-        dp = (kernel_P(x + h, n) - kernel_P(x - h, n)) / (2 * h)
-        d2p = (kernel_P(x + h, n) - 2 * kernel_P(x, n) + kernel_P(x - h, n)) / (h * h)
-        assert dp == pytest.approx(-3.0 * x * kernel_Q(x, n), rel=1e-8, abs=1e-10)
-        assert d2p == pytest.approx(-12.0 * kernel_R(x, n), rel=1e-5, abs=1e-8)
+    for u, s in ((1.0, 0.3), (1.0, 1.0), (1.0, 2.5), (2.0, 1.25)):
+        p, dp, d2p = envelope_derivatives(u, s, n)
+        fd1 = (kernel_P(u * (s + h), n) - kernel_P(u * (s - h), n)) / (2 * h)
+        fd2 = (kernel_P(u * (s + h), n) - 2 * p + kernel_P(u * (s - h), n)) / (h * h)
+        assert fd1 == pytest.approx(dp, rel=1e-8, abs=1e-10)
+        assert fd2 == pytest.approx(d2p, rel=1e-5, abs=1e-8)
+
+
+def test_envelope_derivatives_at_rest_on_sphere():
+    # at s = 0, P' = 0 and P'' = -12 u^2 d_a / 128 for 100 directions
+    rng = np.random.default_rng(2)
+    u = 0.3
+    for _ in range(100):
+        n = unit_orientation(rng.normal(size=3))
+        _, dp, d2p = envelope_derivatives(u, 0.0, n)
+        assert dp == 0.0
+        assert d2p == pytest.approx(-12.0 * u * u * orientation_weights(n).d_a / 128.0,
+                                    rel=1e-14, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
