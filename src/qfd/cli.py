@@ -4,8 +4,8 @@ Subcommands map one-to-one onto the package's figure-level experiments:
 
 * ``qfd coeffs``  - coefficient traces (one method or all side by side)
 * ``qfd evolve``  - density-matrix evolution from a chosen initial state
-* ``qfd tdec``    - decoherence-time scalar report (JSON)
-* ``qfd sweep``   - velocity / angle / level-spacing sweeps as flat CSV
+* ``qfd tdec``    - decoherence-time report (JSON)
+* ``qfd sweep``   - velocity / angle / level-spacing sweeps as CSV or JSON rows
 
 Configuration is a flat INI file whose keys are declared once, in
 ``_KEYS``, with CLI flags as overrides (resolve_config gives the order);
@@ -16,8 +16,11 @@ its own cutoff and tolerances (``qfd.coefficients.coefficients_brute``).
 Tables are formatted by ``qfd.coefficients.csv_blocks``, every number
 byte for byte as Python's ``'%.17g' % float(v)``, and stream to their
 file in 2,048-row blocks, so output adds no memory that grows with the
-table.  Files are written atomically, with the mode a plain ``open``
-gives (0o666 less the umask).
+table.  JSON files are what they report, formatted by ``_json``: the
+tdec report (``cmd_tdec``), the sweep rows and a u sweep's sidecar
+``<out>.fit.json``, ``{"fit": <QuadraticFit's fields>}``.  Files are
+written atomically, with the mode a plain ``open`` gives (0o666 less
+the umask).
 
 Exit codes: 0 success, 2 configuration error (ConfigError), 4 physics
 invariant breach (PhysicsError), 3 numerical failure (other QfdError).
@@ -271,6 +274,14 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _fit_path(out_path: str) -> str:
+    return out_path + ".fit.json" if out_path != "-" else "-"
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -328,24 +339,14 @@ def cmd_evolve(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_tdec(args: argparse.Namespace, cfg: RunConfig) -> int:
-    mat, part, kin = cfg.material, cfg.particle, cfg.kinematics
-    res = tau_d(mat, part, kin, method=args.method, pts_per_cycle=cfg.pts_per_cycle)
-    report = {
-        "tau_d": res.tau_d,
-        "method": res.method,
-        "params": {
-            "material": mat.name,
-            "omega_s_rad_s": mat.omega_s,
-            "gamma_tilde": mat.gamma_tilde,
-            "particle": part.name,
-            "delta_tilde": part.delta_tilde,
-            "r0_tilde": part.r0_tilde,
-            "orientation": list(part.orientation),
-            "u": kin.u,
-            "a_nm": kin.a_nm,
-        },
-    }
-    _write_atomic(cfg.out_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    """The result's fields plus ``params``: the resolved [material],
+    [particle] and [kinematics] keys of ``_KEYS``, each ``name`` as its section."""
+    res = tau_d(cfg.material, cfg.particle, cfg.kinematics, method=args.method,
+                pts_per_cycle=cfg.pts_per_cycle)
+    params = {section if key == "name" else key: reduce(getattr, field.split("."), cfg)
+              for section, key, field, _, _ in _KEYS
+              if section in ("material", "particle", "kinematics")}
+    _write_atomic(cfg.out_path, _json({**asdict(res), "params": params}))
     return 0
 
 
@@ -384,23 +385,12 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
         rows = sweep_level_spacing(mat, part, kin, values, **opts)
 
     if cfg.out_format == "json":
-        text = json.dumps([asdict(r) for r in rows], indent=2, sort_keys=True) + "\n"
+        text = _json([asdict(r) for r in rows])
     else:
         text = csv_blocks(sweep_columns(rows))
     _write_atomic(cfg.out_path, text)
-
     if args.param == "u":
-        fit_payload = {
-            "fit": {
-                "a": fit.a_coef,
-                "b": fit.b_coef,
-                "b_over_a": fit.b_over_a,
-                "residual": fit.fit_residual,
-                "residual_warning": fit.residual_warning,
-            }
-        }
-        sidecar = (cfg.out_path + ".fit.json") if cfg.out_path != "-" else "-"
-        _write_atomic(sidecar, json.dumps(fit_payload, indent=2, sort_keys=True) + "\n")
+        _write_atomic(_fit_path(cfg.out_path), _json({"fit": asdict(fit)}))
     return 0
 
 
@@ -489,6 +479,8 @@ def main(argv: list[str] | None = None) -> int:
                 _write_atomic(args.dump_config, cfg.to_ini())
                 return 0
             _check_out_path(cfg.out_path, "--out")
+            if args.command == "sweep" and args.param == "u":
+                _check_out_path(_fit_path(cfg.out_path), "--out")
             if cfg.out_format != "csv" and args.command in ("coeffs", "evolve"):
                 raise ConfigError(f"format {cfg.out_format!r}: {args.command} writes CSV only")
             return args.func(args, cfg)

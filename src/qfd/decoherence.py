@@ -75,13 +75,13 @@ class DecoherenceTimeResult:
 
 @dataclass(frozen=True)
 class QuadraticFit:
-    """Least-squares fit tau(u) = a - b u^2 over a velocity sample."""
+    """Least-squares fit tau(u) = a - b u^2; the CLI's fit sidecar holds these fields."""
 
-    a_coef: float
-    b_coef: float
+    a: float
+    b: float
     b_over_a: float
-    fit_residual: float  # relative rms residual of the fit
-    residual_warning: bool = False
+    residual: float  # relative rms residual of the fit
+    residual_warning: bool = False  # residual above FIT_RESIDUAL_THRESHOLD
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +463,9 @@ def quadratic_ratio_fit(
     resid = taus - design @ coef
     rel_rms = float(np.sqrt(np.mean(resid**2)) / np.mean(np.abs(taus)))
     return QuadraticFit(
-        a_coef=a_fit,
-        b_coef=b_fit,
+        a=a_fit,
+        b=b_fit,
         b_over_a=b_fit / a_fit,
-        fit_residual=rel_rms,
+        residual=rel_rms,
         residual_warning=rel_rms > FIT_RESIDUAL_THRESHOLD,
     ), rows

@@ -122,7 +122,8 @@ def evolve(initial: QubitState, trace: CoefficientTrace) -> EvolutionResult:
         rm[b:e] = np.exp(-rel[k:]) * (np.exp(rel[0]) * rm[lo] - 4.0 * v[k:])
 
     rho11 = 0.5 * (1.0 + rm)
-    if np.any(rho11 < -POSITIVITY_SLACK) or np.any(rho11 > 1.0 + POSITIVITY_SLACK):
+    # both checks read as QubitState's `not lo <= x <= hi`, which NaN fails
+    if not np.all((-POSITIVITY_SLACK <= rho11) & (rho11 <= 1.0 + POSITIVITY_SLACK)):
         worst = float(rho11[np.argmax(np.abs(rho11 - 0.5))])
         raise PhysicsError(f"population left [0, 1] beyond slack: rho11 = {worst}")
     rho11 = np.clip(rho11, 0.0, 1.0)
@@ -132,7 +133,7 @@ def evolve(initial: QubitState, trace: CoefficientTrace) -> EvolutionResult:
     rho12 = initial.rho12 * envelope * np.exp(-1j * xi)
 
     bound = rho11 * (1.0 - rho11) + POSITIVITY_SLACK
-    if np.any(np.abs(rho12) ** 2 > bound):
+    if not np.all(np.abs(rho12) ** 2 <= bound):
         i = int(np.argmax(np.abs(rho12) ** 2 - bound))
         raise PhysicsError(
             f"coherence positivity broke at t = {g[i]}: |rho12|^2 = "

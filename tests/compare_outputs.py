@@ -40,6 +40,13 @@ EXTRA = {
     # too few velocities for the fit (exit 2)
     "sweep-u-3.csv": ["sweep", "--param", "u", "--from", "0.001", "--to", "0.03",
                       "--points", "3", "--preset", "nv-nsi"],
+    # JSON rows and the fit sidecar beside them
+    "sweep-u-markov.json": ["sweep", "--param", "u", "--from", "0.005", "--to", "0.02",
+                            "--points", "4", "--preset", "nv-nsi", "--method", "markov",
+                            "--format", "json"],
+    # a report that echoes a set a_nm and a normalised orientation
+    "tdec-a-orientation.json": ["tdec", "--preset", "rb-nsi", "--u", "0.01", "--a-nm", "5",
+                                "--orientation", "0.3,0.4,0.5"],
     "coeffs-e1.csv": ["coeffs", "--preset", "nv-nsi", *AT_U, "--method", "e1",
                       "--cycles", "6"],
     "coeffs-analytic.csv": ["coeffs", "--preset", "nv-nsi", *AT_U, "--method", "analytic",

@@ -7,6 +7,7 @@ import os
 import stat
 import tracemalloc
 import weakref
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ import pytest
 import qfd.cli
 from qfd.cli import _write_atomic, main, parse_angle
 from qfd.coefficients import csv_blocks, markov_limit
-from qfd.decoherence import quadratic_ratio_fit, sweep_columns, sweep_velocity
+from qfd.decoherence import quadratic_ratio_fit, sweep_columns, sweep_velocity, tau_d
 from qfd.errors import ConfigError, PhysicsError, QfdError
-from qfd.model import KinematicsParams, preset
+from qfd.model import KinematicsParams, preset, unit_orientation
 
 
 def run(args, tmp_path=None):
@@ -248,6 +249,28 @@ def test_tdec_json_report(tmp_path, gamma):
     assert payload["tau_d"] > 0
     assert payload["params"]["delta_tilde"] == 0.2
     assert payload["params"]["gamma_tilde"] == float(gamma)
+
+
+def test_tdec_json_report_echoes_the_resolved_config(tmp_path):
+    # the report is the result's fields plus the nine [material],
+    # [particle] and [kinematics] keys, a_nm and the normalised
+    # orientation included
+    out = tmp_path / "tdec.json"
+    assert run(["tdec", "--preset", "nv-nsi", "--u", "0.003", "--method", "markov",
+                "--a-nm", "5", "--orientation", "0.3,0.4,0.5", "--out", str(out)]) == 0
+    mat, part = preset("nv-nsi")
+    part = replace(part, orientation=unit_orientation((0.3, 0.4, 0.5)))
+    kin = KinematicsParams(u=0.003, a_nm=5.0)
+    assert json.loads(out.read_text()) == {
+        "tau_d": tau_d(mat, part, kin, method="markov").tau_d,
+        "method": "markov",
+        "params": {
+            "material": mat.name, "omega_s_rad_s": mat.omega_s,
+            "gamma_tilde": mat.gamma_tilde, "particle": part.name,
+            "delta_tilde": part.delta_tilde, "r0_tilde": part.r0_tilde,
+            "orientation": list(part.orientation), "u": 0.003, "a_nm": 5.0,
+        },
+    }
 
 
 def test_tdec_markov_on_gold(tmp_path):
@@ -651,9 +674,9 @@ def test_sweep_json_format(tmp_path):
          "--format", "json", "--out", str(out)]
     )
     assert code == 0
-    payload = json.loads(out.read_text())
-    assert len(payload) == 4
-    assert {"tau_d", "rate", "u"} <= set(payload[0])
+    mat, part = preset("nv-nsi")
+    rows = sweep_velocity(mat, part, np.geomspace(0.005, 0.02, 4), method="markov")
+    assert json.loads(out.read_text()) == [asdict(r) for r in rows]
 
 
 U_SWEEP = ["sweep", "--param", "u", "--from", "0.005", "--to", "0.03", "--points", "4",
@@ -670,8 +693,8 @@ def test_sweep_u_fits_through_quadratic_ratio_fit(tmp_path):
     fit, rows = quadratic_ratio_fit(mat, part, us, pts_per_cycle=600)
     assert rows == sweep_velocity(mat, part, us, pts_per_cycle=600)
     sidecar = json.loads((tmp_path / "u.csv.fit.json").read_text())
-    assert sidecar == {"fit": {"a": fit.a_coef, "b": fit.b_coef, "b_over_a": fit.b_over_a,
-                               "residual": fit.fit_residual,
+    assert sidecar == {"fit": {"a": fit.a, "b": fit.b, "b_over_a": fit.b_over_a,
+                               "residual": fit.residual,
                                "residual_warning": fit.residual_warning}}
     assert out.read_text() == "".join(csv_blocks(sweep_columns(rows)))
 
@@ -830,6 +853,28 @@ def test_unwritable_out_exit_2_before_any_work(tmp_path, capsys, monkeypatch, wh
     assert "--out" in capsys.readouterr().err
     assert calls == []
     assert not (tmp_path / "missing").exists()
+
+
+def test_fit_sidecar_into_a_directory_exit_2_before_any_work(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(qfd.cli, "quadratic_ratio_fit", lambda *a, **k: calls.append(a))
+    out = tmp_path / "u.csv"
+    (tmp_path / "u.csv.fit.json").mkdir()
+    assert run(U_SWEEP + ["--out", str(out)]) == 2
+    assert f"--out '{out}.fit.json' is a directory" in capsys.readouterr().err
+    assert calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ["u.csv.fit.json"]
+    assert not any((tmp_path / "u.csv.fit.json").iterdir())
+
+
+@pytest.mark.filterwarnings("default::RuntimeWarning")  # the envelope overflows on purpose
+def test_evolve_past_the_envelope_range_exit_4(tmp_path, capsys):
+    # past |u t| ~ 1.3e154 the trace turns NaN, which the positivity check refuses
+    out = tmp_path / "e.csv"
+    assert run(["evolve", "--preset", "nv-nsi", "--u", "1e160", "--cycles", "1",
+                "--out", str(out)]) == 4
+    assert "qfd: physics invariant breached: population left [0, 1]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -318,7 +318,7 @@ def test_fit_quadratic_regime_deviation():
     fit, _ = quadratic_ratio_fit(mat, part, us)
     for u in us:
         tau = tau_d_numeric(mat, part, KinematicsParams(u=u)).tau_d
-        model = fit.a_coef - fit.b_coef * u * u
+        model = fit.a - fit.b * u * u
         assert abs(tau - model) <= 1e-2 * tau
 
 

@@ -186,6 +186,16 @@ def test_positivity_breakdown_aborts():
         evolve(PLUS_STATE, bad)
 
 
+def test_nan_in_trace_fails_positivity():
+    # the check is QubitState's `not lo <= x <= hi`, which NaN fails
+    trace, _ = make_run(u=0.0, cycles=2.0, pts=64)
+    zeta = trace.zeta.copy()
+    zeta[10] = np.nan
+    bad = replace(trace, zeta=zeta)
+    with pytest.raises(PhysicsError, match="rho11 = nan"):
+        evolve(PLUS_STATE, bad)
+
+
 def test_evolution_csv_layout():
     _, res = make_run(u=0.0, cycles=1.0, pts=64)
     lines = res.to_csv().splitlines()
